@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -61,6 +61,40 @@ class OrderedBratteliDiagram:
         if self.group_labels is None or level == 0:
             return None
         return self.group_labels[level - 1][vertex]
+
+    # Derived tables: cached_property stores them in the instance __dict__,
+    # past the frozen __setattr__, and equality and hashing never see them.
+
+    @cached_property
+    def in_edge_table(self) -> tuple:
+        """in_edge_table[n-1][w]: level-n edges into w, in edge order."""
+        return tuple(_group_edges(level, self.vertex_counts[n], 1)
+                     for n, level in enumerate(self.edges, start=1))
+
+    @cached_property
+    def out_edge_table(self) -> tuple:
+        """out_edge_table[n-1][v]: level-n edges leaving level-(n-1) v."""
+        return tuple(_group_edges(level, self.vertex_counts[n - 1], 0)
+                     for n, level in enumerate(self.edges, start=1))
+
+    @cached_property
+    def path_count_table(self) -> tuple:
+        """path_count_table[n][v]: number of root paths to level-n vertex v."""
+        counts = [(1,)]
+        for level, size in zip(self.edges, self.vertex_counts[1:]):
+            row = [0] * size
+            for s, r in level:
+                row[r] += counts[-1][s]
+            counts.append(tuple(row))
+        return tuple(counts)
+
+
+def _group_edges(level: tuple, num_vertices: int, end: int) -> tuple:
+    """Edge indices of one level grouped by source (end=0) or range (end=1)."""
+    table = [[] for _ in range(num_vertices)]
+    for i, e in enumerate(level):
+        table[e[end]].append(i)
+    return tuple(tuple(t) for t in table)
 
 
 def make_diagram(num_levels: int,
@@ -151,22 +185,14 @@ def check_valid(d: OrderedBratteliDiagram) -> None:
         raise InvalidDiagram("; ".join(str(v) for v in report))
 
 
-@lru_cache(maxsize=None)
 def in_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
     """Per level-n vertex, the ordered tuple of incoming edge indices."""
-    table = [[] for _ in range(d.vertex_counts[n])]
-    for i, (_, r) in enumerate(d.level_edges(n)):
-        table[r].append(i)
-    return tuple(tuple(t) for t in table)
+    return d.in_edge_table[n - 1]
 
 
-@lru_cache(maxsize=None)
 def out_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
     """Per level-(n-1) vertex, the tuple of outgoing level-n edge indices."""
-    table = [[] for _ in range(d.vertex_counts[n - 1])]
-    for i, (s, _) in enumerate(d.level_edges(n)):
-        table[s].append(i)
-    return tuple(tuple(t) for t in table)
+    return d.out_edge_table[n - 1]
 
 
 def edge_order_index(d: OrderedBratteliDiagram, n: int, edge: int) -> int:
@@ -198,13 +224,13 @@ def max_vertices(d: OrderedBratteliDiagram, n: int) -> tuple:
 def vertex_ranges(d: OrderedBratteliDiagram, n: int, v: int) -> tuple:
     """R(v): level-(n+1) vertices connected to level-n vertex v."""
     level = d.level_edges(n + 1)
-    return tuple(sorted({r for s, r in level if s == v}))
+    return tuple(sorted({level[e][1] for e in out_edges(d, n + 1)[v]}))
 
 
 def vertex_sources(d: OrderedBratteliDiagram, n: int, v: int) -> tuple:
     """S(v): level-(n-1) vertices connected to level-n vertex v."""
     level = d.level_edges(n)
-    return tuple(sorted({s for s, r in level if r == v}))
+    return tuple(sorted({level[e][0] for e in in_edges(d, n)[v]}))
 
 
 def incidence_matrix(d: OrderedBratteliDiagram, n: int) -> list:
@@ -240,43 +266,49 @@ class TelescopeMap:
 
     cut_points includes the implicit 0; path_tables[m] maps each original
     edge-index path spanning levels cut_points[m]+1..cut_points[m+1] to its
-    edge index in the telescoped diagram's level m+1.
+    edge index in the telescoped diagram's level m+1, and orig_paths[m]
+    lists those paths by new edge index.
     """
 
     cut_points: tuple
     path_tables: tuple   # tuple of dicts {orig edge tuple: new edge index}
+    orig_paths: tuple    # tuple of tuples of orig edge tuples
 
     def new_edge(self, new_level: int, orig_path: tuple) -> int:
         return self.path_tables[new_level - 1][tuple(orig_path)]
 
     def orig_path(self, new_level: int, new_edge: int) -> tuple:
-        table = self.path_tables[new_level - 1]
-        for path, idx in table.items():
-            if idx == new_edge:
-                return path
-        raise DiagramError(f"edge {new_edge} missing at level {new_level}")
+        paths = self.orig_paths[new_level - 1]
+        if not 0 <= new_edge < len(paths):
+            raise DiagramError(
+                f"edge {new_edge} missing at level {new_level}")
+        return paths[new_edge]
 
 
-def _enumerate_paths(d: OrderedBratteliDiagram, lo: int, hi: int):
-    """All edge-index paths spanning edge levels lo..hi, with endpoints.
+def paths_between(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
+    """Every path over edge levels lo..hi as (source, range, edge tuple).
 
-    Yields (start_vertex, end_vertex, path_tuple).
+    Lexicographic in (source, edge tuple), so from the root (lo == 1) in
+    the edges alone; hi == lo - 1 gives each vertex's empty path.
     """
-    paths = [(s, r, (i,)) for i, (s, r) in enumerate(d.level_edges(lo))]
-    for n in range(lo + 1, hi + 1):
+    paths = [(v, v, ()) for v in range(d.vertex_counts[lo - 1])]
+    for n in range(lo, hi + 1):
         level = d.level_edges(n)
-        nxt = []
-        for start, end, path in paths:
-            for i in out_edges(d, n)[end]:
-                nxt.append((start, level[i][1], path + (i,)))
-        paths = nxt
+        outs = out_edges(d, n)
+        paths = [(start, level[i][1], path + (i,))
+                 for start, end, path in paths for i in outs[end]]
     return paths
 
 
-def _path_order_key(d: OrderedBratteliDiagram, lo: int, path: tuple) -> tuple:
-    # Deepest edge most significant: the induced order on telescoped edges.
-    return tuple(edge_order_index(d, lo + j, path[j])
-                 for j in reversed(range(len(path))))
+def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
+    """paths_between(d, lo, hi) in the order telescoping numbers them:
+    by range vertex, then with the deepest edge's order most significant.
+    """
+    def key(seg):
+        _, r, path = seg
+        return r, tuple(edge_order_index(d, lo + j, path[j])
+                        for j in reversed(range(len(path))))
+    return sorted(paths_between(d, lo, hi), key=key)
 
 
 def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
@@ -294,21 +326,18 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
         raise DiagramError(
             f"cut points must lie in 1..{d.num_levels} and end at "
             f"{d.num_levels}")
-    bounds = (0,) + cuts
-    new_edges = []
-    tables = []
-    for m in range(len(cuts)):
-        lo, hi = bounds[m] + 1, bounds[m + 1]
-        paths = _enumerate_paths(d, lo, hi)
-        paths.sort(key=lambda p: (p[1], _path_order_key(d, lo, p[2])))
-        new_edges.append([(s, r) for s, r, _ in paths])
-        tables.append({path: i for i, (_, _, path) in enumerate(paths)})
+    segs = [telescope_segments(d, lo + 1, hi)
+            for lo, hi in zip((0,) + cuts, cuts)]
+    new_edges = [[(s, r) for s, r, _ in level] for level in segs]
+    paths = tuple(tuple(path for _, _, path in level) for level in segs)
     labels = None
     if d.group_labels is not None:
         labels = [d.group_labels[c - 1] for c in cuts]
     td = make_diagram(len(cuts), [1] + [d.vertex_counts[c] for c in cuts],
                       new_edges, labels)
-    return td, TelescopeMap((0,) + cuts, tuple(tables))
+    tables = tuple({path: i for i, path in enumerate(level)}
+                   for level in paths)
+    return td, TelescopeMap((0,) + cuts, tables, paths)
 
 
 @dataclass(frozen=True)
@@ -371,15 +400,17 @@ def check_fem_properties(d: OrderedBratteliDiagram, m_max: int = 4) -> list:
 
 def _iterate_r(d, n, vs, m):
     cur = set(vs)
-    for i in range(m):
-        cur = {r for s, r in d.level_edges(n + i + 1) if s in cur}
+    for k in range(n + 1, n + m + 1):
+        level, outs = d.level_edges(k), out_edges(d, k)
+        cur = {level[e][1] for v in cur for e in outs[v]}
     return cur
 
 
 def _iterate_s(d, n, vs, m):
     cur = set(vs)
-    for i in range(m):
-        cur = {s for s, r in d.level_edges(n - i) if r in cur}
+    for k in range(n, n - m, -1):
+        level, ins = d.level_edges(k), in_edges(d, k)
+        cur = {level[e][0] for v in cur for e in ins[v]}
     return cur
 
 
@@ -408,16 +439,35 @@ def diagram_from_json(obj: dict) -> OrderedBratteliDiagram:
     missing = _DIAGRAM_KEYS - {"group_labels"} - set(obj)
     if missing:
         raise MalformedDiagram(f"missing keys: {sorted(missing)}")
-    edges = []
-    for level in obj["edges"]:
-        pairs = []
-        for e in level:
-            if set(e) != {"s", "r"}:
-                raise MalformedDiagram(f"edge record keys must be s,r: {e}")
-            pairs.append((e["s"], e["r"]))
-        edges.append(pairs)
+    labels = obj.get("group_labels")
+    if type(obj["num_levels"]) is not int:
+        raise MalformedDiagram("num_levels must be an integer")
+    if not _is_int_list(obj["vertex_counts"]):
+        raise MalformedDiagram("vertex_counts must be a list of integers")
+    if labels is not None and not (type(labels) is list
+                                   and all(map(_is_int_list, labels))):
+        raise MalformedDiagram(
+            "group_labels must be null or a list of integer lists")
+    if not (type(obj["edges"]) is list and all(
+            type(level) is list and all(map(_is_edge, level))
+            for level in obj["edges"])):
+        raise MalformedDiagram(
+            'edges must be a list of levels of {"s": int, "r": int} records')
+    edges = [[(e["s"], e["r"]) for e in level] for level in obj["edges"]]
     return make_diagram(obj["num_levels"], obj["vertex_counts"], edges,
-                        obj.get("group_labels"))
+                        labels)
+
+
+# Exact type tests: JSON gives plain lists, dicts and ints, and they keep
+# out bools, which are ints to isinstance.
+
+def _is_int_list(x) -> bool:
+    return type(x) is list and all(type(v) is int for v in x)
+
+
+def _is_edge(e) -> bool:
+    return (type(e) is dict and e.keys() == {"s", "r"}
+            and type(e["s"]) is int and type(e["r"]) is int)
 
 
 def load_diagram(path: str) -> OrderedBratteliDiagram:

@@ -10,11 +10,11 @@ rank order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .diagram import (DiagramError, OrderedBratteliDiagram, check_valid,
-                      in_edges, max_edges, min_edges)
+                      in_edges, max_edges, min_edges, out_edges,
+                      paths_between)
 
 
 class MaximalPathError(DiagramError):
@@ -79,16 +79,9 @@ def _extremal_path_to(d, level, vertex, which):
     return make_path(d, tuple(reversed(rev)))
 
 
-@lru_cache(maxsize=None)
 def path_counts(d: OrderedBratteliDiagram, level: int) -> tuple:
     """Number of root paths to each vertex at the given level."""
-    if level == 0:
-        return (1,)
-    prev = path_counts(d, level - 1)
-    counts = [0] * d.vertex_counts[level]
-    for s, r in d.level_edges(level):
-        counts[r] += prev[s]
-    return tuple(counts)
+    return d.path_count_table[level]
 
 
 def path_rank(d: OrderedBratteliDiagram, p: FinitePath) -> int:
@@ -113,6 +106,9 @@ def path_rank(d: OrderedBratteliDiagram, p: FinitePath) -> int:
 def path_unrank(d: OrderedBratteliDiagram, level: int, vertex: int,
                 rank: int) -> FinitePath:
     """Inverse of path_rank for paths into (level, vertex)."""
+    if not (0 <= level <= d.num_levels
+            and 0 <= vertex < d.vertex_counts[level]):
+        raise DiagramError(f"no vertex {vertex} at level {level}")
     total = path_counts(d, level)[vertex]
     if not 0 <= rank < total:
         raise DiagramError(
@@ -268,10 +264,8 @@ def extremal_pairing(d: OrderedBratteliDiagram, depth: int) -> Optional[dict]:
 
 def _fiber_key(d: OrderedBratteliDiagram):
     if d.group_labels is not None:
-        n = d.num_levels
-        return lambda p: d.label_of(n, _extend_vertex(d, p))
+        return lambda p: d.label_of(d.num_levels, _extend_vertex(d, p))
     comp = _last_level_components(d)
-    n = d.num_levels
     return lambda p: comp[_extend_vertex(d, p)]
 
 
@@ -279,13 +273,9 @@ def _extend_vertex(d, p):
     # Terminal vertex of the unique extremal extension to the last level.
     # Extremal path sets are built from last-level paths, so following
     # minimal out-edges is enough for fiber identification.
-    if p.depth == d.num_levels:
-        return p.terminal_vertex
     v = p.terminal_vertex
     for n in range(p.depth + 1, d.num_levels + 1):
-        outs = [i for i in range(len(d.level_edges(n)))
-                if d.level_edges(n)[i][0] == v]
-        v = d.level_edges(n)[outs[0]][1]
+        v = d.level_edges(n)[out_edges(d, n)[v][0]][1]
     return v
 
 
@@ -362,19 +352,5 @@ def untelescope_path(tmap, p: FinitePath, original: OrderedBratteliDiagram):
 
 
 def all_paths(d: OrderedBratteliDiagram, depth: int):
-    """Every path of the given depth, in no particular order."""
-    paths = [()]
-    v_of = {(): 0}
-    for n in range(1, depth + 1):
-        level = d.level_edges(n)
-        nxt = []
-        nv = {}
-        for p in paths:
-            v = v_of[p]
-            for i, (s, r) in enumerate(level):
-                if s == v:
-                    q = p + (i,)
-                    nxt.append(q)
-                    nv[q] = r
-        paths, v_of = nxt, nv
-    return [make_path(d, p) for p in paths]
+    """Every path of the given depth, in lexicographic order of edges."""
+    return [make_path(d, p) for _, _, p in paths_between(d, 1, depth)]

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagram import (DiagramError, OrderedBratteliDiagram, check_valid,
-                      edge_order_index, in_edges, incidence_matrix,
-                      make_diagram, mat_mul, min_vertices, max_vertices,
-                      telescope, vertex_ranges, vertex_sources,
-                      _enumerate_paths, _path_order_key)
-from .paths import (FinitePath, extremal_paths, is_maximal, is_minimal,
-                    make_path, path_rank, vershik_predecessor,
+                      incidence_matrix, make_diagram, mat_mul,
+                      min_vertices, max_vertices, telescope,
+                      telescope_segments, vertex_ranges, vertex_sources)
+from .paths import (FinitePath, all_paths, extremal_paths, is_maximal,
+                    is_minimal, make_path, path_rank, vershik_predecessor,
                     vershik_successor)
 
 
@@ -263,20 +262,15 @@ def _segment_bijection(d, bd, level, lo, hi):
     """Order-preserving bijection between bd's level edges and d's paths
     spanning edge levels lo..hi, blockwise per (source, range).
 
-    Within a block both sides are sorted by their linear order (edge order
+    Within a block both sides come in telescope_segments order (edge order
     for bd, deepest-edge-first path order for d), which reserves the
     all-minimal and all-maximal assignments automatically.
     """
-    blocks1 = {}
-    for w, order in enumerate(in_edges(bd, level)):
-        for e in order:
-            s = bd.level_edges(level)[e][0]
-            blocks1.setdefault((s, w), []).append(e)
-    blocks2 = {}
-    segs = [(s, r, path) for s, r, path in _enumerate_paths(d, lo, hi)]
-    segs.sort(key=lambda t: (t[1], _path_order_key(d, lo, t[2])))
-    for s, r, path in segs:
-        blocks2.setdefault((s, r), []).append(path)
+    blocks1, blocks2 = {}, {}
+    for blocks, segs in ((blocks1, telescope_segments(bd, level, level)),
+                         (blocks2, telescope_segments(d, lo, hi))):
+        for s, r, path in segs:
+            blocks.setdefault((s, r), []).append(path)
     if set(blocks1) != set(blocks2):
         raise DiagramError(
             f"segment blocks differ at level {level}: internal error")
@@ -287,7 +281,7 @@ def _segment_bijection(d, bd, level, lo, hi):
             raise DiagramError(
                 f"segment count mismatch in block {key} at level {level}: "
                 "internal error")
-        for e, path in zip(blocks1[key], blocks2[key]):
+        for (e,), path in zip(blocks1[key], blocks2[key]):
             table[e] = path
             inverse[path] = e
     return table, inverse
@@ -434,6 +428,13 @@ def cocycle(F: OrbitMapRealization, p: FinitePath,
     that many times from F(x) reaches F applied to the shifted point, for
     every x in the cylinder.
     """
+    q, q2 = cocycle_images(F, p, direction)
+    return path_rank(F.b2, q2) - path_rank(F.b2, q)
+
+
+def cocycle_images(F: OrbitMapRealization, p: FinitePath,
+                   direction: str = "forward"):
+    """The two B2 paths whose rank difference is the cocycle value."""
     if direction not in ("forward", "backward"):
         raise DiagramError(f"direction must be forward or backward")
     if p.depth < 2:
@@ -462,51 +463,21 @@ def cocycle(F: OrbitMapRealization, p: FinitePath,
     if q.terminal_vertex != q2.terminal_vertex:
         raise DiagramError("cocycle images disagree on vertices: "
                            "internal error")
-    n = path_rank(F.b2, q2) - path_rank(F.b2, q)
-    return n
-
-
-def cocycle_images(F: OrbitMapRealization, p: FinitePath,
-                   direction: str = "forward"):
-    """The two B2 paths whose rank difference is the cocycle value."""
-    b1 = F.b1
-    pre = make_path(b1, p.edge_indices[:-1])
-    other = (vershik_successor(b1, pre) if direction == "forward"
-             else vershik_predecessor(b1, pre))
-    bridge = F.f1_tables[p.depth - 1][p.edge_indices[-1]][0]
-    d = F.interleaved.diagram
-    q = f2_inverse_path(F, make_path(d, f1_path(F, pre).edge_indices
-                                     + (bridge,)))
-    q2 = f2_inverse_path(F, make_path(d, f1_path(F, other).edge_indices
-                                      + (bridge,)))
     return q, q2
 
 
 def verify_cocycle(F: OrbitMapRealization, p: FinitePath,
                    direction: str = "forward", limit: int = 10 ** 4) -> bool:
     """Confirm the reported value by literal successor iteration in B2."""
-    n = cocycle(F, p, direction)
+    q, q2 = cocycle_images(F, p, direction)
+    n = path_rank(F.b2, q2) - path_rank(F.b2, q)
     if abs(n) > limit:
         raise DiagramError(f"cocycle value {n} exceeds iteration limit")
-    q, q2 = cocycle_images(F, p, direction)
     step = vershik_successor if n >= 0 else vershik_predecessor
     cur = q
     for _ in range(abs(n)):
         cur = step(F.b2, cur)
     return cur == q2
-
-
-def _paths_of_depth(d, depth):
-    stack = [((), 0)]
-    for n in range(1, depth + 1):
-        level = d.level_edges(n)
-        nxt = []
-        for idx, v in stack:
-            for i, (s, r) in enumerate(level):
-                if s == v:
-                    nxt.append((idx + (i,), r))
-        stack = nxt
-    return stack
 
 
 def check_cocycle_continuity(F: OrbitMapRealization, depth: int) -> dict:
@@ -522,8 +493,8 @@ def check_cocycle_continuity(F: OrbitMapRealization, depth: int) -> dict:
     report = {"checked": 0, "eligible": 0, "nonconstant": []}
     values = {}
     for m in range(2, max_depth + 1):
-        for idx, v in _paths_of_depth(b1, m):
-            p = make_path(b1, idx)
+        for p in all_paths(b1, m):
+            idx = p.edge_indices
             pre = make_path(b1, idx[:-1])
             for direction, extremal in (("forward", is_maximal),
                                         ("backward", is_minimal)):
@@ -641,14 +612,13 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     if cont["nonconstant"]:
         out["nonconstant"] = cont["nonconstant"][:10]
     samples = []
-    for idx, v in _paths_of_depth(b1, min(3, b1.num_levels)):
+    for p in all_paths(b1, min(3, b1.num_levels)):
         if len(samples) >= 5:
             break
-        p = make_path(b1, idx)
-        pre = make_path(b1, idx[:-1])
+        pre = make_path(b1, p.edge_indices[:-1])
         if is_maximal(b1, pre):
             continue
-        samples.append({"path": list(idx),
+        samples.append({"path": list(p.edge_indices),
                         "forward": cocycle(F, p, "forward")})
     out["cocycle_samples"] = samples
     return out

@@ -136,6 +136,21 @@ def test_domain_error_exit_code_1(capsys, tmp_path):
     assert "line" in res["payload"]["message"]
 
 
+@pytest.mark.parametrize("text", [
+    '{"num_levels": 1, "vertex_counts": [1, 1], "edges": [5]}',
+    '{"num_levels": "1", "vertex_counts": [1, 1],'
+    ' "edges": [[{"s": 0, "r": 0}]]}',
+    '{"num_levels": 1, "vertex_counts": [1, 1],'
+    ' "edges": [[{"s": [0], "r": 0}]]}',
+], ids=["level-not-list", "num-levels-string", "edge-field-list"])
+def test_mistyped_diagram_json_is_domain_error(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, res = run_json(capsys, ["validate", "--diagram", str(bad)])
+    assert code == 1
+    assert res["status"] == "error"
+
+
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["no-such-command"])

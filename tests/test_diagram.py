@@ -81,6 +81,27 @@ def test_telescope_map_round_trip():
         for e in range(len(td.level_edges(lvl))):
             path = tmap.orig_path(lvl, e)
             assert tmap.new_edge(lvl, path) == e
+    for e in (-1, len(td.level_edges(1))):
+        with pytest.raises(dg.DiagramError):
+            tmap.orig_path(1, e)
+
+
+def test_edge_tables_match_edge_scan(suite):
+    for d in suite.values():
+        for n in range(1, d.num_levels + 1):
+            level = d.level_edges(n)
+            ins = tuple(tuple(i for i, (_, r) in enumerate(level) if r == w)
+                        for w in range(d.vertex_counts[n]))
+            outs = tuple(tuple(i for i, (s, _) in enumerate(level) if s == v)
+                         for v in range(d.vertex_counts[n - 1]))
+            assert dg.in_edges(d, n) == ins
+            assert dg.out_edges(d, n) == outs
+            for v in range(d.vertex_counts[n - 1]):
+                want = tuple(sorted({r for s, r in level if s == v}))
+                assert dg.vertex_ranges(d, n - 1, v) == want
+            for w in range(d.vertex_counts[n]):
+                want = tuple(sorted({s for s, r in level if r == w}))
+                assert dg.vertex_sources(d, n, w) == want
 
 
 def test_fem_properties_pass_on_suite(suite):

@@ -1,3 +1,7 @@
+import gc
+import itertools
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +37,46 @@ def test_rank_enumerates_all_paths(suite):
                 assert pt.path_rank(d, p) == r
                 seen.add(p.edge_indices)
             assert len(seen) == total
+
+
+def test_path_counts_and_all_paths_match_edge_scan(suite):
+    for d in suite.values():
+        for depth in range(4):
+            # Every composable edge-index tuple, in lexicographic order.
+            want = []
+            for idx in itertools.product(*(range(len(d.level_edges(n)))
+                                           for n in range(1, depth + 1))):
+                v = 0
+                for n, e in enumerate(idx, start=1):
+                    s, r = d.level_edges(n)[e]
+                    if s != v:
+                        break
+                    v = r
+                else:
+                    want.append((idx, v))
+            got = pt.all_paths(d, depth)
+            assert [(p.edge_indices, p.terminal_vertex) for p in got] == want
+            counts = [0] * d.vertex_counts[depth]
+            for _, v in want:
+                counts[v] += 1
+            assert pt.path_counts(d, depth) == tuple(counts)
+
+
+def test_queries_do_not_keep_diagram_alive():
+    d = gen.stationary_adic([[2, 1], [1, 1]], 12)
+    p = pt.path_unrank(d, 12, 0, 5)
+    assert pt.path_rank(d, p) == 5
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
+def test_unrank_rejects_missing_vertex():
+    d = gen.odometer(2, 6)
+    for level, vertex in ((-1, 0), (7, 0), (2, 1), (2, -1)):
+        with pytest.raises(dg.DiagramError):
+            pt.path_unrank(d, level, vertex, 0)
 
 
 def test_successor_walk_is_rank_order():
