@@ -80,13 +80,43 @@ class OrderedBratteliDiagram:
     @cached_property
     def path_count_table(self) -> tuple:
         """path_count_table[n][v]: number of root paths to level-n vertex v."""
-        counts = [(1,)]
+        return self._rank_sums[0]
+
+    @cached_property
+    def rank_offset_table(self) -> tuple:
+        """rank_offset_table[n-1][e]: what level-n edge e adds to a path's
+        rank, the root paths into the sources of the edges before it."""
+        return self._rank_sums[1]
+
+    @cached_property
+    def _rank_sums(self) -> tuple:
+        # One scan gives both tables: edges come in range, then edge order,
+        # so a range vertex's running path count when an edge is reached
+        # is that edge's rank offset.
+        counts, offsets = [(1,)], []
         for level, size in zip(self.edges, self.vertex_counts[1:]):
             row = [0] * size
+            before = []
             for s, r in level:
+                before.append(row[r])
                 row[r] += counts[-1][s]
             counts.append(tuple(row))
-        return tuple(counts)
+            offsets.append(tuple(before))
+        return tuple(counts), tuple(offsets)
+
+    @cached_property
+    def edge_position_table(self) -> tuple:
+        """edge_position_table[n-1][e]: place of level-n edge e among the
+        edges into its range vertex (0 is minimal, the last is maximal)."""
+        table = []
+        for level, size in zip(self.edges, self.vertex_counts[1:]):
+            seen = [0] * size
+            row = []
+            for _, r in level:
+                row.append(seen[r])
+                seen[r] += 1
+            table.append(tuple(row))
+        return tuple(table)
 
 
 def _group_edges(level: tuple, num_vertices: int, end: int) -> tuple:
@@ -197,8 +227,8 @@ def out_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
 
 def edge_order_index(d: OrderedBratteliDiagram, n: int, edge: int) -> int:
     """Position of an edge in the linear order on edges sharing its range."""
-    _, r = d.level_edges(n)[edge]
-    return in_edges(d, n)[r].index(edge)
+    d.level_edges(n)    # range-checks n
+    return d.edge_position_table[n - 1][edge]
 
 
 def min_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
@@ -442,10 +472,10 @@ def diagram_from_json(obj: dict) -> OrderedBratteliDiagram:
     labels = obj.get("group_labels")
     if type(obj["num_levels"]) is not int:
         raise MalformedDiagram("num_levels must be an integer")
-    if not _is_int_list(obj["vertex_counts"]):
+    if not is_int_list(obj["vertex_counts"]):
         raise MalformedDiagram("vertex_counts must be a list of integers")
     if labels is not None and not (type(labels) is list
-                                   and all(map(_is_int_list, labels))):
+                                   and all(map(is_int_list, labels))):
         raise MalformedDiagram(
             "group_labels must be null or a list of integer lists")
     if not (type(obj["edges"]) is list and all(
@@ -461,7 +491,7 @@ def diagram_from_json(obj: dict) -> OrderedBratteliDiagram:
 # Exact type tests: JSON gives plain lists, dicts and ints, and they keep
 # out bools, which are ints to isinstance.
 
-def _is_int_list(x) -> bool:
+def is_int_list(x) -> bool:
     return type(x) is list and all(type(v) is int for v in x)
 
 

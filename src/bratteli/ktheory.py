@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .diagram import (DiagramError, OrderedBratteliDiagram, check_valid,
-                      incidence_matrix, mat_mul, mat_vec)
+from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
+                      check_valid, incidence_matrix, is_int_list, mat_mul,
+                      mat_vec)
 from .paths import extremal_paths
 
 
@@ -343,6 +344,8 @@ def make_permutation_system(perm, fiber) -> FinitePermutationSystem:
     perm = tuple(int(p) for p in perm)
     fiber = tuple(int(f) for f in fiber)
     n = len(perm)
+    if n == 0:
+        raise DiagramError("permutation system needs at least one point")
     if sorted(perm) != list(range(n)):
         raise DiagramError("permutation must be a bijection on 0..n-1")
     if len(fiber) != n:
@@ -408,8 +411,13 @@ def permutation_system_from_json(obj: dict) -> FinitePermutationSystem:
     if not isinstance(obj, dict) or set(obj) != _SYSTEM_KEYS:
         raise DiagramError(
             "permutation system JSON must have exactly keys n, perm, fiber")
+    if not (type(obj["n"]) is int and is_int_list(obj["perm"])
+            and is_int_list(obj["fiber"])):
+        raise MalformedDiagram(
+            "permutation system JSON needs an integer n and integer lists "
+            "perm and fiber")
     s = make_permutation_system(obj["perm"], obj["fiber"])
-    if s.n_points != int(obj["n"]):
+    if s.n_points != obj["n"]:
         raise DiagramError(
             f"declared n = {obj['n']} but perm has {s.n_points} points")
     return s

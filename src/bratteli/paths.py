@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import (DiagramError, OrderedBratteliDiagram, check_valid,
-                      in_edges, max_edges, min_edges, out_edges,
-                      paths_between)
+                      in_edges, out_edges, paths_between)
 
 
 class MaximalPathError(DiagramError):
@@ -88,19 +87,10 @@ def path_rank(d: OrderedBratteliDiagram, p: FinitePath) -> int:
     """Position of p in the successor order on paths into its terminal vertex.
 
     Rank 0 is the all-minimal path; the successor map advances rank by one.
+    The rank is additive over levels: each edge adds its rank offset.
     """
-    rank = 0
-    v = 0
-    for n, e in enumerate(p.edge_indices, start=1):
-        counts = path_counts(d, n - 1)
-        level = d.level_edges(n)
-        r = level[e][1]
-        for e2 in in_edges(d, n)[r]:
-            if e2 == e:
-                break
-            rank += counts[level[e2][0]]
-        v = r
-    return rank
+    offsets = d.rank_offset_table
+    return sum(offsets[n][e] for n, e in enumerate(p.edge_indices))
 
 
 def path_unrank(d: OrderedBratteliDiagram, level: int, vertex: int,
@@ -133,13 +123,16 @@ def path_unrank(d: OrderedBratteliDiagram, level: int, vertex: int,
 
 
 def is_maximal(d: OrderedBratteliDiagram, p: FinitePath) -> bool:
-    maxes = [max_edges(d, n) for n in range(1, p.depth + 1)]
-    return all(e in maxes[n] for n, e in enumerate(p.edge_indices))
+    """Every edge of p is the last into its range vertex."""
+    pos, into, edges = d.edge_position_table, d.in_edge_table, d.edges
+    return all(pos[n][e] == len(into[n][edges[n][e][1]]) - 1
+               for n, e in enumerate(p.edge_indices))
 
 
 def is_minimal(d: OrderedBratteliDiagram, p: FinitePath) -> bool:
-    mins = [min_edges(d, n) for n in range(1, p.depth + 1)]
-    return all(e in mins[n] for n, e in enumerate(p.edge_indices))
+    """Every edge of p is the first into its range vertex."""
+    pos = d.edge_position_table
+    return all(pos[n][e] == 0 for n, e in enumerate(p.edge_indices))
 
 
 def vershik_successor(d: OrderedBratteliDiagram, p: FinitePath) -> FinitePath:
@@ -148,7 +141,7 @@ def vershik_successor(d: OrderedBratteliDiagram, p: FinitePath) -> FinitePath:
         n = j + 1
         level = d.level_edges(n)
         order = in_edges(d, n)[level[e][1]]
-        pos = order.index(e)
+        pos = d.edge_position_table[j][e]
         if pos + 1 < len(order):
             y = order[pos + 1]
             prefix = min_path_to(d, n - 1, level[y][0])

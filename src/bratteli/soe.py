@@ -15,13 +15,14 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagram import (DiagramError, OrderedBratteliDiagram, check_valid,
-                      incidence_matrix, make_diagram, mat_mul,
-                      min_vertices, max_vertices, telescope,
-                      telescope_segments, vertex_ranges, vertex_sources)
+from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
+                      check_valid, incidence_matrix, is_int_list,
+                      make_diagram, mat_mul, min_vertices, max_vertices,
+                      telescope, telescope_segments, vertex_ranges,
+                      vertex_sources)
 from .paths import (FinitePath, all_paths, extremal_paths, is_maximal,
-                    is_minimal, make_path, path_rank, vershik_predecessor,
-                    vershik_successor)
+                    is_minimal, make_path, max_path_to, min_path_to,
+                    path_rank, vershik_predecessor, vershik_successor)
 
 
 class IntertwiningInvalid(DiagramError):
@@ -480,38 +481,118 @@ def verify_cocycle(F: OrbitMapRealization, p: FinitePath,
     return cur == q2
 
 
+def cocycle_values(F: OrbitMapRealization, depth: int):
+    """Both cocycles on every eligible B1 cylinder, from one depth-first walk.
+
+    Yields (direction, edge_indices, value, parent_value) for every B1 path
+    of depth 2..max_depth, max_depth = min(depth, realized B1 depth, B1
+    depth), whose prefix is non-maximal (forward) or non-minimal
+    (backward); value equals cocycle(F, path, direction).  parent_value is
+    the same cocycle on the cylinder one level up, or None when that
+    cylinder is not eligible or has depth 1.
+
+    A walk node is a prefix of depth k.  For the prefix, and for its
+    Vershik successor and predecessor when they exist, the node carries the
+    last interleaved edge of the f1 image and the B2 rank of the image's
+    first k-1 B2 edges.  Rank is a sum of per-level offsets, so a child
+    pre + (e) extends all three states by one table lookup each: the
+    successor of pre + (e) is succ(pre) + (e) unless pre is all-maximal,
+    and only then (when e is not maximal) is it rebuilt from the root.
+    The predecessor is the mirror image.
+    """
+    b1, b2 = F.b1, F.b2
+    max_depth = min(depth, len(F.f1_tables), b1.num_levels)
+    f1, f2inv, offsets = F.f1_tables, F.f2_inverse, b2.rank_offset_table
+
+    def extend(state, k, e):
+        # State of a depth-k path extended by level-(k+1) edge e, and the
+        # B2 edge that e's first interleaved edge completes.
+        bridge, last = f1[k][e]
+        b = f2inv[k - 1][state[0], bridge]
+        return (last, state[1] + offsets[k - 1][b]), b
+
+    def carried(path):
+        # State of a B1 path, built from the root.
+        state = (f1[0][path[0]][0], 0)
+        for k in range(1, len(path)):
+            state, _ = extend(state, k, path[k])
+        return state
+
+    def beside(other, k, e, b, rank):
+        # Neighbour's state extended by e, and its rank shift.
+        state, b_other = extend(other, k, e)
+        if b2.edges[k - 1][b_other][1] != b2.edges[k - 1][b][1]:
+            raise DiagramError("cocycle images disagree on vertices: "
+                               "internal error")
+        return state, state[1] - rank
+
+    stack = []
+
+    def push(pre, e, top, bottom, here, succ, pred, values):
+        # Node for pre + (e,), whose own cocycles are values.  top / bottom:
+        # pre is all-maximal / minimal; then succ / pred is None and, when
+        # it exists, is rebuilt here.
+        k = len(pre)
+        r = b1.edges[k][e][1]
+        order, pos = b1.in_edge_table[k][r], b1.edge_position_table[k][e]
+        if top and pos + 1 < len(order):
+            y = order[pos + 1]
+            succ = carried(min_path_to(b1, k, b1.edges[k][y][0]).edge_indices
+                           + (y,))
+        if bottom and pos > 0:
+            y = order[pos - 1]
+            pred = carried(max_path_to(b1, k, b1.edges[k][y][0]).edge_indices
+                           + (y,))
+        stack.append((pre + (e,), r, top and pos + 1 == len(order),
+                      bottom and pos == 0, here, succ, pred, values))
+
+    if max_depth >= 2:
+        for e in b1.out_edge_table[0][0]:
+            push((), e, True, True, carried((e,)), None, None, (None, None))
+    while stack:
+        pre, v, top, bottom, here, succ, pred, (up_f, up_b) = stack.pop()
+        k = len(pre)
+        for e in b1.out_edge_table[k][v]:
+            child, b = extend(here, k, e)
+            path = pre + (e,)
+            fwd = bwd = child_succ = child_pred = None
+            if succ is not None:
+                child_succ, fwd = beside(succ, k, e, b, child[1])
+                yield "forward", path, fwd, up_f
+            if pred is not None:
+                child_pred, bwd = beside(pred, k, e, b, child[1])
+                yield "backward", path, bwd, up_b
+            if k + 1 < max_depth:
+                push(pre, e, top, bottom, child, child_succ, child_pred,
+                     (fwd, bwd))
+
+
 def check_cocycle_continuity(F: OrbitMapRealization, depth: int) -> dict:
     """Verify both cocycles are constant on every eligible cylinder.
 
     A depth-m cylinder is eligible for the forward (backward) cocycle when
     its first m-1 edges form a non-maximal (non-minimal) path; its value is
     then determined at depth m, and constancy means every one-edge
-    refinement reports the same value.  Returns counts plus any failures.
+    refinement reports the same value.  The values come from one
+    depth-first walk of B1's path tree (cocycle_values) that carries, for
+    each prefix and its successor and predecessor, the f1 image's last
+    edge and its B2 rank sum, so a cylinder costs a few table lookups.
+    Returns counts plus any failures, ordered by depth, then cylinder,
+    then forward before backward.
     """
-    b1 = F.b1
-    max_depth = min(depth, len(F.f1_tables), b1.num_levels)
     report = {"checked": 0, "eligible": 0, "nonconstant": []}
-    values = {}
-    for m in range(2, max_depth + 1):
-        for p in all_paths(b1, m):
-            idx = p.edge_indices
-            pre = make_path(b1, idx[:-1])
-            for direction, extremal in (("forward", is_maximal),
-                                        ("backward", is_minimal)):
-                if extremal(b1, pre):
-                    continue
-                val = cocycle(F, p, direction)
-                report["checked"] += 1
-                report["eligible"] += 1
-                parent = (direction, idx[:-1])
-                # The depth-(m-1) cylinder, when itself eligible, must
-                # report the same value on every refinement.
-                if len(idx) >= 3 and parent in values \
-                        and values[parent] != val:
-                    report["nonconstant"].append(
-                        {"direction": direction, "cylinder": idx[:-1],
-                         "expected": values[parent], "got": val})
-                values[(direction, idx)] = val
+    failures = []
+    for direction, idx, val, parent in cocycle_values(F, depth):
+        report["checked"] += 1
+        report["eligible"] += 1
+        # The depth-(m-1) cylinder, when itself eligible, must report the
+        # same value on every refinement.
+        if parent is not None and parent != val:
+            failures.append(((len(idx), idx, direction != "forward"),
+                             {"direction": direction, "cylinder": idx[:-1],
+                              "expected": parent, "got": val}))
+    failures.sort(key=lambda f: f[0])
+    report["nonconstant"] = [entry for _, entry in failures]
     report["ok"] = not report["nonconstant"]
     return report
 
@@ -635,4 +716,10 @@ def intertwining_to_json(w: Intertwining) -> dict:
 def intertwining_from_json(obj: dict) -> Intertwining:
     if not isinstance(obj, dict) or set(obj) != _INTERTWINING_KEYS:
         raise DiagramError('intertwining JSON must have exactly keys P, Q')
+    for key in ("P", "Q"):
+        if not (type(obj[key]) is list and all(
+                type(m) is list and all(map(is_int_list, m))
+                for m in obj[key])):
+            raise MalformedDiagram(
+                f"intertwining {key} must be a list of integer matrices")
     return make_intertwining(obj["P"], obj["Q"])

@@ -166,3 +166,23 @@ def test_text_format(capsys, odo2):
     assert code == 0
     assert "status: ok" in out
     assert "rank: 1" in out
+
+
+@pytest.mark.parametrize("command, text", [
+    ("soe", '{"P": 5, "Q": []}'),
+    ("oracle", '{"n": 2, "perm": 5, "fiber": [0, 0]}'),
+    ("oracle", '{"n": 0, "perm": [], "fiber": []}'),
+], ids=["intertwining-p-int", "system-perm-int", "system-empty"])
+def test_malformed_intertwining_and_system_json_is_domain_error(
+        capsys, tmp_path, odo2, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if command == "soe":
+        argv = ["soe", "check", "--b1", odo2, "--b2", odo2,
+                "--intertwining", str(bad)]
+    else:
+        argv = ["oracle", str(bad)]
+    code, res = run_json(capsys, argv)
+    assert code == 1
+    assert res["status"] == "error"
+    assert res["payload"]["message"] == res["diagnostics"][0]

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -197,3 +198,36 @@ def test_rank_round_trip_property(base, data):
     assert pt.path_rank(d, p) == r
     if r + 1 < total:
         assert pt.path_rank(d, pt.vershik_successor(d, p)) == r + 1
+
+
+def test_rank_and_position_tables_match_edge_scan(suite):
+    rng = random.Random(3)
+    for d in suite.values():
+        for n in range(1, d.num_levels + 1):
+            level = d.level_edges(n)
+            counts = pt.path_counts(d, n - 1)
+            positions, offsets = [], []
+            for i, (_, r) in enumerate(level):
+                before = [s for s, r2 in level[:i] if r2 == r]
+                positions.append(len(before))
+                offsets.append(sum(counts[s] for s in before))
+            assert d.edge_position_table[n - 1] == tuple(positions)
+            assert d.rank_offset_table[n - 1] == tuple(offsets)
+            for e in range(len(level)):
+                assert dg.edge_order_index(d, n, e) == positions[e]
+        for v in range(d.vertex_counts[d.num_levels]):
+            total = pt.path_counts(d, d.num_levels)[v]
+            for r in {0, total - 1, rng.randrange(total)}:
+                p = pt.path_unrank(d, d.num_levels, v, r)
+                # The level-by-level sum over earlier same-range edges.
+                rank = 0
+                for n, e in enumerate(p.edge_indices, start=1):
+                    counts = pt.path_counts(d, n - 1)
+                    level = d.level_edges(n)
+                    for e2 in dg.in_edges(d, n)[level[e][1]]:
+                        if e2 == e:
+                            break
+                        rank += counts[level[e2][0]]
+                assert pt.path_rank(d, p) == rank == r
+                assert pt.is_minimal(d, p) == (r == 0)
+                assert pt.is_maximal(d, p) == (r == total - 1)

@@ -246,3 +246,82 @@ def test_intertwining_json_round_trip():
     assert soe.intertwining_from_json(soe.intertwining_to_json(w)) == w
     with pytest.raises(dg.DiagramError):
         soe.intertwining_from_json({"P": []})
+
+
+def criterion6_map():
+    b1, _ = dg.telescope(gen.odometer(2, 17), list(range(1, 18, 2)))
+    b2 = gen.odometer(4, 8)
+    w = soe.stationary_intertwining([[2]], [[2]], 8, 8)
+    return soe.realize_orbit_map(soe.build_interleaved(b1, b2, w))
+
+
+def union_swap_map():
+    t2 = dg.telescope(gen.odometer(2, 9), [1, 3, 5, 7, 9])[0]
+    b1 = gen.disjoint_union([t2, t2])
+    b2 = gen.disjoint_union([gen.odometer(4, 5), gen.odometer(4, 5)])
+    swap = [[0, 2], [2, 0]]
+    w = soe.stationary_intertwining(swap, swap, 5, 4)
+    return soe.realize_orbit_map(soe.build_interleaved(b1, b2, w))
+
+
+def odometer_map():
+    return soe.realize_orbit_map(soe.build_interleaved(*odometer_pair(5, 4)))
+
+
+@pytest.mark.parametrize("make_map, depth", [
+    (criterion6_map, 6), (union_swap_map, 5), (odometer_map, 5),
+], ids=["criterion6", "union-swap", "odometer"])
+def test_cocycle_values_match_cocycle(make_map, depth):
+    F = make_map()
+    b1 = F.b1
+    want = set()
+    for m in range(2, depth + 1):
+        for p in pt.all_paths(b1, m):
+            pre = pt.make_path(b1, p.edge_indices[:-1])
+            if not pt.is_maximal(b1, pre):
+                want.add(("forward", p.edge_indices))
+            if not pt.is_minimal(b1, pre):
+                want.add(("backward", p.edge_indices))
+    got = list(soe.cocycle_values(F, depth))
+    assert len({(dr, idx) for dr, idx, _, _ in got}) == len(got)
+    assert {(dr, idx) for dr, idx, _, _ in got} == want
+    for direction, idx, value, parent in got:
+        assert value == soe.cocycle(F, pt.make_path(b1, idx), direction)
+        if parent is None:
+            assert len(idx) == 2 or (direction, idx[:-1]) not in want
+        else:
+            assert parent == soe.cocycle(F, pt.make_path(b1, idx[:-1]),
+                                         direction)
+
+
+def test_cocycle_continuity_at_full_depth():
+    F = criterion6_map()
+    b1 = F.b1
+    assert len(F.f1_tables) == b1.num_levels == 9
+    report = soe.check_cocycle_continuity(F, 9)
+    assert report["ok"] and report["nonconstant"] == []
+    # Each vertex has one all-maximal and one all-minimal path into it;
+    # every other path is an eligible prefix in both directions.
+    want = sum(2 * (pt.path_counts(b1, m - 1)[v] - 1)
+               * len(dg.out_edges(b1, m)[v])
+               for m in range(2, 10)
+               for v in range(b1.vertex_counts[m - 1]))
+    assert report["eligible"] == report["checked"] == want
+
+
+def test_continuity_orders_failures_by_depth_cylinder_direction(monkeypatch):
+    # Walk order is depth-first; the report lists failures by depth, then
+    # cylinder, then forward before backward.
+    walk = [("backward", (1, 0, 2), 5, 4), ("forward", (1, 0, 2), 5, 4),
+            ("forward", (0, 1, 1, 0), 2, 1), ("forward", (0, 1), 3, None),
+            ("backward", (0, 3, 1), 7, 7), ("forward", (0, 3, 1), 6, 5)]
+    monkeypatch.setattr(soe, "cocycle_values", lambda F, depth: iter(walk))
+    report = soe.check_cocycle_continuity(None, 4)
+    assert report["eligible"] == report["checked"] == 6
+    assert not report["ok"]
+    assert [(f["direction"], f["cylinder"], f["expected"], f["got"])
+            for f in report["nonconstant"]] == [
+        ("forward", (0, 3), 5, 6),
+        ("forward", (1, 0), 4, 5),
+        ("backward", (1, 0), 4, 5),
+        ("forward", (0, 1, 1), 1, 2)]
