@@ -276,12 +276,24 @@ def incidence_matrix(d: OrderedBratteliDiagram, n: int) -> list:
 
 
 def mat_mul(a: list, b: list) -> list:
-    """Exact integer matrix product a @ b."""
-    if not b or len(a[0]) != len(b):
+    """Exact integer matrix product a @ b.
+
+    Row i of the product is the sum of the rows of b weighted by the
+    nonzero entries of row i of a, so zeros of a cost nothing.  A b with
+    no rows is read as 0 x 0.
+    """
+    cols = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or \
+            any(len(row) != cols for row in b):
         raise DiagramError("matrix dimension mismatch")
-    cols = len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(cols)] for i in range(len(a))]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: list, v: list) -> list:

@@ -35,11 +35,27 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _pivot(d, t):
+    """(i, j) of the first smallest nonzero |d[i][j]| with i, j >= t, in
+    row-major order, or None; a 1 ends the search at once."""
+    best = None
+    for i in range(t, len(d)):
+        for j, x in enumerate(d[i][t:], t):
+            if x and (best is None or abs(x) < best[0]):
+                best = (abs(x), i, j)
+                if best[0] == 1:
+                    return i, j
+    return None if best is None else best[1:]
+
+
 def smith_normal_form(a: List[List[int]]) -> SNFResult:
     """U A V = diag(d1,...,dr,0,...) with di | d(i+1) and U, V unimodular.
 
-    Elimination pivots on the minimum-absolute-value nonzero entry of the
-    working submatrix, which keeps intermediate entries small.
+    Elimination pivots on the first minimum-absolute-value nonzero entry of
+    the working submatrix (row-major order), which keeps intermediate
+    entries small.  Row and column operations are applied only where their
+    multiplier is nonzero, and only to rows that hold a nonzero entry in the
+    pivot column, so sparse inputs such as I - P^T cost far less than n^3.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -47,77 +63,69 @@ def smith_normal_form(a: List[List[int]]) -> SNFResult:
     u = _identity(m)
     v = _identity(n)
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):     # row dst += c * row src
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+    def add_row(src, dst, c):     # row dst += c * row src, in d and u
+        for mat in (d, u):
+            s_row, d_row = mat[src], mat[dst]
+            for k, y in enumerate(s_row):
+                if y:
+                    d_row[k] += c * y
 
     t = 0
     while t < min(m, n):
-        # Locate the smallest nonzero entry in the submatrix.
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (pivot is None or
-                                     abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        pivot = _pivot(d, t)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        pi, pj = pivot
+        d[t], d[pi] = d[pi], d[t]
+        u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in d:
+                row[t], row[pj] = row[pj], row[t]
+            for row in v:
+                row[t], row[pj] = row[pj], row[t]
         if d[t][t] < 0:
-            negate_row(t)
-        dirty = False
-        for i in range(t + 1, m):
-            if d[i][t] % d[t][t] != 0:
-                dirty = True
-            add_row(t, i, -(d[i][t] // d[t][t]))
-        for j in range(t + 1, n):
-            if d[t][j] % d[t][t] != 0:
-                dirty = True
-            add_col(t, j, -(d[t][j] // d[t][t]))
-        if dirty or any(d[i][t] for i in range(t + 1, m)) or \
-                any(d[t][j] for j in range(t + 1, n)):
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        p = d[t][t]
+        # Clear column t below the pivot, then row t right of it; each
+        # multiplier is the floor quotient, so the remainders stay behind.
+        below = [i for i in range(t + 1, m) if d[i][t]]
+        for i in below:
+            c = d[i][t] // p
+            if c:
+                add_row(t, i, -c)
+        right = [(j, -(x // p)) for j, x in enumerate(d[t][t + 1:], t + 1)
+                 if x]
+        if right:
+            for row in [d[t]] + [d[i] for i in below] + v:
+                x = row[t]
+                if x:
+                    for j, c in right:
+                        row[j] += c * x
+        if any(d[i][t] for i in below) or any(d[t][j] for j, _ in right):
             continue  # remainders were introduced; redo this pivot
-        # Enforce divisibility of later entries by folding offenders in.
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
+        # Enforce divisibility of later entries by folding an offender in.
+        if p != 1:
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % p for x in d[i][t + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
+                add_row(offender, t, 1)
+                continue
         t += 1
     diag = [d[i][i] for i in range(min(m, n))]
     return SNFResult(diag, u, v)
 
 
 def _det(a):
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
+    """Exact integer determinant (fraction-free Bareiss elimination).
+
+    A row whose entry in the pivot column is 0 changes only by the factor
+    pivot / previous pivot, so it is left alone when the two are equal.
+    The determinant of the 0 x 0 matrix is 1.
+    """
     n = len(a)
+    if n == 0:
+        return 1
     m = [row[:] for row in a]
     sign = 1
     prev = 1
@@ -130,26 +138,42 @@ def _det(a):
                     break
             else:
                 return 0
+        pk = m[k][k]
+        tail = m[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+            row = m[i]
+            c = row[k]
+            if c:
+                row[k + 1:] = [(x * pk - c * y) // prev
+                               for x, y in zip(row[k + 1:], tail)]
+            elif pk != prev:
+                row[k + 1:] = [x * pk // prev for x in row[k + 1:]]
+        prev = pk
     return sign * m[n - 1][n - 1]
 
 
 def verify_snf(a, res: SNFResult) -> bool:
-    m, n = len(a), len(a[0])
-    prod = mat_mul(mat_mul(res.left, a), res.right)
-    for i in range(m):
-        for j in range(n):
-            expect = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
-            if prod[i][j] != expect:
-                return False
-    for i in range(len(res.diagonal) - 1):
-        d1, d2 = res.diagonal[i], res.diagonal[i + 1]
+    """Check an SNF result exactly: U A V = diag, d1 | d2 | ... with the
+    zeros last, and |det U| = |det V| = 1 for square U (m x m) and V (n x n).
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    diag = res.diagonal
+    if len(diag) != min(m, n) or \
+            len(res.left) != m or any(len(r) != m for r in res.left) or \
+            len(res.right) != n or any(len(r) != n for r in res.right):
+        return False
+    for d1, d2 in zip(diag, diag[1:]):
         if d1 == 0 and d2 != 0:
             return False
         if d1 != 0 and d2 % d1 != 0:
+            return False
+    prod = mat_mul(mat_mul(res.left, a), res.right)
+    for i, row in enumerate(prod):
+        want = [0] * n
+        if i < len(diag):
+            want[i] = diag[i]
+        if row != want:
             return False
     return abs(_det(res.left)) == 1 and abs(_det(res.right)) == 1
 

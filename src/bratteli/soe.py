@@ -579,6 +579,12 @@ def check_cocycle_continuity(F: OrbitMapRealization, depth: int) -> dict:
     edge and its B2 rank sum, so a cylinder costs a few table lookups.
     Returns counts plus any failures, ordered by depth, then cylinder,
     then forward before backward.
+
+    A pass certifies only that F's tables compose consistently: for an F
+    built from tables the child's two B2 images extend the parent's by the
+    same last edge, so even a wrong F cannot fail it.  verify_cocycle
+    checks a value independently of the rank tables, by iterating B2's
+    Vershik map, but reads the same F; neither proves F an orbit map.
     """
     report = {"checked": 0, "eligible": 0, "nonconstant": []}
     failures = []

@@ -45,6 +45,65 @@ def test_snf_random_matrices(rows, cols, data):
         assert y % x == 0
 
 
+@st.composite
+def _dense_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return [[draw(st.integers(-9, 9)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@st.composite
+def _permutation_matrices(draw):
+    n = draw(st.integers(1, 40))
+    perm = draw(st.permutations(range(n)))
+    return [[(1 if i == j else 0) - (1 if perm[i] == j else 0)
+             for j in range(n)] for i in range(n)]   # I - P^T
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_dense_matrices(), _permutation_matrices()))
+def test_snf_and_det_match_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    res = kt.smith_normal_form(a)
+    assert kt.verify_snf(a, res)
+    want = [abs(int(x)) for x in
+            invariant_factors(sympy.Matrix(a), domain=sympy.ZZ) if x != 0]
+    assert [abs(x) for x in res.diagonal if x != 0] == want
+    square = [a] if len(a) == len(a[0]) <= 6 else []
+    for mat in square + [res.left, res.right]:
+        assert kt._det(mat) == sympy.Matrix(mat).det()
+
+
+def test_verify_snf_on_empty_shapes():
+    assert kt._det([]) == 1
+    for a in ([], [[], []]):
+        res = kt.smith_normal_form(a)
+        assert res.diagonal == []
+        assert kt.verify_snf(a, res)
+
+
+def test_verify_snf_rejects_bad_results():
+    a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    res = kt.smith_normal_form(a)
+    assert res.diagonal == [2, 6, 12] and kt.verify_snf(a, res)
+    # A tampered diagonal entry that keeps the divisibility chain.
+    assert not kt.verify_snf(a, kt.SNFResult([2, 6, 24], res.left,
+                                              res.right))
+    # A U that breaks U A V = diag (still unimodular).
+    bad_u = [row[:] for row in res.left]
+    bad_u[0] = [x + y for x, y in zip(bad_u[0], bad_u[1])]
+    assert abs(kt._det(bad_u)) == 1
+    assert not kt.verify_snf(a, kt.SNFResult(res.diagonal, bad_u,
+                                              res.right))
+    # U A V = diag holds, but 2 does not divide 3.
+    eye = [[1, 0], [0, 1]]
+    assert not kt.verify_snf([[2, 0], [0, 3]],
+                             kt.SNFResult([2, 3], eye, eye))
+    # U A V = diag holds, but U is not unimodular.
+    assert not kt.verify_snf([[1]], kt.SNFResult([2], [[2]], [[1]]))
+
+
 # --- dimension group presentations ----------------------------------------
 
 
@@ -138,6 +197,14 @@ def test_oracle_fixed_point():
     s, _ = gen.finite_cycle_system([1])
     out = kt.k_oracle_finite_system(s)
     assert out["k0_rank"] == 1 and out["k1_rank"] == 1
+
+
+def test_oracle_three_cycles_of_32():
+    # n = 96: I - P^T has rank 93 and unit divisors, so K0 = Z^3.
+    s, _ = gen.finite_cycle_system([32, 32, 32])
+    out = kt.k_oracle_finite_system(s)
+    assert out == {"k0_rank": 3, "k0_torsion": [], "k1_rank": 3,
+                   "unit_image": [32, 32, 32]}
 
 
 def test_system_json_round_trip():
