@@ -126,6 +126,9 @@ def _cmd_k0(args, diags):
     pres = kt.k0_presentation(d, heights)
     out = {"sizes": list(pres.sizes), "unit": list(pres.unit)}
     if args.compare:
+        if None in (args.level1, args.vec1, args.level2, args.vec2):
+            raise dg.DiagramError(
+                "k0 --compare needs --level1, --vec1, --level2 and --vec2")
         g1 = kt.DimGroupElement(args.level1, tuple(_parse_ints(args.vec1)))
         g2 = kt.DimGroupElement(args.level2, tuple(_parse_ints(args.vec2)))
         out["equal"] = kt.element_equal(g1, g2, pres)

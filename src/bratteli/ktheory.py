@@ -207,8 +207,8 @@ class DimensionGroupPresentation:
         v = list(vector)
         if len(v) != self.sizes[level - 1]:
             raise DiagramError("vector length does not match level size")
-        for i in range(level - 1, to_level - 1):
-            v = mat_vec([list(r) for r in self.maps[i]], v)
+        for _, v in _pushes(self.maps, level, v, to_level):
+            pass
         return v
 
     def heights(self, level: int):
@@ -249,6 +249,15 @@ def natural_heights(d: OrderedBratteliDiagram):
     return [row[0] for row in m1]
 
 
+def _pushes(maps, level: int, v, top: int):
+    """Yield (level, v), then (n, push-forward of v to level n) for each n
+    up to top; maps[i] sends level i + 1 to level i + 2."""
+    yield level, v
+    for i in range(level - 1, top - 1):
+        v = mat_vec(maps[i], v)
+        yield i + 2, v
+
+
 def _injective(matrix) -> bool:
     a = [list(r) for r in matrix]
     return smith_normal_form(a).rank == len(a[0])
@@ -262,19 +271,14 @@ def element_equal(g1: DimGroupElement, g2: DimGroupElement,
     Pushes the difference forward; a nonzero difference plus injectivity of
     every remaining map certifies inequality.
     """
-    lo, hi = sorted((g1.level, g2.level))
+    hi = max(g1.level, g2.level)
     top = min(pres.num_levels, hi + max(0, depth_budget))
-    v1 = pres.push(g1.level, list(g1.vector), hi)
-    v2 = pres.push(g2.level, list(g2.vector), hi)
+    v1 = pres.push(g1.level, g1.vector, hi)
+    v2 = pres.push(g2.level, g2.vector, hi)
     diff = [a - b for a, b in zip(v1, v2)]
-    level = hi
-    while True:
-        if all(x == 0 for x in diff):
+    for _, v in _pushes(pres.maps, hi, diff, top):
+        if not any(v):
             return "equal"
-        if level == top:
-            break
-        diff = pres.push(level, diff, level + 1)
-        level += 1
     if all(_injective(pres.maps[i]) for i in range(hi - 1, pres.num_levels - 1)):
         return "not_equal"
     return "unknown"
@@ -289,54 +293,43 @@ def _stationary_matrix(pres: DimensionGroupPresentation):
     return None
 
 
-def _primitive(m) -> bool:
-    # Some power has all entries strictly positive.
-    n = len(m)
-    p = [row[:] for row in m]
-    for _ in range(n * n):
-        if all(all(x > 0 for x in row) for row in p):
-            return True
-        p = mat_mul(p, m)
-    return False
-
-
-def _perron_left(m):
-    import numpy as np
-    arr = np.array(m, dtype=float)
-    vals, vecs = np.linalg.eig(arr.T)
-    i = int(np.argmax(vals.real))
-    vec = vecs[:, i].real
-    if vec.sum() < 0:
-        vec = -vec
-    return vec
+def _keeps_nonpositive(matrix) -> bool:
+    # Every column is >= 0 and nonzero, so the map sends each nonzero
+    # vector <= 0 to a nonzero vector <= 0.
+    return all(min(col) >= 0 and any(col) for col in zip(*matrix))
 
 
 def element_positive(g: DimGroupElement, pres: DimensionGroupPresentation,
                      depth_budget: int = 16) -> str:
-    """'positive', 'not_positive' or 'unknown'.
+    """'positive', 'not_positive' or 'unknown', from at most depth_budget
+    push-forwards of g, all in exact integers.
 
-    Positivity is certified by an entrywise non-negative push-forward.
-    Negative certificates exist only for stationary presentations with a
-    primitive matrix, where the sign of the Perron pairing is eventual.
+    'positive': a push-forward inside the presentation is entrywise >= 0.
+    'not_positive': a push-forward is entrywise <= 0 and nonzero, and every
+    later map has only nonzero columns with entries >= 0, so every further
+    push-forward stays <= 0 and nonzero and none is ever >= 0.  For a
+    stationary presentation the pushes may go past the last level with the
+    stationary matrix, the continuation the diagram stands for; there only
+    this certificate counts, and reaching a vector >= 0 (such as 0) gives
+    'unknown'.  Anything else, an infinitesimal for one, is 'unknown'.
     """
-    top = min(pres.num_levels, g.level + max(0, depth_budget))
-    v = list(g.vector)
-    level = g.level
-    while True:
-        if all(x >= 0 for x in v):
-            return "positive"
-        if level == top:
-            break
-        v = pres.push(level, v, level + 1)
-        level += 1
+    v = pres.push(g.level, g.vector, g.level)
+    top = g.level + max(0, depth_budget)
+    maps = pres.maps
     m = _stationary_matrix(pres)
-    if m is not None and len(m) == len(m[0]) and _primitive(m):
-        vec = _perron_left(m)
-        dot = sum(float(x) * float(w) for x, w in zip(g.vector, vec))
-        scale = max(abs(w) for w in vec) * max(
-            1.0, max(abs(float(x)) for x in g.vector))
-        if dot < -1e-9 * scale:
-            return "not_positive"
+    if m is not None and len(m) == len(m[0]):
+        maps += (m,) * max(0, top - pres.num_levels)
+    certified_from = None     # first level from which every map keeps <= 0
+    for level, v in _pushes(maps, g.level, v, min(top, len(maps) + 1)):
+        if all(x >= 0 for x in v):
+            return "positive" if level <= pres.num_levels else "unknown"
+        if all(x <= 0 for x in v):
+            if certified_from is None:
+                certified_from = next(
+                    (i + 2 for i in reversed(range(len(maps)))
+                     if not _keeps_nonpositive(maps[i])), 1)
+            if level >= certified_from:
+                return "not_positive"
     return "unknown"
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import (DiagramError, OrderedBratteliDiagram, check_valid,
-                      in_edges, out_edges, paths_between)
+from .diagram import (DiagramError, OrderedBratteliDiagram,
+                      check_fem_properties, check_valid, in_edges, out_edges,
+                      paths_between)
 
 
 class MaximalPathError(DiagramError):
@@ -29,11 +30,6 @@ class FinitePath:
     depth: int
     edge_indices: tuple
     terminal_vertex: int
-
-    def truncate(self, d: OrderedBratteliDiagram, depth: int) -> "FinitePath":
-        if depth > self.depth:
-            raise DiagramError("cannot truncate to a greater depth")
-        return make_path(d, self.edge_indices[:depth])
 
 
 def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
@@ -234,8 +230,12 @@ def extremal_pairing(d: OrderedBratteliDiagram, depth: int) -> Optional[dict]:
     components of the deep levels; a unique max and min path per component
     pairs them.
     """
-    mins = extremal_paths(d, depth, "min")
-    maxs = extremal_paths(d, depth, "max")
+    return _pair_extremal(d, extremal_paths(d, depth, "min"),
+                          extremal_paths(d, depth, "max"))
+
+
+def _pair_extremal(d, mins: ExtremalPathSet,
+                   maxs: ExtremalPathSet) -> Optional[dict]:
     if len(mins.paths) != len(maxs.paths):
         return None
     key = _fiber_key(d)
@@ -306,7 +306,6 @@ def check_perfect_ordering(d: OrderedBratteliDiagram, depth: int) -> dict:
     and a certified one-to-one fiber pairing; fail is only reported when
     the stabilized counts make a bijection impossible.
     """
-    from .diagram import check_fem_properties
     mins = extremal_paths(d, depth, "min")
     maxs = extremal_paths(d, depth, "max")
     if not (mins.stabilized and maxs.stabilized):
@@ -315,7 +314,7 @@ def check_perfect_ordering(d: OrderedBratteliDiagram, depth: int) -> dict:
         return {"verdict": "fail", "pairing": None}
     if check_fem_properties(d):
         return {"verdict": "unknown", "pairing": None}
-    pairing = extremal_pairing(d, depth)
+    pairing = _pair_extremal(d, mins, maxs)
     if pairing is None:
         return {"verdict": "unknown", "pairing": None}
     return {"verdict": "pass", "pairing": pairing}

@@ -73,6 +73,14 @@ def test_k0_and_k1(capsys, odo2):
     assert res["payload"] == {"rank": 1, "certified": True}
 
 
+def test_k0_compare_needs_both_elements(capsys, odo2):
+    code, res = run_json(capsys, ["k0", odo2, "--compare",
+                                  "--vec1", "1", "--vec2", "2"])
+    assert code == 1
+    assert res["status"] == "error"
+    assert "--level1" in res["payload"]["message"]
+
+
 def test_oracle(capsys, tmp_path):
     system, _ = gen.finite_cycle_system([2, 3])
     spath = tmp_path / "sys.json"

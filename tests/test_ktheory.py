@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import bratteli
 
 from bratteli import diagram as dg
 from bratteli import generators as gen
@@ -157,6 +163,87 @@ def test_element_positive_fibonacci():
         kt.DimGroupElement(1, (-1, 1)), pres) == "not_positive"
     assert kt.element_positive(
         kt.DimGroupElement(1, (1, -1)), pres) == "positive"
+
+
+def _is_primitive(m):
+    n = len(m)
+    p = m
+    for _ in range(n * n):
+        if all(x > 0 for row in p for x in row):
+            return True
+        p = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)]
+             for row in p]
+    return False
+
+
+def _positive_within(m, v, pushes):
+    # Oracle: some push-forward among the next `pushes` is >= 0.
+    for _ in range(pushes + 1):
+        if all(x >= 0 for x in v):
+            return True
+        v = [sum(a * x for a, x in zip(row, v)) for row in m]
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n))),
+    st.integers(1, 10))
+def test_element_positive_matches_push_oracle(mv, level):
+    m, v = mv
+    assume(_is_primitive(m))
+    pres = kt.k0_presentation(gen.stationary_adic(m, 10))
+    verdict = kt.element_positive(kt.DimGroupElement(level, tuple(v)), pres)
+    # Push to the last level (10), then up to 400 more times.
+    oracle = _positive_within(m, v, 10 - level + 400)
+    if verdict != "unknown":
+        assert verdict == ("positive" if oracle else "not_positive")
+    if verdict == "positive":
+        assert _positive_within(m, v, 10 - level)
+
+
+def test_element_positive_fixed_cases():
+    def verdict(pres, level, v):
+        return kt.element_positive(kt.DimGroupElement(level, v), pres)
+
+    # An infinitesimal: (1, -1) is fixed by the matrix, so no push-forward
+    # is >= 0 and none is <= 0.
+    inf = kt.k0_presentation(gen.stationary_adic([[2, 1], [1, 2]], 10))
+    assert verdict(inf, 1, (1, -1)) == "unknown"
+    # A non-stationary chain: (-1,) is <= 0 and nonzero at once.
+    chain = kt.k0_presentation(dg.make_diagram(
+        3, [1, 1, 1, 1], [[(0, 0)] * 2, [(0, 0)] * 3, [(0, 0)] * 2]))
+    assert chain.maps == (((3,),), ((2,),))
+    assert verdict(chain, 1, (-1,)) == "not_positive"
+    # The map [[1, 0]] has a zero column, so (0, -1) gets no negative
+    # certificate; its push-forward (0,) is >= 0.
+    hand = kt.DimensionGroupPresentation((2, 1), (((1, 0),),), (1, 1))
+    assert verdict(hand, 1, (0, -1)) == "positive"
+    # Past the last level (1, -1) pushes to 0, which certifies nothing.
+    flat = kt.k0_presentation(gen.stationary_adic([[1, 1], [1, 1]], 10))
+    assert verdict(flat, 10, (1, -1)) == "unknown"
+    assert verdict(flat, 9, (1, -1)) == "positive"
+    # Past the last level the Fibonacci matrix pushes (-1, 1) to (0, -1).
+    fib = kt.k0_presentation(gen.stationary_adic([[1, 1], [1, 0]], 10))
+    assert verdict(fib, 10, (-1, 1)) == "not_positive"
+
+
+def test_element_positive_without_numpy():
+    code = """
+import sys
+sys.modules["numpy"] = None
+from bratteli import generators as gen, ktheory as kt
+pres = kt.k0_presentation(gen.stationary_adic([[1, 1], [1, 0]], 10))
+print([kt.element_positive(kt.DimGroupElement(1, v), pres)
+       for v in [(1, 0), (-1, 1), (1, -1)]])
+"""
+    src = os.path.dirname(os.path.dirname(bratteli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['positive', 'not_positive', 'positive']"
 
 
 def test_k1_rank_union(suite):
