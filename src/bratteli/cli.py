@@ -171,7 +171,10 @@ def _cmd_generate(args, diags):
     if args.family == "odometer":
         d = gen.odometer(args.base, args.levels)
     elif args.family == "stationary":
-        d = gen.stationary_adic(_load(args.matrix), args.levels)
+        m = _load(args.matrix)
+        if type(m) is not list or not all(map(dg.is_int_list, m)):
+            raise dg.MalformedDiagram("matrix must be a list of integer lists")
+        d = gen.stationary_adic(m, args.levels)
     elif args.family == "union":
         parts = [dg.load_diagram(p) for p in args.parts]
         d = gen.disjoint_union(parts)

@@ -4,17 +4,19 @@ A depth-k FinitePath doubles as the identifier of the cylinder set of all
 infinite paths extending it.  The successor map acts on a path by bumping
 the shallowest non-maximal edge and resetting everything below it to the
 unique all-minimal path, which enumerates the paths into each vertex in
-rank order.
+rank order; the predecessor is its mirror image.  make_path is the one
+checked constructor, for paths from outside (CLI, JSON, caller tuples);
+the step and the extremal walks trust a FinitePath's fields.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import (DiagramError, OrderedBratteliDiagram,
-                      check_fem_properties, check_valid, in_edges, out_edges,
-                      paths_between)
+                      check_fem_properties, check_valid, paths_between)
 
 
 class MaximalPathError(DiagramError):
@@ -67,11 +69,11 @@ def _extremal_path_to(d, level, vertex, which):
         raise DiagramError(f"vertex {vertex} out of range at level {level}")
     rev = []
     v = vertex
-    for n in range(level, 0, -1):
-        e = in_edges(d, n)[v][which]
+    for n in range(level - 1, -1, -1):
+        e = d.in_edge_table[n][v][which]
         rev.append(e)
-        v = d.level_edges(n)[e][0]
-    return make_path(d, tuple(reversed(rev)))
+        v = d.edges[n][e][0]
+    return FinitePath(level, tuple(reversed(rev)), vertex)
 
 
 def path_counts(d: OrderedBratteliDiagram, level: int) -> tuple:
@@ -100,59 +102,60 @@ def path_unrank(d: OrderedBratteliDiagram, level: int, vertex: int,
         raise DiagramError(
             f"rank {rank} out of range 0..{total - 1} for vertex "
             f"{vertex} at level {level}")
+    # The paths through an in-edge take the ranks from its offset on.
     rev = []
-    v = vertex
-    r = rank
-    for n in range(level, 0, -1):
-        counts = path_counts(d, n - 1)
-        level_e = d.level_edges(n)
-        for e in in_edges(d, n)[v]:
-            w = counts[level_e[e][0]]
-            if r < w:
-                rev.append(e)
-                v = level_e[e][0]
-                break
-            r -= w
-        else:  # pragma: no cover - guarded by the range check above
-            raise DiagramError("unrank bookkeeping failed")
+    for n in range(level - 1, -1, -1):
+        order, off = d.in_edge_table[n][vertex], d.rank_offset_table[n]
+        e = order[bisect_right(order, rank, key=off.__getitem__) - 1]
+        rev.append(e)
+        rank -= off[e]
+        vertex = d.edges[n][e][0]
     return make_path(d, tuple(reversed(rev)))
 
 
 def is_maximal(d: OrderedBratteliDiagram, p: FinitePath) -> bool:
     """Every edge of p is the last into its range vertex."""
-    pos, into, edges = d.edge_position_table, d.in_edge_table, d.edges
-    return all(pos[n][e] == len(into[n][edges[n][e][1]]) - 1
-               for n, e in enumerate(p.edge_indices))
+    return _step(d, p, 1) is None
 
 
 def is_minimal(d: OrderedBratteliDiagram, p: FinitePath) -> bool:
     """Every edge of p is the first into its range vertex."""
-    pos = d.edge_position_table
-    return all(pos[n][e] == 0 for n, e in enumerate(p.edge_indices))
+    return _step(d, p, -1) is None
 
 
 def vershik_successor(d: OrderedBratteliDiagram, p: FinitePath) -> FinitePath:
     """The depth-preserving successor; raises MaximalPathError at the top."""
-    for j, e in enumerate(p.edge_indices):
-        n = j + 1
-        level = d.level_edges(n)
-        order = in_edges(d, n)[level[e][1]]
-        pos = d.edge_position_table[j][e]
-        if pos + 1 < len(order):
-            y = order[pos + 1]
-            prefix = min_path_to(d, n - 1, level[y][0])
-            return make_path(
-                d, prefix.edge_indices + (y,) + p.edge_indices[n:])
-    raise MaximalPathError(f"path {p.edge_indices} is maximal at depth {p.depth}")
+    q = _step(d, p, 1)
+    if q is None:
+        raise MaximalPathError(
+            f"path {p.edge_indices} is maximal at depth {p.depth}")
+    return q
 
 
 def vershik_predecessor(d: OrderedBratteliDiagram, p: FinitePath) -> FinitePath:
-    """Rank-1 via unrank; raises MinimalPathError for the all-minimal path."""
-    r = path_rank(d, p)
-    if r == 0:
+    """The successor's mirror image; raises MinimalPathError at the bottom."""
+    q = _step(d, p, -1)
+    if q is None:
         raise MinimalPathError(
             f"path {p.edge_indices} is minimal at depth {p.depth}")
-    return path_unrank(d, p.depth, p.terminal_vertex, r - 1)
+    return q
+
+
+def _step(d, p, shift):
+    # Forward (shift=1) or back (-1): move the shallowest edge that has a
+    # next (previous) edge into its range vertex, and replace the edges
+    # before it by the all-minimal (all-maximal) path into its new source.
+    into, pos, edges = d.in_edge_table, d.edge_position_table, d.edges
+    idx = p.edge_indices
+    for n, e in enumerate(idx):
+        order = into[n][edges[n][e][1]]
+        i = pos[n][e] + shift
+        if 0 <= i < len(order):
+            y = order[i]
+            head = _extremal_path_to(d, n, edges[n][y][0], min(shift, 0))
+            return FinitePath(p.depth, head.edge_indices + (y,) + idx[n + 1:],
+                              p.terminal_vertex)
+    return None
 
 
 def full_vershik(d: OrderedBratteliDiagram, p: FinitePath,
@@ -267,8 +270,8 @@ def _extend_vertex(d, p):
     # Extremal path sets are built from last-level paths, so following
     # minimal out-edges is enough for fiber identification.
     v = p.terminal_vertex
-    for n in range(p.depth + 1, d.num_levels + 1):
-        v = d.level_edges(n)[out_edges(d, n)[v][0]][1]
+    for n in range(p.depth, d.num_levels):
+        v = d.edges[n][d.out_edge_table[n][v][0]][1]
     return v
 
 

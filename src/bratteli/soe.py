@@ -20,9 +20,10 @@ from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       make_diagram, mat_mul, min_vertices, max_vertices,
                       telescope, telescope_segments, vertex_ranges,
                       vertex_sources)
-from .paths import (FinitePath, all_paths, extremal_paths, is_maximal,
-                    is_minimal, make_path, max_path_to, min_path_to,
-                    path_rank, vershik_predecessor, vershik_successor)
+from .paths import (FinitePath, MaximalPathError, MinimalPathError,
+                    all_paths, extremal_paths, is_maximal, is_minimal,
+                    make_path, path_rank, vershik_predecessor,
+                    vershik_successor)
 
 
 class IntertwiningInvalid(DiagramError):
@@ -442,16 +443,13 @@ def cocycle_images(F: OrbitMapRealization, p: FinitePath,
         raise NeedsDepth("cocycle needs a path of depth at least 2")
     b1 = F.b1
     pre = make_path(b1, p.edge_indices[:-1])
-    if direction == "forward":
-        if is_maximal(b1, pre):
-            raise NeedsDepth(
-                "prefix is maximal; extend the path past the maximal tail")
-        other = vershik_successor(b1, pre)
-    else:
-        if is_minimal(b1, pre):
-            raise NeedsDepth(
-                "prefix is minimal; extend the path past the minimal tail")
-        other = vershik_predecessor(b1, pre)
+    step, end = ((vershik_successor, "maximal") if direction == "forward"
+                 else (vershik_predecessor, "minimal"))
+    try:
+        other = step(b1, pre)
+    except (MaximalPathError, MinimalPathError):
+        raise NeedsDepth(f"prefix is {end}; extend the path past the {end} "
+                         "tail") from None
     tail_edge = p.edge_indices[-1]
     # The tail edge's interleaved segment starts at edge level 2*depth - 2;
     # only its first component is needed to complete an even-depth prefix.
@@ -528,29 +526,23 @@ def cocycle_values(F: OrbitMapRealization, depth: int):
 
     stack = []
 
-    def push(pre, e, top, bottom, here, succ, pred, values):
-        # Node for pre + (e,), whose own cocycles are values.  top / bottom:
-        # pre is all-maximal / minimal; then succ / pred is None and, when
-        # it exists, is rebuilt here.
-        k = len(pre)
-        r = b1.edges[k][e][1]
-        order, pos = b1.in_edge_table[k][r], b1.edge_position_table[k][e]
-        if top and pos + 1 < len(order):
-            y = order[pos + 1]
-            succ = carried(min_path_to(b1, k, b1.edges[k][y][0]).edge_indices
-                           + (y,))
-        if bottom and pos > 0:
-            y = order[pos - 1]
-            pred = carried(max_path_to(b1, k, b1.edges[k][y][0]).edge_indices
-                           + (y,))
-        stack.append((pre + (e,), r, top and pos + 1 == len(order),
-                      bottom and pos == 0, here, succ, pred, values))
+    def push(pre, e, here, succ, pred, values):
+        # Node for pre + (e,), whose own cocycles are values.  succ / pred
+        # is None when pre is all-maximal / minimal; then it is rebuilt
+        # here, unless pre + (e,) is all-maximal / minimal too.
+        r = b1.edges[len(pre)][e][1]
+        path = FinitePath(len(pre) + 1, pre + (e,), r)
+        if succ is None and not is_maximal(b1, path):
+            succ = carried(vershik_successor(b1, path).edge_indices)
+        if pred is None and not is_minimal(b1, path):
+            pred = carried(vershik_predecessor(b1, path).edge_indices)
+        stack.append((path.edge_indices, r, here, succ, pred, values))
 
     if max_depth >= 2:
         for e in b1.out_edge_table[0][0]:
-            push((), e, True, True, carried((e,)), None, None, (None, None))
+            push((), e, carried((e,)), None, None, (None, None))
     while stack:
-        pre, v, top, bottom, here, succ, pred, (up_f, up_b) = stack.pop()
+        pre, v, here, succ, pred, (up_f, up_b) = stack.pop()
         k = len(pre)
         for e in b1.out_edge_table[k][v]:
             child, b = extend(here, k, e)
@@ -563,8 +555,7 @@ def cocycle_values(F: OrbitMapRealization, depth: int):
                 child_pred, bwd = beside(pred, k, e, b, child[1])
                 yield "backward", path, bwd, up_b
             if k + 1 < max_depth:
-                push(pre, e, top, bottom, child, child_succ, child_pred,
-                     (fwd, bwd))
+                push(pre, e, child, child_succ, child_pred, (fwd, bwd))
 
 
 def check_cocycle_continuity(F: OrbitMapRealization, depth: int) -> dict:

@@ -194,3 +194,15 @@ def test_malformed_intertwining_and_system_json_is_domain_error(
     assert code == 1
     assert res["status"] == "error"
     assert res["payload"]["message"] == res["diagnostics"][0]
+
+
+@pytest.mark.parametrize("text", ["5", "[[1.5]]", "[[true]]"],
+                         ids=["scalar", "float-entry", "bool-entry"])
+def test_mistyped_stationary_matrix_is_domain_error(capsys, tmp_path, text):
+    bad = tmp_path / "matrix.json"
+    bad.write_text(text)
+    code, res = run_json(capsys, ["generate", "stationary", "--matrix",
+                                  str(bad), "--levels", "3"])
+    assert code == 1
+    assert res["status"] == "error"
+    assert res["payload"]["message"] == res["diagnostics"][0]

@@ -101,6 +101,69 @@ def test_predecessor_inverts_successor():
         pt.vershik_predecessor(d, pt.min_path_to(d, 4, 0))
 
 
+def _unrank_by_counts(d, level, vertex, rank):
+    # The count-scan unrank: from (level, vertex) up to the root, skip the
+    # root paths through each earlier in-edge.
+    rev = []
+    for n in range(level, 0, -1):
+        counts = pt.path_counts(d, n - 1)
+        for e in dg.in_edges(d, n)[vertex]:
+            s = d.level_edges(n)[e][0]
+            if rank < counts[s]:
+                break
+            rank -= counts[s]
+        rev.append(e)
+        vertex = s
+    return pt.make_path(d, reversed(rev))
+
+
+def _check_steps_against_unrank(d, depth, v, ranks):
+    total = pt.path_counts(d, depth)[v]
+    near = {s for r in ranks for s in (r - 1, r, r + 1) if 0 <= s < total}
+    at = {r: _unrank_by_counts(d, depth, v, r) for r in near}
+    assert pt.min_path_to(d, depth, v) == _unrank_by_counts(d, depth, v, 0)
+    assert pt.max_path_to(d, depth, v) == \
+        _unrank_by_counts(d, depth, v, total - 1)
+    for r in ranks:
+        p = at[r]
+        assert pt.path_unrank(d, depth, v, r) == p
+        assert pt.path_rank(d, p) == r
+        if r == 0:
+            with pytest.raises(pt.MinimalPathError):
+                pt.vershik_predecessor(d, p)
+        else:
+            assert pt.vershik_predecessor(d, p) == at[r - 1]
+        if r == total - 1:
+            with pytest.raises(pt.MaximalPathError):
+                pt.vershik_successor(d, p)
+        else:
+            assert pt.vershik_successor(d, p) == at[r + 1]
+
+
+def test_steps_match_unrank_on_suite(suite):
+    for d in suite.values():
+        for depth in range(7):
+            for v, total in enumerate(pt.path_counts(d, depth)):
+                # Every rank, so every path into v.
+                _check_steps_against_unrank(d, depth, v, range(total))
+
+
+@pytest.mark.parametrize("shape", ["stationary", "fibonacci", "union"])
+def test_steps_match_unrank_deep(shape):
+    rng = random.Random(7)
+    for depth in (40, 160):
+        if shape == "union":
+            d = gen.disjoint_union([gen.odometer(b, depth) for b in (2, 3, 5)])
+        else:
+            matrix = {"stationary": [[2, 1, 0], [1, 1, 1], [0, 1, 2]],
+                      "fibonacci": [[1, 1], [1, 0]]}[shape]
+            d = gen.stationary_adic(matrix, depth)
+        for v, total in enumerate(pt.path_counts(d, depth)):
+            ranks = {0, 1, total - 2, total - 1}
+            ranks.update(rng.randrange(total) for _ in range(8))
+            _check_steps_against_unrank(d, depth, v, sorted(ranks))
+
+
 def test_orbit_shift_is_rank_difference():
     d = gen.odometer(2, 4)
     e = pt.make_path(d, [0, 1, 0, 1])
