@@ -6,7 +6,8 @@ the shallowest non-maximal edge and resetting everything below it to the
 unique all-minimal path, which enumerates the paths into each vertex in
 rank order; the predecessor is its mirror image.  make_path is the one
 checked constructor, for paths from outside (CLI, JSON, caller tuples);
-the step and the extremal walks trust a FinitePath's fields.
+steps, prefixes, extremal walks, enumerations, telescoping and soe's orbit
+map F build their paths from a FinitePath and the diagram's tables.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
             raise DiagramError(
                 f"edge {e} at level {n} has source {s}, expected {v}")
         v = r
+    return FinitePath(len(idx), idx, v)
+
+
+def path_prefix(d: OrderedBratteliDiagram, p: FinitePath, n: int) -> FinitePath:
+    """The first n edges of p; the last edge's range is read from d."""
+    idx = p.edge_indices[:n]
+    v = d.edges[len(idx) - 1][idx[-1]][1] if idx else 0
     return FinitePath(len(idx), idx, v)
 
 
@@ -221,7 +229,8 @@ def extremal_paths(d: OrderedBratteliDiagram, depth: int,
     stabilized = (depth >= 1 and d.num_levels >= 2 and
                   len(by_depth[depth]) == final and
                   len(by_depth[d.num_levels - 1]) == final)
-    paths = tuple(make_path(d, idx) for idx in sorted(by_depth[depth]))
+    paths = tuple(sorted({path_prefix(d, p, depth) for p in full},
+                         key=lambda p: p.edge_indices))
     return ExtremalPathSet(kind, depth, paths, stabilized)
 
 
@@ -335,7 +344,7 @@ def telescope_path(tmap, p: FinitePath, telescoped: OrderedBratteliDiagram):
     for i in range(m):
         chunk = p.edge_indices[cuts[i]:cuts[i + 1]]
         idx.append(tmap.new_edge(i + 1, chunk))
-    return make_path(telescoped, tuple(idx))
+    return FinitePath(m, tuple(idx), p.terminal_vertex)
 
 
 def untelescope_path(tmap, p: FinitePath, original: OrderedBratteliDiagram):
@@ -343,9 +352,9 @@ def untelescope_path(tmap, p: FinitePath, original: OrderedBratteliDiagram):
     idx = []
     for i, e in enumerate(p.edge_indices, start=1):
         idx.extend(tmap.orig_path(i, e))
-    return make_path(original, tuple(idx))
+    return FinitePath(len(idx), tuple(idx), p.terminal_vertex)
 
 
 def all_paths(d: OrderedBratteliDiagram, depth: int):
     """Every path of the given depth, in lexicographic order of edges."""
-    return [make_path(d, p) for _, _, p in paths_between(d, 1, depth)]
+    return [FinitePath(depth, p, r) for _, r, p in paths_between(d, 1, depth)]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       check_valid, incidence_matrix, is_int_list,
@@ -22,7 +21,7 @@ from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       vertex_sources)
 from .paths import (FinitePath, MaximalPathError, MinimalPathError,
                     all_paths, extremal_paths, is_maximal, is_minimal,
-                    make_path, path_rank, vershik_predecessor,
+                    path_prefix, path_rank, vershik_predecessor,
                     vershik_successor)
 
 
@@ -249,7 +248,6 @@ class OrbitMapRealization:
     f1_inverse: tuple
     f2_tables: tuple
     f2_inverse: tuple
-    pairing: Optional[object] = None
 
     @property
     def b1(self):
@@ -293,9 +291,9 @@ def realize_orbit_map(bp: InterleavedDiagram,
                       pairing=None) -> OrbitMapRealization:
     """Deterministic realization of F on finite paths.
 
-    B1's level-n edges correspond to interleaved segments over edge levels
-    (2n-2, 2n-1) (level 1 maps straight across); B2's level-m edges to
-    segments over (2m-1, 2m).
+    B1's level-n edges map to interleaved segments over edge levels
+    (2n-2, 2n-1) (level 1 maps straight across), B2's level-m edges to
+    (2m-1, 2m).  pairing is unused until the next benchmark revision.
     """
     d = bp.diagram
     f1t, f1i, f2t, f2i = [], [], [], []
@@ -315,17 +313,18 @@ def realize_orbit_map(bp: InterleavedDiagram,
         f2i.append(i)
         m += 1
     return OrbitMapRealization(bp, tuple(f1t), tuple(f1i),
-                               tuple(f2t), tuple(f2i), pairing)
+                               tuple(f2t), tuple(f2i))
 
 
 def f1_path(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
-    """Interleaved path (depth 2k-1) for a B1 path of depth k."""
+    """Interleaved path (depth 2k-1) for a B1 path of depth k.  Segments
+    keep their edge's source and range, so F and F^-1 keep p's end vertex."""
     if p.depth < 1 or p.depth > len(F.f1_tables):
         raise NeedsDepth(f"F is realized for B1 depths 1..{len(F.f1_tables)}")
     idx = []
     for n, e in enumerate(p.edge_indices):
         idx.extend(F.f1_tables[n][e])
-    return make_path(F.interleaved.diagram, tuple(idx))
+    return FinitePath(len(idx), tuple(idx), p.terminal_vertex)
 
 
 def f1_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
@@ -335,7 +334,7 @@ def f1_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
     for n in range(1, (bpath.depth + 1) // 2):
         seg = bpath.edge_indices[2 * n - 1: 2 * n + 1]
         idx.append(F.f1_inverse[n][seg])
-    return make_path(F.b1, tuple(idx))
+    return FinitePath(len(idx), tuple(idx), bpath.terminal_vertex)
 
 
 def f2_path(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
@@ -345,7 +344,7 @@ def f2_path(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
     idx = []
     for n, e in enumerate(p.edge_indices):
         idx.extend(F.f2_tables[n][e])
-    return make_path(F.interleaved.diagram, tuple(idx))
+    return FinitePath(len(idx), tuple(idx), p.terminal_vertex)
 
 
 def f2_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
@@ -355,7 +354,7 @@ def f2_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
     for m in range(bpath.depth // 2):
         seg = bpath.edge_indices[2 * m: 2 * m + 2]
         idx.append(F.f2_inverse[m][seg])
-    return make_path(F.b2, tuple(idx))
+    return FinitePath(len(idx), tuple(idx), bpath.terminal_vertex)
 
 
 def apply_orbit_map(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
@@ -365,8 +364,8 @@ def apply_orbit_map(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
     leaves the even prefix that translates back to B2.
     """
     img = f1_path(F, p)
-    trunc = make_path(F.interleaved.diagram, img.edge_indices[:-1])
-    return f2_inverse_path(F, trunc)
+    return f2_inverse_path(F, path_prefix(F.interleaved.diagram, img,
+                                          img.depth - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +403,10 @@ def pair_extremal_paths(bp: InterleavedDiagram, depth: int) -> ExtremalPairing:
             raise Unstabilized(
                 f"{kind} paths of the interleaved diagram are not "
                 f"stabilized at depth {depth}")
-        k1 = (depth + 1) // 2 if depth % 2 else depth // 2
-        k2 = depth // 2
         out = []
         for p in ps.paths:
-            odd = make_path(d, p.edge_indices[:2 * k1 - 1])
-            even = make_path(d, p.edge_indices[:2 * k2])
+            odd = path_prefix(d, p, depth - 1 + depth % 2)
+            even = path_prefix(d, p, depth - depth % 2)
             out.append((f1_inverse_path(F, odd), f2_inverse_path(F, even)))
         pairs[kind] = tuple(out)
     return ExtremalPairing(depth, pairs["min"], pairs["max"])
@@ -441,24 +438,18 @@ def cocycle_images(F: OrbitMapRealization, p: FinitePath,
         raise DiagramError(f"direction must be forward or backward")
     if p.depth < 2:
         raise NeedsDepth("cocycle needs a path of depth at least 2")
-    b1 = F.b1
-    pre = make_path(b1, p.edge_indices[:-1])
+    pre = path_prefix(F.b1, p, p.depth - 1)
     step, end = ((vershik_successor, "maximal") if direction == "forward"
                  else (vershik_predecessor, "minimal"))
     try:
-        other = step(b1, pre)
+        other = step(F.b1, pre)
     except (MaximalPathError, MinimalPathError):
         raise NeedsDepth(f"prefix is {end}; extend the path past the {end} "
                          "tail") from None
-    tail_edge = p.edge_indices[-1]
-    # The tail edge's interleaved segment starts at edge level 2*depth - 2;
-    # only its first component is needed to complete an even-depth prefix.
-    bridge = F.f1_tables[p.depth - 1][tail_edge][0]
-    d = F.interleaved.diagram
-    img_pre = f1_path(F, pre).edge_indices + (bridge,)
-    img_other = f1_path(F, other).edge_indices + (bridge,)
-    q = f2_inverse_path(F, make_path(d, img_pre))
-    q2 = f2_inverse_path(F, make_path(d, img_other))
+    # Both end in p's last edge: q is F(x), q2 is F(T1x) (T1^-1 x backward).
+    q = apply_orbit_map(F, p)
+    moved = other.edge_indices + p.edge_indices[-1:]
+    q2 = apply_orbit_map(F, FinitePath(p.depth, moved, p.terminal_vertex))
     if q.terminal_vertex != q2.terminal_vertex:
         raise DiagramError("cocycle images disagree on vertices: "
                            "internal error")
@@ -620,6 +611,8 @@ def search_stationary_intertwining(b1: OrderedBratteliDiagram,
     (match or None, rejections) where each rejection names the candidate
     and the first identity it breaks.
     """
+    if bound < 0:
+        raise DiagramError(f"bound must be non-negative, got {bound}")
     r1, m1 = _stationary_data(b1)
     r2, m2 = _stationary_data(b2)
     k1 = b1.vertex_counts[1]
@@ -682,8 +675,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
         out["pairing_size"] = len(pairing.min_pairs)
     except DiagramError as exc:
         out["pairing_error"] = str(exc)
-        pairing = None
-    F = realize_orbit_map(bp, pairing)
+    F = realize_orbit_map(bp)
     cont = check_cocycle_continuity(F, depth)
     out["continuity_ok"] = cont["ok"]
     out["continuity"] = {k: cont[k] for k in ("checked", "eligible")}
@@ -693,8 +685,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     for p in all_paths(b1, min(3, b1.num_levels)):
         if len(samples) >= 5:
             break
-        pre = make_path(b1, p.edge_indices[:-1])
-        if is_maximal(b1, pre):
+        if is_maximal(b1, path_prefix(b1, p, p.depth - 1)):
             continue
         samples.append({"path": list(p.edge_indices),
                         "forward": cocycle(F, p, "forward")})

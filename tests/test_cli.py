@@ -5,6 +5,7 @@ import pytest
 from bratteli import cli
 from bratteli import diagram as dg
 from bratteli import generators as gen
+from bratteli import paths as pt
 from bratteli import soe
 
 
@@ -206,3 +207,40 @@ def test_mistyped_stationary_matrix_is_domain_error(capsys, tmp_path, text):
     assert code == 1
     assert res["status"] == "error"
     assert res["payload"]["message"] == res["diagnostics"][0]
+
+
+def test_soe_search_negative_bound_is_domain_error(capsys, tmp_path):
+    # A negative bound tries no candidate, so "not found" would be a
+    # verdict on nothing.
+    path = tmp_path / "b.json"
+    dg.save_diagram(gen.odometer(2, 4), str(path))
+    code, res = run_json(capsys, ["soe", "search", "--b1", str(path),
+                                  "--b2", str(path), "--bound", "-3"])
+    assert code == 1
+    assert res["status"] == "error"
+    assert "bound" in res["payload"]["message"]
+
+
+@pytest.mark.parametrize("argv, levels", [
+    (["odometer", "--base", "3", "--levels", "4"], 4),
+    (["stationary", "--matrix", None, "--levels", "5"], 5),
+], ids=["odometer", "stationary"])
+def test_generate_payload_feeds_validate_and_rank(capsys, tmp_path, argv,
+                                                  levels):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text("[[2, 1], [1, 1]]")
+    argv = [str(matrix) if a is None else a for a in argv]
+    code, res = run_json(capsys, ["generate", *argv])
+    assert code == 0
+    saved = tmp_path / "generated.json"
+    saved.write_text(json.dumps(res["payload"]))
+    code, res = run_json(capsys, ["validate", "--diagram", str(saved)])
+    assert code == 0 and res["payload"]["valid"] is True
+    d = dg.load_diagram(str(saved))
+    for v in range(d.vertex_counts[levels]):
+        code, res = run_json(capsys, ["rank", "--diagram", str(saved),
+                                      "--rank", "0", "--level", str(levels),
+                                      "--vertex", str(v)])
+        assert code == 0
+        want = pt.min_path_to(d, levels, v).edge_indices
+        assert res["payload"]["path"] == ",".join(map(str, want))

@@ -251,6 +251,30 @@ def test_telescope_conjugates_successor():
         assert lhs == rhs
 
 
+def test_derived_paths_match_checked_paths(suite):
+    # Enumerations, prefixes, extremal walks and telescoping build their
+    # paths from the tables; each must equal the path make_path checks.
+    def checked(d, p):
+        return p == pt.make_path(d, p.edge_indices)
+
+    for name, d in suite.items():
+        for depth in range(5):
+            for p in pt.all_paths(d, depth):
+                assert checked(d, p), (name, p)
+                assert all(checked(d, pt.path_prefix(d, p, n))
+                           for n in range(depth + 1)), (name, p)
+        for depth in range(d.num_levels + 1):
+            for kind in ("min", "max"):
+                for p in pt.extremal_paths(d, depth, kind).paths:
+                    assert checked(d, p), (name, kind, p)
+        td, tmap = dg.telescope(d, list(range(2, d.num_levels + 1, 2)))
+        for p in pt.all_paths(d, 4):
+            q = pt.telescope_path(tmap, p, td)
+            assert checked(td, q), (name, p)
+            back = pt.untelescope_path(tmap, q, d)
+            assert checked(d, back) and back == p, (name, p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_rank_round_trip_property(base, data):

@@ -325,3 +325,37 @@ def test_continuity_orders_failures_by_depth_cylinder_direction(monkeypatch):
         ("forward", (1, 0), 4, 5),
         ("backward", (1, 0), 4, 5),
         ("forward", (0, 1, 1), 1, 2)]
+
+
+@pytest.mark.parametrize("make_map", [
+    criterion6_map, union_swap_map, odometer_map,
+], ids=["criterion6", "union-swap", "odometer"])
+def test_orbit_map_paths_match_checked_paths(make_map):
+    # F builds its paths from its tables; each must equal the path
+    # make_path checks edge by edge.
+    F = make_map()
+    b1, b2, d = F.b1, F.b2, F.interleaved.diagram
+
+    def checked(diagram, p):
+        return p == pt.make_path(diagram, p.edge_indices)
+
+    for m in range(1, 5):
+        for p in pt.all_paths(b1, m):
+            img = soe.f1_path(F, p)
+            assert checked(d, img) and checked(b1, soe.f1_inverse_path(F, img))
+            assert checked(b2, soe.apply_orbit_map(F, p))
+            for direction in ("forward", "backward"):
+                try:
+                    q, q2 = soe.cocycle_images(F, p, direction)
+                except soe.NeedsDepth:
+                    continue
+                assert checked(b2, q) and checked(b2, q2), (p, direction)
+        for p in pt.all_paths(b2, m):
+            img = soe.f2_path(F, p)
+            assert checked(d, img) and checked(b2, soe.f2_inverse_path(F, img))
+    # An odd and an even interleaved depth take different prefix lengths.
+    for depth in (d.num_levels - 1, d.num_levels):
+        pairing = soe.pair_extremal_paths(F.interleaved, depth)
+        for p1, p2 in pairing.min_pairs + pairing.max_pairs:
+            assert checked(b1, p1) and checked(b2, p2), (depth, p1, p2)
+            assert (p1.depth, p2.depth) == ((depth + 1) // 2, depth // 2)
