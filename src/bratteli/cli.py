@@ -2,14 +2,18 @@
 
 Every subcommand prints a CommandResult object:
     {"status": "ok" | "error", "payload": ..., "diagnostics": [...]}
-Exit codes: 0 ok, 1 domain error, 2 usage or argument parse error.  The
+Exit codes: 0 ok, 1 domain error (with the envelope), 2 usage or argument
+parse error (argparse's usage message on stderr, no envelope).  The
 environment variable BRATTELI_MAX_DEPTH (default 16) caps every --depth
-argument; capped values are reported in diagnostics.
+argument; it is read on every call and capped values are reported in
+diagnostics.  The argument parser is built once per process and shared by
+every ``run`` call; it holds no per-call state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,11 +39,6 @@ def _cap_depth(depth: int, diagnostics: list) -> int:
             f"depth {depth} capped to BRATTELI_MAX_DEPTH={cap}")
         return cap
     return depth
-
-
-def _load(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
 
 
 def _parse_ints(text: str) -> list:
@@ -142,7 +141,7 @@ def _cmd_k1(args, diags):
 
 
 def _cmd_oracle(args, diags):
-    obj = _load(args.system)
+    obj = dg.load_json(args.system)
     s = kt.permutation_system_from_json(obj)
     return kt.k_oracle_finite_system(s)
 
@@ -154,7 +153,7 @@ def _cmd_soe(args, diags):
     if args.action == "check":
         if not args.intertwining:
             raise dg.DiagramError("soe check needs --intertwining")
-        w = soe.intertwining_from_json(_load(args.intertwining))
+        w = soe.intertwining_from_json(dg.load_json(args.intertwining))
         return soe.soe_report(b1, b2, w, depth)
     match, rejections = soe.search_stationary_intertwining(
         b1, b2, args.bound, args.seed)
@@ -171,7 +170,7 @@ def _cmd_generate(args, diags):
     if args.family == "odometer":
         d = gen.odometer(args.base, args.levels)
     elif args.family == "stationary":
-        m = _load(args.matrix)
+        m = dg.load_json(args.matrix)
         if type(m) is not list or not all(map(dg.is_int_list, m)):
             raise dg.MalformedDiagram("matrix must be a list of integer lists")
         d = gen.stationary_adic(m, args.levels)
@@ -196,6 +195,7 @@ def _cmd_export_dot(args, diags):
 # --- wiring ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bratteli",

@@ -512,9 +512,18 @@ def _is_edge(e) -> bool:
             and type(e["s"]) is int and type(e["r"]) is int)
 
 
-def load_diagram(path: str) -> OrderedBratteliDiagram:
+def load_json(path: str):
+    """Read one JSON file; nesting too deep to decode is malformed input."""
     with open(path) as f:
-        return diagram_from_json(json.load(f))
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise MalformedDiagram(
+                f"{path}: JSON nested too deeply to decode") from None
+
+
+def load_diagram(path: str) -> OrderedBratteliDiagram:
+    return diagram_from_json(load_json(path))
 
 
 def save_diagram(d: OrderedBratteliDiagram, path: str) -> None:

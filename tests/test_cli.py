@@ -244,3 +244,71 @@ def test_generate_payload_feeds_validate_and_rank(capsys, tmp_path, argv,
         assert code == 0
         want = pt.min_path_to(d, levels, v).edge_indices
         assert res["payload"]["path"] == ",".join(map(str, want))
+
+
+@pytest.fixture
+def nested(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--diagram", "NESTED"],
+    ["oracle", "NESTED"],
+    ["soe", "check", "--b1", "ODO", "--b2", "ODO", "--intertwining",
+     "NESTED"],
+    ["generate", "stationary", "--matrix", "NESTED", "--levels", "3"],
+], ids=["validate", "oracle", "soe-check", "generate-stationary"])
+def test_deeply_nested_json_is_domain_error(capsys, odo2, nested, argv):
+    argv = [{"NESTED": nested, "ODO": odo2}.get(a, a) for a in argv]
+    code, res = run_json(capsys, argv)
+    assert code == 1
+    assert res["status"] == "error"
+    assert "nested too deeply" in res["payload"]["message"]
+
+
+def _call(capsys, argv):
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("first, second, depth_caps, check", [
+    (["--format", "text", "k1", "ODO", "--depth", "4"],
+     ["k1", "ODO", "--depth", "4"], None,
+     lambda code, out: json.loads(out)["payload"]["rank"] == 1),
+    (["rank", "--diagram", "ODO", "--path", "1,1,0"],
+     ["rank", "--diagram", "ODO", "--rank", "3", "--level", "3",
+      "--vertex", "0"], None,
+     lambda code, out: json.loads(out)["payload"] == {"path": "1,1,0"}),
+    (["k0", "ODO", "--compare", "--level1", "1", "--vec1", "1",
+      "--level2", "2", "--vec2", "2"],
+     ["k0", "ODO"], None,
+     lambda code, out: "equal" not in json.loads(out)["payload"]),
+    (["vershik"], ["validate", "--diagram", "ODO"], None,
+     lambda code, out: code == 0),
+    (["extremal", "--diagram", "ODO", "--depth", "9"],
+     ["extremal", "--diagram", "ODO", "--depth", "9"], ("4", "3"),
+     lambda code, out: json.loads(out)["payload"]["depth"] == 3),
+], ids=["format", "rank-mode", "k0-compare", "after-usage-error",
+        "depth-cap"])
+def test_shared_parser_keeps_no_state(capsys, monkeypatch, odo2, first,
+                                      second, depth_caps, check):
+    first = [odo2 if a == "ODO" else a for a in first]
+    second = [odo2 if a == "ODO" else a for a in second]
+    if depth_caps:
+        monkeypatch.setenv("BRATTELI_MAX_DEPTH", depth_caps[0])
+    parser = cli.build_parser()
+    _call(capsys, first)
+    if depth_caps:
+        monkeypatch.setenv("BRATTELI_MAX_DEPTH", depth_caps[1])
+    shared = _call(capsys, second)
+    assert cli.build_parser() is parser
+    cli.build_parser.cache_clear()
+    fresh = _call(capsys, second)
+    assert cli.build_parser() is not parser
+    assert shared == fresh
+    assert check(*shared)
