@@ -3,7 +3,8 @@
 Every subcommand prints a CommandResult object:
     {"status": "ok" | "error", "payload": ..., "diagnostics": [...]}
 Exit codes: 0 ok, 1 domain error (with the envelope), 2 usage or argument
-parse error (argparse's usage message on stderr, no envelope).  The
+parse error (argparse's usage message on stderr, no envelope); a reader
+that closes stdout early also gets exit code 1, without a traceback.  The
 environment variable BRATTELI_MAX_DEPTH (default 16) caps every --depth
 argument; it is read on every call and capped values are reported in
 diagnostics.  The argument parser is built once per process and shared by
@@ -350,7 +351,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes stdout again at exit,
+        # so point it at devnull, where that flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ of explicit tower-refinement data into an ordered diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .diagram import DiagramError, OrderedBratteliDiagram, make_diagram
 from .ktheory import FinitePermutationSystem, make_permutation_system

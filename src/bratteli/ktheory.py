@@ -7,12 +7,12 @@ All arithmetic is over Python integers, so nothing overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from typing import List, Optional
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      check_valid, incidence_matrix, is_int_list, mat_mul,
-                      mat_vec)
+                      check_valid, incidence_matrix, is_int_list, mat_vec)
 from .paths import extremal_paths
 
 
@@ -31,130 +31,203 @@ class SNFResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _add_to(dst, src, c):
+    """dst += c * src for sparse {index: nonzero} dicts; no zero is kept."""
+    for k, y in src.items():
+        z = dst.get(k, 0) + c * y
+        if z:
+            dst[k] = z
+        else:
+            del dst[k]
 
 
-def _pivot(d, t):
-    """(i, j) of the first smallest nonzero |d[i][j]| with i, j >= t, in
-    row-major order, or None; a 1 ends the search at once."""
-    best = None
-    for i in range(t, len(d)):
-        for j, x in enumerate(d[i][t:], t):
-            if x and (best is None or abs(x) < best[0]):
-                best = (abs(x), i, j)
-                if best[0] == 1:
-                    return i, j
-    return None if best is None else best[1:]
+def _sparse_rows(a):
+    """Rows of a dense matrix as {column: nonzero} dicts."""
+    return [{j: row[j] for j in compress(range(len(row)), row)} for row in a]
+
+
+def _dense(rows, n):
+    """Dense rows of length n from sparse rows."""
+    out = [[0] * n for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row.items():
+            dense[j] = x
+    return out
 
 
 def smith_normal_form(a: List[List[int]]) -> SNFResult:
     """U A V = diag(d1,...,dr,0,...) with di | d(i+1) and U, V unimodular.
 
-    Elimination pivots on the first minimum-absolute-value nonzero entry of
-    the working submatrix (row-major order), which keeps intermediate
-    entries small.  Row and column operations are applied only where their
-    multiplier is nonzero, and only to rows that hold a nonzero entry in the
-    pivot column, so sparse inputs such as I - P^T cost far less than n^3.
+    The working matrix and U are held as rows of {column: nonzero} dicts
+    and V by columns, so every row operation, column operation and swap
+    costs O(nonzeros), and sparse inputs such as I - P^T cost far less
+    than n^3.  Once step t is done, row t and column t are zero off the
+    diagonal, so the rows >= t hold every entry still to be eliminated and
+    a column swap touches only them.
+
+    Elimination pivots on the first minimum-absolute-value nonzero entry
+    of the rows >= t in row-major order, which keeps intermediate entries
+    small.  Multipliers are floor quotients; a remainder left in the pivot
+    row or column redoes the step, and a later entry that the pivot does
+    not divide has its row folded into the pivot row first.  U and V are
+    made dense once, at return.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [list(map(int, row)) for row in a]
-    u = _identity(m)
-    v = _identity(n)
-
-    def add_row(src, dst, c):     # row dst += c * row src, in d and u
-        for mat in (d, u):
-            s_row, d_row = mat[src], mat[dst]
-            for k, y in enumerate(s_row):
-                if y:
-                    d_row[k] += c * y
+    d = [{j: int(x) for j, x in row.items()} for row in _sparse_rows(a)]
+    u = [{i: 1} for i in range(m)]
+    v = [{j: 1} for j in range(n)]    # columns of V
 
     t = 0
     while t < min(m, n):
-        pivot = _pivot(d, t)
-        if pivot is None:
+        # Pivot: least (|x|, i, j) over the rows >= t; a 1 cannot be beaten.
+        best = None
+        for i in range(t, m):
+            row = d[i]
+            if row:
+                low = min(map(abs, row.values()))
+                if best is None or low < best[0]:
+                    best = (low, i, min(j for j, x in row.items()
+                                        if x == low or x == -low))
+                    if low == 1:
+                        break
+        if best is None:
             break
-        pi, pj = pivot
+        _, pi, pj = best
         d[t], d[pi] = d[pi], d[t]
         u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in d:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
+            for row in [r for r in d[t:] if t in r or pj in r]:
+                x = row.pop(t, 0)
+                y = row.pop(pj, 0)
+                if y:
+                    row[t] = y
+                if x:
+                    row[pj] = x
+            v[t], v[pj] = v[pj], v[t]
         if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        p = d[t][t]
+            d[t] = {j: -x for j, x in d[t].items()}
+            u[t] = {j: -x for j, x in u[t].items()}
+        row_t = d[t]
+        p = row_t[t]
         # Clear column t below the pivot, then row t right of it; each
         # multiplier is the floor quotient, so the remainders stay behind.
-        below = [i for i in range(t + 1, m) if d[i][t]]
+        below = [i for i in range(t + 1, m) if t in d[i]]
         for i in below:
             c = d[i][t] // p
             if c:
-                add_row(t, i, -c)
-        right = [(j, -(x // p)) for j, x in enumerate(d[t][t + 1:], t + 1)
-                 if x]
+                _add_to(d[i], row_t, -c)
+                _add_to(u[i], u[t], -c)
+        right = {j: -(x // p) for j, x in row_t.items() if j != t}
         if right:
-            for row in [d[t]] + [d[i] for i in below] + v:
-                x = row[t]
+            for row in [row_t] + [d[i] for i in below]:
+                x = row.get(t)
                 if x:
-                    for j, c in right:
-                        row[j] += c * x
-        if any(d[i][t] for i in below) or any(d[t][j] for j, _ in right):
+                    _add_to(row, right, x)
+            for j, c in right.items():
+                _add_to(v[j], v[t], c)
+        if len(row_t) > 1 or any(t in d[i] for i in below):
             continue  # remainders were introduced; redo this pivot
         # Enforce divisibility of later entries by folding an offender in.
         if p != 1:
             offender = next((i for i in range(t + 1, m)
-                             if any(x % p for x in d[i][t + 1:])), None)
+                             if any(x % p for x in d[i].values())), None)
             if offender is not None:
-                add_row(offender, t, 1)
+                _add_to(row_t, d[offender], 1)
+                _add_to(u[t], u[offender], 1)
                 continue
         t += 1
-    diag = [d[i][i] for i in range(min(m, n))]
-    return SNFResult(diag, u, v)
+    diag = [d[i].get(i, 0) for i in range(min(m, n))]
+    return SNFResult(diag, _dense(u, m),
+                     [list(col) for col in zip(*_dense(v, n))])
 
 
 def _det(a):
-    """Exact integer determinant (fraction-free Bareiss elimination).
+    """Exact integer determinant of a dense square matrix; see _sparse_det."""
+    return _sparse_det(_sparse_rows(a))
 
-    A row whose entry in the pivot column is 0 changes only by the factor
-    pivot / previous pivot, so it is left alone when the two are equal.
-    The determinant of the 0 x 0 matrix is 1.
+
+def _sparse_det(rows):
+    """Exact integer determinant of sparse rows (fraction-free Bareiss).
+
+    Rows are filed by their first column.  Step k takes the shortest row
+    filed under k as the pivot row and replaces each other one, r, by
+    (r * pk - r[k] * pivot_row) / prev, an exact division, and files it
+    again.  A row without column k would only be scaled by pk / prev; the
+    scalings telescope, so such a row is left as it is, with the prev at
+    its last update, and scaled by prev / that prev when next used.  A
+    pivot row with a single entry therefore only drops column k from the
+    others.  The last pivot, times the sign of the order in which rows
+    were taken, is the determinant; that of the 0 x 0 matrix is 1.
     """
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
+    n = len(rows)
+    rows = [dict(r) for r in rows]
+    if not all(rows):
+        return 0
+    filed = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        filed[min(row)].append(i)
+    since = [1] * n       # the prev at which each stored row is exact
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
+    order = []
+    for k in range(n):
+        if not filed[k]:
+            return 0
+        p = min(filed[k], key=lambda i: len(rows[i]))
+        order.append(p)
+        pivot_row = rows[p]
+        if since[p] != prev:
+            pivot_row = {j: x * prev // since[p] for j, x in pivot_row.items()}
+        pk = pivot_row[k]
+        for i in filed[k]:
+            if i == p:
+                continue
+            row = rows[i]
+            if len(pivot_row) == 1:
+                del row[k]
             else:
+                if since[i] != prev:
+                    row = {j: x * prev // since[i] for j, x in row.items()}
+                c = row[k]
+                acc = {j: x * pk for j, x in row.items()}
+                for j, y in pivot_row.items():
+                    acc[j] = acc.get(j, 0) - c * y
+                row = rows[i] = {j: z // prev for j, z in acc.items() if z}
+                since[i] = pk
+            if not row:
                 return 0
-        pk = m[k][k]
-        tail = m[k][k + 1:]
-        for i in range(k + 1, n):
-            row = m[i]
-            c = row[k]
-            if c:
-                row[k + 1:] = [(x * pk - c * y) // prev
-                               for x, y in zip(row[k + 1:], tail)]
-            elif pk != prev:
-                row[k + 1:] = [x * pk // prev for x in row[k + 1:]]
+            filed[min(row)].append(i)
         prev = pk
-    return sign * m[n - 1][n - 1]
+    sign = 1              # of the permutation k -> order[k]
+    seen = [False] * n
+    for i in range(n):
+        if not seen[i]:   # a cycle of length L flips the sign L - 1 times
+            sign = -sign
+            while not seen[i]:
+                seen[i] = True
+                i = order[i]
+                sign = -sign
+    return sign * prev
+
+
+def _sparse_mul(x, y):
+    """Product of two matrices given as sparse rows, as sparse rows."""
+    out = []
+    for row in x:
+        acc = {}
+        for k, c in row.items():
+            _add_to(acc, y[k], c)
+        out.append(acc)
+    return out
 
 
 def verify_snf(a, res: SNFResult) -> bool:
     """Check an SNF result exactly: U A V = diag, d1 | d2 | ... with the
     zeros last, and |det U| = |det V| = 1 for square U (m x m) and V (n x n).
+
+    A, U and V are read into rows of {column: nonzero} dicts once; U A V
+    is multiplied out on those rows, so it costs O(nonzeros) instead of
+    O(n^3), and the determinants are taken on the same rows.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -168,14 +241,14 @@ def verify_snf(a, res: SNFResult) -> bool:
             return False
         if d1 != 0 and d2 % d1 != 0:
             return False
-    prod = mat_mul(mat_mul(res.left, a), res.right)
+    if any(len(row) != n for row in a):
+        raise DiagramError("matrix dimension mismatch")
+    u, v = _sparse_rows(res.left), _sparse_rows(res.right)
+    prod = _sparse_mul(_sparse_mul(u, _sparse_rows(a)), v)
     for i, row in enumerate(prod):
-        want = [0] * n
-        if i < len(diag):
-            want[i] = diag[i]
-        if row != want:
+        if row != ({i: diag[i]} if i < len(diag) and diag[i] else {}):
             return False
-    return abs(_det(res.left)) == 1 and abs(_det(res.right)) == 1
+    return abs(_sparse_det(u)) == 1 and abs(_sparse_det(v)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +471,10 @@ def k_oracle_finite_system(s: FinitePermutationSystem) -> dict:
     span the kernel of (I - P).
     """
     n = s.n_points
-    p = [[0] * n for _ in range(n)]
+    a = [[0] * n for _ in range(n)]   # I - P^T, where P e_i = e_{perm(i)}
     for i, j in enumerate(s.permutation):
-        p[j][i] = 1   # P e_i = e_{perm(i)}
-    a = [[(1 if i == j else 0) - p[j][i] for j in range(n)]
-         for i in range(n)]   # I - P^T
+        a[i][i] += 1
+        a[i][j] -= 1
     res = smith_normal_form(a)
     if not verify_snf(a, res):
         raise DiagramError("Smith normal form verification failed")

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bratteli
 from bratteli import cli
 from bratteli import diagram as dg
 from bratteli import generators as gen
@@ -312,3 +316,21 @@ def test_shared_parser_keeps_no_state(capsys, monkeypatch, odo2, first,
     assert cli.build_parser() is not parser
     assert shared == fresh
     assert check(*shared)
+
+
+def test_closed_stdout_exits_without_traceback():
+    # The reader end is closed before the command starts, so every write
+    # to stdout fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(bratteli.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bratteli.cli", "generate", "odometer",
+             "--base", "2", "--levels", "10"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bratteli
 
@@ -108,6 +108,83 @@ def test_verify_snf_rejects_bad_results():
                              kt.SNFResult([2, 3], eye, eye))
     # U A V = diag holds, but U is not unimodular.
     assert not kt.verify_snf([[1]], kt.SNFResult([2], [[2]], [[1]]))
+
+
+def _dense_mul(x, y):
+    out = [[0] * len(y[0]) for _ in x]
+    for row, xrow in zip(out, x):
+        for k, c in enumerate(xrow):
+            if c:
+                for j, z in enumerate(y[k]):
+                    row[j] += c * z
+    return out
+
+
+def _reference_verify(a, res):
+    """verify_snf written out densely: U A V = diag by plain loops, the
+    divisibility chain, and sympy's determinants of U and V."""
+    sympy = pytest.importorskip("sympy")
+    diag = res.diagonal
+    for d1, d2 in zip(diag, diag[1:]):
+        if (d2 != 0) if d1 == 0 else (d2 % d1 != 0):
+            return False
+    prod = _dense_mul(_dense_mul(res.left, a), res.right)
+    want = [[diag[i] if i == j else 0 for j in range(len(a[0]))]
+            for i in range(len(a))]
+    return (prod == want and abs(sympy.Matrix(res.left).det()) == 1
+            and abs(sympy.Matrix(res.right).det()) == 1)
+
+
+def _edited(res, which, i, j, delta):
+    left = [row[:] for row in res.left]
+    right = [row[:] for row in res.right]
+    mat = left if which == "U" else right
+    mat[i % len(mat)][j % len(mat)] += delta
+    return kt.SNFResult(list(res.diagonal), left, right)
+
+
+def _i_minus_pt(perm):
+    n = len(perm)
+    return [[(i == j) - (perm[i] == j) for j in range(n)] for i in range(n)]
+
+
+_A96 = _i_minus_pt(gen.finite_cycle_system([32, 32, 32])[0].permutation)
+_SNF96 = kt.smith_normal_form(_A96)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["U", "V"]), st.integers(0, 95), st.integers(0, 95),
+       st.sampled_from([1, -1]))
+@example("U", 0, 95, 1)
+@example("U", 95, 0, -1)
+@example("V", 0, 95, -1)
+@example("V", 95, 0, 1)
+@example("V", 95, 95, 1)
+def test_verify_snf_single_edits_n96(which, i, j, delta):
+    assert kt.verify_snf(_A96, _SNF96)
+    res = _edited(_SNF96, which, i, j, delta)
+    assert kt.verify_snf(_A96, res) == _reference_verify(_A96, res)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_dense_matrices(),
+                 st.integers(1, 12).flatmap(
+                     lambda n: st.permutations(range(n))).map(_i_minus_pt)),
+       st.sampled_from(["U", "V"]), st.integers(0, 40), st.integers(0, 40),
+       st.sampled_from([1, -1]))
+def test_verify_snf_single_edits_small(a, which, i, j, delta):
+    res = kt.smith_normal_form(a)
+    assert kt.verify_snf(a, res) and _reference_verify(a, res)
+    res = _edited(res, which, i, j, delta)
+    assert kt.verify_snf(a, res) == _reference_verify(a, res)
+
+
+@pytest.mark.parametrize("lengths", [[32, 32, 32], [8, 8, 16]])
+def test_oracle_on_cycle_systems(lengths):
+    s, _ = gen.finite_cycle_system(lengths)
+    assert kt.k_oracle_finite_system(s) == {
+        "k0_rank": 3, "k0_torsion": [], "k1_rank": 3,
+        "unit_image": sorted(lengths)}
 
 
 # --- dimension group presentations ----------------------------------------
