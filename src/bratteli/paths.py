@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from operator import getitem
+from typing import NamedTuple, Optional
 
 from .diagram import (DiagramError, OrderedBratteliDiagram,
                       check_fem_properties, check_valid, paths_between)
@@ -28,8 +29,14 @@ class MinimalPathError(DiagramError):
     """Predecessor requested for an all-minimal path."""
 
 
-@dataclass(frozen=True)
-class FinitePath:
+class FinitePath(NamedTuple):
+    """A root path of the given depth, by its edge index at each level.
+
+    A NamedTuple: immutable and hashable, and equal to any FinitePath or
+    plain 3-tuple (depth, edge_indices, terminal_vertex) with the same
+    fields.
+    """
+
     depth: int
     edge_indices: tuple
     terminal_vertex: int
@@ -41,8 +48,7 @@ def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
     if len(idx) > d.num_levels:
         raise DiagramError(f"path depth {len(idx)} exceeds {d.num_levels}")
     v = 0
-    for n, e in enumerate(idx, start=1):
-        level = d.level_edges(n)
+    for n, (level, e) in enumerate(zip(d.edges, idx), start=1):
         if not 0 <= e < len(level):
             raise DiagramError(f"edge index {e} out of range at level {n}")
         s, r = level[e]
@@ -75,13 +81,20 @@ def _extremal_path_to(d, level, vertex, which):
         raise DiagramError(f"level {level} out of range")
     if not 0 <= vertex < d.vertex_counts[level]:
         raise DiagramError(f"vertex {vertex} out of range at level {level}")
+    return FinitePath(level, _extremal_edges(d, level, vertex, which), vertex)
+
+
+def _extremal_edges(d, level, vertex, which):
+    # Edges of the all-minimal (which=0) or all-maximal (-1) path into
+    # (level, vertex), read down the in-edge table.
+    into, edges = d.in_edge_table, d.edges
     rev = []
-    v = vertex
     for n in range(level - 1, -1, -1):
-        e = d.in_edge_table[n][v][which]
+        e = into[n][vertex][which]
         rev.append(e)
-        v = d.edges[n][e][0]
-    return FinitePath(level, tuple(reversed(rev)), vertex)
+        vertex = edges[n][e][0]
+    rev.reverse()
+    return tuple(rev)
 
 
 def path_counts(d: OrderedBratteliDiagram, level: int) -> tuple:
@@ -96,7 +109,9 @@ def path_rank(d: OrderedBratteliDiagram, p: FinitePath) -> int:
     The rank is additive over levels: each edge adds its rank offset.
     """
     offsets = d.rank_offset_table
-    return sum(offsets[n][e] for n, e in enumerate(p.edge_indices))
+    if p.depth > len(offsets):
+        raise DiagramError(f"path depth {p.depth} exceeds {d.num_levels}")
+    return sum(map(getitem, offsets, p.edge_indices))
 
 
 def path_unrank(d: OrderedBratteliDiagram, level: int, vertex: int,
@@ -154,14 +169,16 @@ def _step(d, p, shift):
     # next (previous) edge into its range vertex, and replace the edges
     # before it by the all-minimal (all-maximal) path into its new source.
     into, pos, edges = d.in_edge_table, d.edge_position_table, d.edges
+    if p.depth > len(edges):
+        raise DiagramError(f"path depth {p.depth} exceeds {d.num_levels}")
     idx = p.edge_indices
     for n, e in enumerate(idx):
         order = into[n][edges[n][e][1]]
         i = pos[n][e] + shift
         if 0 <= i < len(order):
             y = order[i]
-            head = _extremal_path_to(d, n, edges[n][y][0], min(shift, 0))
-            return FinitePath(p.depth, head.edge_indices + (y,) + idx[n + 1:],
+            head = _extremal_edges(d, n, edges[n][y][0], min(shift, 0))
+            return FinitePath(p.depth, head + (y,) + idx[n + 1:],
                               p.terminal_vertex)
     return None
 

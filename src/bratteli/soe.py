@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import getitem
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       check_valid, incidence_matrix, is_int_list,
@@ -321,40 +322,42 @@ def f1_path(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
     keep their edge's source and range, so F and F^-1 keep p's end vertex."""
     if p.depth < 1 or p.depth > len(F.f1_tables):
         raise NeedsDepth(f"F is realized for B1 depths 1..{len(F.f1_tables)}")
-    idx = []
-    for n, e in enumerate(p.edge_indices):
-        idx.extend(F.f1_tables[n][e])
-    return FinitePath(len(idx), tuple(idx), p.terminal_vertex)
+    idx = tuple(itertools.chain.from_iterable(
+        map(getitem, F.f1_tables, p.edge_indices)))
+    return FinitePath(len(idx), idx, p.terminal_vertex)
 
 
 def f1_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
     if bpath.depth % 2 == 0:
         raise DiagramError("B1 side corresponds to odd interleaved depths")
-    idx = [F.f1_inverse[0][bpath.edge_indices[:1]]]
-    for n in range(1, (bpath.depth + 1) // 2):
-        seg = bpath.edge_indices[2 * n - 1: 2 * n + 1]
-        idx.append(F.f1_inverse[n][seg])
-    return FinitePath(len(idx), tuple(idx), bpath.terminal_vertex)
+    k = (bpath.depth + 1) // 2
+    if k > len(F.f1_inverse):
+        raise NeedsDepth(f"F is realized for B1 depths 1..{len(F.f1_inverse)}")
+    # Level 1 is one interleaved edge, every later level a pair.
+    e = bpath.edge_indices
+    idx = tuple(map(getitem, F.f1_inverse,
+                    itertools.chain((e[:1],), zip(e[1::2], e[2::2]))))
+    return FinitePath(k, idx, bpath.terminal_vertex)
 
 
 def f2_path(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
     """Interleaved path (depth 2m) for a B2 path of depth m."""
     if p.depth > len(F.f2_tables):
         raise NeedsDepth(f"F is realized for B2 depths 1..{len(F.f2_tables)}")
-    idx = []
-    for n, e in enumerate(p.edge_indices):
-        idx.extend(F.f2_tables[n][e])
-    return FinitePath(len(idx), tuple(idx), p.terminal_vertex)
+    idx = tuple(itertools.chain.from_iterable(
+        map(getitem, F.f2_tables, p.edge_indices)))
+    return FinitePath(len(idx), idx, p.terminal_vertex)
 
 
 def f2_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
     if bpath.depth % 2 != 0:
         raise DiagramError("B2 side corresponds to even interleaved depths")
-    idx = []
-    for m in range(bpath.depth // 2):
-        seg = bpath.edge_indices[2 * m: 2 * m + 2]
-        idx.append(F.f2_inverse[m][seg])
-    return FinitePath(len(idx), tuple(idx), bpath.terminal_vertex)
+    m = bpath.depth // 2
+    if m > len(F.f2_inverse):
+        raise NeedsDepth(f"F is realized for B2 depths 1..{len(F.f2_inverse)}")
+    e = bpath.edge_indices
+    idx = tuple(map(getitem, F.f2_inverse, zip(e[0::2], e[1::2])))
+    return FinitePath(m, idx, bpath.terminal_vertex)
 
 
 def apply_orbit_map(F: OrbitMapRealization, p: FinitePath) -> FinitePath:

@@ -9,6 +9,7 @@ import bratteli
 from bratteli import cli
 from bratteli import diagram as dg
 from bratteli import generators as gen
+from bratteli import ktheory as kt
 from bratteli import paths as pt
 from bratteli import soe
 
@@ -95,6 +96,25 @@ def test_oracle(capsys, tmp_path):
     assert res["payload"]["k0_rank"] == 2
     assert res["payload"]["unit_image"] == [2, 3]
 
+
+
+def test_oracle_size_cap(capsys, tmp_path):
+    # One point past the cap is a domain error; the cap itself still runs.
+    cap = kt.MAX_ORACLE_POINTS
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps({"n": cap + 1,
+                                "perm": [(i + 1) % (cap + 1)
+                                         for i in range(cap + 1)],
+                                "fiber": [0] * (cap + 1)}))
+    code, res = run_json(capsys, ["oracle", str(over)])
+    assert code == 1 and res["status"] == "error"
+    assert res["payload"]["message"] == (
+        f"oracle systems are capped at {cap} points, got {cap + 1}")
+    at = tmp_path / "at.json"
+    at.write_text(json.dumps({"n": cap, "perm": list(range(cap)),
+                              "fiber": list(range(cap))}))
+    code, res = run_json(capsys, ["oracle", str(at)])
+    assert code == 0 and res["payload"]["k0_rank"] == cap
 
 def test_generate_round_trip(capsys, tmp_path):
     code, res = run_json(capsys, ["generate", "odometer", "--base", "3",

@@ -318,3 +318,65 @@ def test_rank_and_position_tables_match_edge_scan(suite):
                 assert pt.path_rank(d, p) == rank == r
                 assert pt.is_minimal(d, p) == (r == 0)
                 assert pt.is_maximal(d, p) == (r == total - 1)
+
+
+def test_finite_path_is_an_immutable_value():
+    p = pt.FinitePath(3, (1, 1, 0), 0)
+    with pytest.raises(AttributeError):
+        p.depth = 4
+    with pytest.raises(AttributeError):
+        p.edge_indices = (0, 0, 0)
+    q = pt.FinitePath(3, (1, 1, 0), 0)
+    assert p == q and hash(p) == hash(q)
+    assert p != pt.FinitePath(3, (1, 1, 0), 1)
+    assert len({p, q, pt.FinitePath(3, (0, 1, 0), 0)}) == 2
+    # A NamedTuple: equal to the plain tuple of its fields.
+    assert p == (3, (1, 1, 0), 0) and hash(p) == hash((3, (1, 1, 0), 0))
+    assert repr(p) == \
+        "FinitePath(depth=3, edge_indices=(1, 1, 0), terminal_vertex=0)"
+    assert pt.make_path(gen.odometer(2, 3), [1, 1, 0]) == p
+
+
+def _random_path(d, depth, rng):
+    # Follow random out-edges from the root.
+    idx, v = [], 0
+    for n in range(depth):
+        e = rng.choice(d.out_edge_table[n][v])
+        idx.append(e)
+        v = d.edges[n][e][1]
+    return pt.FinitePath(depth, tuple(idx), v)
+
+
+@pytest.mark.parametrize("shape", ["stationary", "fibonacci", "union"])
+def test_path_rank_matches_level_loop_deep(shape):
+    rng = random.Random(11)
+    for depth in (10, 40, 160):
+        if shape == "union":
+            d = gen.disjoint_union([gen.odometer(b, depth) for b in (2, 3, 5)])
+        else:
+            matrix = {"stationary": [[2, 1, 0], [1, 1, 1], [0, 1, 2]],
+                      "fibonacci": [[1, 1], [1, 0]]}[shape]
+            d = gen.stationary_adic(matrix, depth)
+        counts = [pt.path_counts(d, n) for n in range(depth)]
+        for _ in range(20):
+            p = _random_path(d, depth, rng)
+            # Each edge adds the root paths into the sources of the edges
+            # before it into the same range vertex.
+            rank = 0
+            for n, e in enumerate(p.edge_indices):
+                for e2 in d.in_edge_table[n][d.edges[n][e][1]]:
+                    if e2 == e:
+                        break
+                    rank += counts[n][d.edges[n][e2][0]]
+            assert pt.path_rank(d, p) == rank
+
+
+@pytest.mark.parametrize("edge", [0, 1])
+@pytest.mark.parametrize("query", [
+    pt.path_rank, pt.vershik_successor, pt.vershik_predecessor,
+    pt.is_maximal, pt.is_minimal,
+])
+def test_queries_reject_path_deeper_than_diagram(query, edge):
+    d = gen.odometer(2, 3)
+    with pytest.raises(dg.DiagramError, match="path depth 5 exceeds 3"):
+        query(d, pt.FinitePath(5, (edge,) * 5, 0))

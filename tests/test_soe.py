@@ -1,6 +1,8 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bratteli import diagram as dg
 from bratteli import generators as gen
@@ -359,3 +361,80 @@ def test_orbit_map_paths_match_checked_paths(make_map):
         for p1, p2 in pairing.min_pairs + pairing.max_pairs:
             assert checked(b1, p1) and checked(b2, p2), (depth, p1, p2)
             assert (p1.depth, p2.depth) == ((depth + 1) // 2, depth // 2)
+
+
+_MAPS = {"criterion6": criterion6_map, "union-swap": union_swap_map,
+         "odometer": odometer_map}
+
+
+@functools.cache
+def _orbit_map(name):
+    return _MAPS[name]()
+
+
+def _drawn_path(data, d, depth):
+    # A random root path of d, one out-edge at a time.
+    idx, v = [], 0
+    for n in range(depth):
+        e = data.draw(st.sampled_from(d.out_edge_table[n][v]))
+        idx.append(e)
+        v = d.edges[n][e][1]
+    return pt.FinitePath(depth, tuple(idx), v)
+
+
+def _reference_path(d, idx):
+    v = d.edges[len(idx) - 1][idx[-1]][1] if idx else 0
+    return pt.FinitePath(len(idx), tuple(idx), v)
+
+
+def _reference_f(tables, d, p):
+    # One dict lookup per level, each appending an interleaved segment.
+    idx = []
+    for n, e in enumerate(p.edge_indices):
+        idx.extend(tables[n][e])
+    return _reference_path(d, idx)
+
+
+def _reference_f1_inverse(F, q):
+    e = q.edge_indices
+    segments = [e[:1]] + [e[i:i + 2] for i in range(1, len(e), 2)]
+    return _reference_path(F.b1, [F.f1_inverse[n][seg]
+                                  for n, seg in enumerate(segments)])
+
+
+def _reference_f2_inverse(F, q):
+    e = q.edge_indices
+    return _reference_path(F.b2, [F.f2_inverse[m][e[2 * m:2 * m + 2]]
+                                  for m in range(len(e) // 2)])
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_orbit_map_paths_match_level_lookups(name, data):
+    F = _orbit_map(name)
+    b1, b2, d = F.b1, F.b2, F.interleaved.diagram
+    p = _drawn_path(data, b1, data.draw(st.integers(1, len(F.f1_tables))))
+    img = _reference_f(F.f1_tables, d, p)
+    assert soe.f1_path(F, p) == img
+    assert soe.apply_orbit_map(F, p) == _reference_f2_inverse(
+        F, _reference_path(d, img.edge_indices[:-1]))
+    q = _drawn_path(data, b2, data.draw(st.integers(0, len(F.f2_tables))))
+    assert soe.f2_path(F, q) == _reference_f(F.f2_tables, d, q)
+    k = data.draw(st.integers(1, len(F.f1_inverse)))
+    x = _drawn_path(data, d, 2 * k - 1)
+    assert soe.f1_inverse_path(F, x) == _reference_f1_inverse(F, x)
+    m = data.draw(st.integers(0, len(F.f2_inverse)))
+    y = _drawn_path(data, d, 2 * m)
+    assert soe.f2_inverse_path(F, y) == _reference_f2_inverse(F, y)
+
+
+def test_inverse_maps_need_depth_past_the_tables():
+    F = odometer_map()
+    k, m = len(F.f1_inverse), len(F.f2_inverse)
+    assert (k, m) == (5, 4)
+    # One-vertex levels, so all-zero edges compose at any depth.
+    with pytest.raises(soe.NeedsDepth):
+        soe.f1_inverse_path(F, pt.FinitePath(2 * k + 1, (0,) * (2 * k + 1), 0))
+    with pytest.raises(soe.NeedsDepth):
+        soe.f2_inverse_path(F, pt.FinitePath(2 * m + 2, (0,) * (2 * m + 2), 0))
