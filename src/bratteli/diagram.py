@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 from typing import Optional, Sequence
 
 
@@ -217,11 +218,13 @@ def check_valid(d: OrderedBratteliDiagram) -> None:
 
 def in_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
     """Per level-n vertex, the ordered tuple of incoming edge indices."""
+    d.level_edges(n)    # range-checks n
     return d.in_edge_table[n - 1]
 
 
 def out_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
     """Per level-(n-1) vertex, the tuple of outgoing level-n edge indices."""
+    d.level_edges(n)    # range-checks n
     return d.out_edge_table[n - 1]
 
 
@@ -346,11 +349,12 @@ def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
     """paths_between(d, lo, hi) in the order telescoping numbers them:
     by range vertex, then with the deepest edge's order most significant.
     """
+    segs = paths_between(d, lo, hi)     # range-checks lo..hi
+    deepest_first = d.edge_position_table[lo - 1:hi][::-1]
+
     def key(seg):
-        _, r, path = seg
-        return r, tuple(edge_order_index(d, lo + j, path[j])
-                        for j in reversed(range(len(path))))
-    return sorted(paths_between(d, lo, hi), key=key)
+        return seg[1], tuple(map(getitem, deepest_first, reversed(seg[2])))
+    return sorted(segs, key=key)
 
 
 def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):

@@ -35,6 +35,12 @@ class FinitePath(NamedTuple):
     A NamedTuple: immutable and hashable, and equal to any FinitePath or
     plain 3-tuple (depth, edge_indices, terminal_vertex) with the same
     fields.
+
+    The fields are trusted.  make_path is the one function that checks a
+    path from outside; path_rank, the Vershik steps, prefixes and soe's
+    maps read the fields as given.  So a hand-built path whose edges do
+    not compose gives a wrong answer or an IndexError, and a negative edge
+    index reads an edge counted from the end of its level.
     """
 
     depth: int
@@ -60,10 +66,14 @@ def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
 
 
 def path_prefix(d: OrderedBratteliDiagram, p: FinitePath, n: int) -> FinitePath:
-    """The first n edges of p; the last edge's range is read from d."""
+    """The first n edges of p, 0 <= n <= min(p.depth, d.num_levels); the
+    last edge's range is read from d."""
+    if not 0 <= n <= p.depth or n > d.num_levels:
+        raise DiagramError(f"prefix length {n} out of range "
+                           f"0..{min(p.depth, d.num_levels)}")
     idx = p.edge_indices[:n]
-    v = d.edges[len(idx) - 1][idx[-1]][1] if idx else 0
-    return FinitePath(len(idx), idx, v)
+    v = d.edges[n - 1][idx[-1]][1] if n else 0
+    return FinitePath(n, idx, v)
 
 
 def min_path_to(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePath:

@@ -245,6 +245,18 @@ def test_soe_search_negative_bound_is_domain_error(capsys, tmp_path):
     assert "bound" in res["payload"]["message"]
 
 
+def test_soe_search_past_the_candidate_cap_is_domain_error(capsys, tmp_path):
+    # Two 2-vertex diagrams at the default bound 12 would be 13^8 (P, Q)
+    # candidates; the search refuses before building any.
+    path = tmp_path / "b.json"
+    dg.save_diagram(gen.stationary_adic([[1, 1], [1, 0]], 4), str(path))
+    code, res = run_json(capsys, ["soe", "search", "--b1", str(path),
+                                  "--b2", str(path)])
+    assert code == 1
+    assert res["status"] == "error"
+    assert "candidates" in res["payload"]["message"]
+
+
 @pytest.mark.parametrize("argv, levels", [
     (["odometer", "--base", "3", "--levels", "4"], 4),
     (["stationary", "--matrix", None, "--levels", "5"], 5),

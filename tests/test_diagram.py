@@ -161,3 +161,12 @@ def test_dot_export_mentions_every_edge():
     dot = dg.diagram_to_dot(d)
     assert dot.count("->") == 4
     assert dot.startswith("digraph")
+
+
+def test_edge_tables_by_level_reject_levels_out_of_range():
+    d = gen.odometer(3, 2)
+    assert dg.in_edges(d, 2) == dg.out_edges(d, 2) == ((0, 1, 2),)
+    for query in (dg.in_edges, dg.out_edges):
+        for n in (0, 3):
+            with pytest.raises(dg.DiagramError, match="out of range"):
+                query(d, n)

@@ -380,3 +380,18 @@ def test_queries_reject_path_deeper_than_diagram(query, edge):
     d = gen.odometer(2, 3)
     with pytest.raises(dg.DiagramError, match="path depth 5 exceeds 3"):
         query(d, pt.FinitePath(5, (edge,) * 5, 0))
+
+
+def test_path_prefix_rejects_lengths_out_of_range():
+    d = gen.odometer(2, 3)
+    p = pt.make_path(d, (1, 0, 1))
+    assert pt.path_prefix(d, p, 0) == pt.FinitePath(0, (), 0)
+    assert pt.path_prefix(d, p, 3) == p
+    for n in (-1, 4):
+        with pytest.raises(dg.DiagramError, match="prefix length"):
+            pt.path_prefix(d, p, n)
+    # A path deeper than d: its prefixes past d's levels have no range.
+    deep = pt.FinitePath(5, (0,) * 5, 0)
+    assert pt.path_prefix(d, deep, 3) == pt.FinitePath(3, (0, 0, 0), 0)
+    with pytest.raises(dg.DiagramError, match="prefix length 4"):
+        pt.path_prefix(d, deep, 4)

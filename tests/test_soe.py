@@ -204,7 +204,7 @@ def test_cocycle_continuity_odometer_pair():
     report = soe.check_cocycle_continuity(F, 4)
     assert report["ok"]
     assert report["nonconstant"] == []
-    assert report["checked"] > 0
+    assert report["eligible"] > 0
 
 
 def test_cocycle_continuity_union_pair():
@@ -250,11 +250,15 @@ def test_intertwining_json_round_trip():
         soe.intertwining_from_json({"P": []})
 
 
-def criterion6_map():
+def criterion6_pair():
     b1, _ = dg.telescope(gen.odometer(2, 17), list(range(1, 18, 2)))
     b2 = gen.odometer(4, 8)
     w = soe.stationary_intertwining([[2]], [[2]], 8, 8)
-    return soe.realize_orbit_map(soe.build_interleaved(b1, b2, w))
+    return b1, b2, w
+
+
+def criterion6_map():
+    return soe.realize_orbit_map(soe.build_interleaved(*criterion6_pair()))
 
 
 def union_swap_map():
@@ -308,7 +312,7 @@ def test_cocycle_continuity_at_full_depth():
                * len(dg.out_edges(b1, m)[v])
                for m in range(2, 10)
                for v in range(b1.vertex_counts[m - 1]))
-    assert report["eligible"] == report["checked"] == want
+    assert report["eligible"] == want
 
 
 def test_continuity_orders_failures_by_depth_cylinder_direction(monkeypatch):
@@ -319,7 +323,7 @@ def test_continuity_orders_failures_by_depth_cylinder_direction(monkeypatch):
             ("backward", (0, 3, 1), 7, 7), ("forward", (0, 3, 1), 6, 5)]
     monkeypatch.setattr(soe, "cocycle_values", lambda F, depth: iter(walk))
     report = soe.check_cocycle_continuity(None, 4)
-    assert report["eligible"] == report["checked"] == 6
+    assert report["eligible"] == 6
     assert not report["ok"]
     assert [(f["direction"], f["cylinder"], f["expected"], f["got"])
             for f in report["nonconstant"]] == [
@@ -438,3 +442,60 @@ def test_inverse_maps_need_depth_past_the_tables():
         soe.f1_inverse_path(F, pt.FinitePath(2 * k + 1, (0,) * (2 * k + 1), 0))
     with pytest.raises(soe.NeedsDepth):
         soe.f2_inverse_path(F, pt.FinitePath(2 * m + 2, (0,) * (2 * m + 2), 0))
+
+
+def _count_segment_tables(monkeypatch):
+    built = []
+    real = soe._segment_bijection
+
+    def counted(d, bd, level, lo, hi):
+        built.append(level)
+        return real(d, bd, level, lo, hi)
+    monkeypatch.setattr(soe, "_segment_bijection", counted)
+    return built
+
+
+def test_orbit_map_is_built_once_per_interleaving(monkeypatch):
+    bp = soe.build_interleaved(*criterion6_pair())
+    built = _count_segment_tables(monkeypatch)
+    F = soe.realize_orbit_map(bp)
+    assert soe.realize_orbit_map(bp) is F is bp.orbit_map
+    assert len(built) == 17     # 9 B1 levels and 8 B2 levels
+    # The pairing reads the same F and builds no table of its own.
+    pairing = soe.pair_extremal_paths(bp, bp.diagram.num_levels)
+    assert len(built) == 17
+    assert pairing.min_pairs == ((pt.min_path_to(F.b1, 9, 0),
+                                  pt.min_path_to(F.b2, 8, 0)),)
+
+
+def test_soe_report_realizes_orbit_map_once(monkeypatch):
+    built = _count_segment_tables(monkeypatch)
+    report = soe.soe_report(*criterion6_pair(), 4)
+    assert report["pairing_ok"] and report["continuity_ok"]
+    assert set(report["continuity"]) == {"eligible"}
+    assert len(built) == 17
+
+
+def test_search_order_is_fixed_and_seed_ignored():
+    # Candidates come in itertools.product order, so the 1x1 match [2], [2]
+    # follows P = [0] and [1] with each Q in 0..4, then Q = [0] and [1].
+    b1, b2, _ = odometer_pair(4, 3)
+    runs = [soe.search_stationary_intertwining(b1, b2, 4, seed)
+            for seed in (0, 1)]
+    assert runs[0] == runs[1]
+    match, rejections = runs[0]
+    assert match == ([[2]], [[2]])
+    assert [(r["P"], r["Q"]) for r in rejections] == [
+        ([[p]], [[q]]) for p in range(3) for q in range(5)][:12]
+
+
+def test_search_refuses_candidates_past_the_cap():
+    # Two 2-vertex diagrams: (bound + 1)^8 candidates.
+    d = gen.stationary_adic([[1, 1], [1, 0]], 4)
+    assert 5 ** 8 <= soe.MAX_SEARCH_CANDIDATES < 6 ** 8
+    with pytest.raises(dg.DiagramError, match="candidates"):
+        soe.search_stationary_intertwining(d, d, 5)
+    with pytest.raises(dg.DiagramError, match="candidates"):
+        soe.search_stationary_intertwining(d, d, 10 ** 30)
+    match, rejections = soe.search_stationary_intertwining(d, d, 1)
+    assert match is not None
