@@ -65,18 +65,32 @@ class OrderedBratteliDiagram:
 
     # Derived tables: cached_property stores them in the instance __dict__,
     # past the frozen __setattr__, and equality and hashing never see them.
+    # The edge tables are columns of _level_index, which scans each distinct
+    # (edges, source count, range count) level once; the levels of a
+    # stationary diagram are all equal after the first, so they share rows.
+
+    @cached_property
+    def _level_index(self) -> tuple:
+        """Per level: (in-edge rows, out-edge rows, positions, in-edge
+        sources), equal levels sharing one entry."""
+        seen, index = {}, []
+        vcs = self.vertex_counts
+        for key in zip(self.edges, vcs, vcs[1:]):
+            entry = seen.get(key)
+            if entry is None:
+                entry = seen[key] = _index_level(*key)
+            index.append(entry)
+        return tuple(index)
 
     @cached_property
     def in_edge_table(self) -> tuple:
         """in_edge_table[n-1][w]: level-n edges into w, in edge order."""
-        return tuple(_group_edges(level, self.vertex_counts[n], 1)
-                     for n, level in enumerate(self.edges, start=1))
+        return tuple(entry[0] for entry in self._level_index)
 
     @cached_property
     def out_edge_table(self) -> tuple:
         """out_edge_table[n-1][v]: level-n edges leaving level-(n-1) v."""
-        return tuple(_group_edges(level, self.vertex_counts[n - 1], 0)
-                     for n, level in enumerate(self.edges, start=1))
+        return tuple(entry[1] for entry in self._level_index)
 
     @cached_property
     def path_count_table(self) -> tuple:
@@ -91,16 +105,19 @@ class OrderedBratteliDiagram:
 
     @cached_property
     def _rank_sums(self) -> tuple:
-        # One scan gives both tables: edges come in range, then edge order,
-        # so a range vertex's running path count when an edge is reached
-        # is that edge's rank offset.
+        # Edges come in range, then edge order, so walking each range
+        # vertex's sources in turn meets the edges in index order, and the
+        # running path count when an edge is reached is its rank offset.
         counts, offsets = [(1,)], []
-        for level, size in zip(self.edges, self.vertex_counts[1:]):
-            row = [0] * size
-            before = []
-            for s, r in level:
-                before.append(row[r])
-                row[r] += counts[-1][s]
+        for entry in self._level_index:
+            below = counts[-1]
+            row, before = [], []
+            for sources in entry[3]:
+                acc = 0
+                for s in sources:
+                    before.append(acc)
+                    acc += below[s]
+                row.append(acc)
             counts.append(tuple(row))
             offsets.append(tuple(before))
         return tuple(counts), tuple(offsets)
@@ -109,23 +126,24 @@ class OrderedBratteliDiagram:
     def edge_position_table(self) -> tuple:
         """edge_position_table[n-1][e]: place of level-n edge e among the
         edges into its range vertex (0 is minimal, the last is maximal)."""
-        table = []
-        for level, size in zip(self.edges, self.vertex_counts[1:]):
-            seen = [0] * size
-            row = []
-            for _, r in level:
-                row.append(seen[r])
-                seen[r] += 1
-            table.append(tuple(row))
-        return tuple(table)
+        return tuple(entry[2] for entry in self._level_index)
 
 
-def _group_edges(level: tuple, num_vertices: int, end: int) -> tuple:
-    """Edge indices of one level grouped by source (end=0) or range (end=1)."""
-    table = [[] for _ in range(num_vertices)]
-    for i, e in enumerate(level):
-        table[e[end]].append(i)
-    return tuple(tuple(t) for t in table)
+def _index_level(level: tuple, num_sources: int, num_ranges: int) -> tuple:
+    """One scan of a level: its in-edge rows, out-edge rows, edge positions
+    and, per range vertex, the sources of its in-edges in edge order."""
+    ins = [[] for _ in range(num_ranges)]
+    outs = [[] for _ in range(num_sources)]
+    sources = [[] for _ in range(num_ranges)]
+    positions = []
+    for i, (s, r) in enumerate(level):
+        row = ins[r]
+        positions.append(len(row))
+        row.append(i)
+        outs[s].append(i)
+        sources[r].append(s)
+    return (tuple(map(tuple, ins)), tuple(map(tuple, outs)),
+            tuple(positions), tuple(map(tuple, sources)))
 
 
 def make_diagram(num_levels: int,
@@ -419,10 +437,11 @@ def check_fem_properties(d: OrderedBratteliDiagram, m_max: int = 4) -> list:
             vmin_n = extremal_vertices(d, n)
             level_up = d.level_edges(n + 1)
             ext_up = set(extremal_edges(d, n + 1))
+            # (b): needs an extremal vertex at level n+1, so n+1 < N.
+            if n + 1 < d.num_levels:
+                targets = set(extremal_vertices(d, n + 1))
             for v in vmin_n:
-                # (b): needs an extremal vertex at level n+1, so n+1 < N.
                 if n + 1 < d.num_levels:
-                    targets = set(extremal_vertices(d, n + 1))
                     ok = any(level_up[e][0] == v and level_up[e][1] in targets
                              for e in ext_up)
                     if not ok:
@@ -433,10 +452,11 @@ def check_fem_properties(d: OrderedBratteliDiagram, m_max: int = 4) -> list:
                     if r in rv and s != v:
                         failures.append(PropertyFailure("c", kind, n, v))
                         break
+                rm = {v}
                 for m in range(1, m_max + 1):
                     if n + m > d.num_levels:
                         break
-                    rm = _iterate_r(d, n, {v}, m)
+                    rm = _iterate_r(d, n + m - 1, rm, 1)    # R^m(v)
                     sm = _iterate_s(d, n + m, rm, m)
                     rsr = _iterate_r(d, n, sm, m)
                     if rm != rsr:

@@ -353,7 +353,8 @@ def element_equal(g1: DimGroupElement, g2: DimGroupElement,
     for _, v in _pushes(pres.maps, hi, diff, top):
         if not any(v):
             return "equal"
-    if all(_injective(pres.maps[i]) for i in range(hi - 1, pres.num_levels - 1)):
+    # Maps are tuples, so a stationary presentation's repeats test once.
+    if all(map(_injective, set(pres.maps[hi - 1:pres.num_levels - 1]))):
         return "not_equal"
     return "unknown"
 

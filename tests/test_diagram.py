@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -170,3 +171,145 @@ def test_edge_tables_by_level_reject_levels_out_of_range():
         for n in (0, 3):
             with pytest.raises(dg.DiagramError, match="out of range"):
                 query(d, n)
+
+
+# ---------------------------------------------------------------------------
+# Derived tables against a naive scan of each level
+
+
+def _naive_tables(d):
+    """The five derived tables, each level scanned on its own."""
+    ins, outs, positions, counts, offsets = [], [], [], [(1,)], []
+    for n, level in enumerate(d.edges, start=1):
+        below = counts[-1]
+        ins.append(tuple(
+            tuple(i for i, (_, r) in enumerate(level) if r == w)
+            for w in range(d.vertex_counts[n])))
+        outs.append(tuple(
+            tuple(i for i, (s, _) in enumerate(level) if s == v)
+            for v in range(d.vertex_counts[n - 1])))
+        earlier = [[s2 for s2, r2 in level[:i] if r2 == r]
+                   for i, (_, r) in enumerate(level)]
+        positions.append(tuple(map(len, earlier)))
+        offsets.append(tuple(sum(below[s] for s in e) for e in earlier))
+        counts.append(tuple(sum(below[s] for s, r in level if r == w)
+                            for w in range(d.vertex_counts[n])))
+    return (tuple(ins), tuple(outs), tuple(positions), tuple(counts),
+            tuple(offsets))
+
+
+def _random_diagram(rng, levels, max_vertices, max_extra):
+    """A valid diagram: every vertex has an in-edge and an out-edge."""
+    vcs = [1] + [rng.randint(1, max_vertices) for _ in range(levels)]
+    edges = []
+    for n in range(1, levels + 1):
+        ns, nr = vcs[n - 1], vcs[n]
+        level = [(rng.randrange(ns), r) for r in range(nr)]
+        level += [(s, rng.randrange(nr)) for s in range(ns)]
+        level += [(rng.randrange(ns), rng.randrange(nr))
+                  for _ in range(rng.randint(0, max_extra))]
+        rng.shuffle(level)
+        edges.append(level)
+    return dg.make_diagram(levels, vcs, edges)
+
+
+def _distinct_levels_diagram():
+    d = _random_diagram(random.Random(12), 12, 4, 6)
+    assert len(set(zip(d.edges, d.vertex_counts, d.vertex_counts[1:]))) == 12
+    return d
+
+
+def _unequal_counts_diagram():
+    # Levels 3 and 4 have the same edge tuple but 2 -> 3 and 3 -> 2
+    # vertices; vertex 2 at level 3 has neither in- nor out-edges.
+    same = [(0, 0), (1, 1)]
+    d = dg.make_diagram(4, [1, 2, 2, 3, 2],
+                        [[(0, 0), (0, 1)], [(0, 0), (1, 1), (1, 0)],
+                         same, same])
+    assert d.edges[2] == d.edges[3] and dg.validate_diagram(d)
+    return d
+
+
+def test_derived_tables_match_naive_scan(suite):
+    inputs = dict(suite)
+    inputs["distinct"] = _distinct_levels_diagram()
+    inputs["unequal-counts"] = _unequal_counts_diagram()
+    for name in ("union3", "fibonacci", "distinct"):
+        d = inputs[name]
+        inputs[name + "-telescoped"] = dg.telescope(
+            d, [2, 5, 6, d.num_levels])[0]
+    for name, d in inputs.items():
+        tables = (d.in_edge_table, d.out_edge_table, d.edge_position_table,
+                  d.path_count_table, d.rank_offset_table)
+        assert tables == _naive_tables(d), name
+
+
+def test_stationary_levels_share_rows():
+    d = gen.stationary_adic([[2, 1, 0], [1, 1, 1], [0, 1, 2]], 40)
+    rows = d.in_edge_table
+    assert all(rows[n - 1] is rows[1] for n in range(2, 41))
+    assert rows[0] is not rows[1]
+
+
+# ---------------------------------------------------------------------------
+# check_fem_properties against the per-vertex loop it replaced
+
+
+def _reference_fem_properties(d, m_max=4):
+    dg.check_valid(d)
+    failures = []
+    for kind, extremal_edges, extremal_vertices in (
+            ("min", dg.min_edges, dg.min_vertices),
+            ("max", dg.max_edges, dg.max_vertices)):
+        for n in range(d.num_levels):
+            vmin_n = extremal_vertices(d, n)
+            level_up = d.level_edges(n + 1)
+            ext_up = set(extremal_edges(d, n + 1))
+            for v in vmin_n:
+                if n + 1 < d.num_levels:
+                    targets = set(extremal_vertices(d, n + 1))
+                    ok = any(level_up[e][0] == v and level_up[e][1] in targets
+                             for e in ext_up)
+                    if not ok:
+                        failures.append(dg.PropertyFailure("b", kind, n, v))
+                rv = set(dg.vertex_ranges(d, n, v))
+                for e in ext_up:
+                    s, r = level_up[e]
+                    if r in rv and s != v:
+                        failures.append(dg.PropertyFailure("c", kind, n, v))
+                        break
+                for m in range(1, m_max + 1):
+                    if n + m > d.num_levels:
+                        break
+                    rm = _reference_r(d, n, {v}, m)
+                    sm = _reference_s(d, n + m, rm, m)
+                    if rm != _reference_r(d, n, sm, m):
+                        failures.append(
+                            dg.PropertyFailure("d", kind, n, v, m))
+    return failures
+
+
+def _reference_r(d, n, vs, m):
+    for k in range(n + 1, n + m + 1):
+        vs = {r for s, r in d.level_edges(k) if s in vs}
+    return vs
+
+
+def _reference_s(d, n, vs, m):
+    for k in range(n, n - m, -1):
+        vs = {s for s, r in d.level_edges(k) if r in vs}
+    return vs
+
+
+def test_fem_properties_match_reference_loop(suite):
+    for name, d in suite.items():
+        assert dg.check_fem_properties(d) == _reference_fem_properties(d), \
+            name
+    rng = random.Random(2024)
+    failing = 0
+    for i in range(300):
+        d = _random_diagram(rng, rng.randint(2, 6), 3, 3)
+        want = _reference_fem_properties(d)
+        assert dg.check_fem_properties(d) == want, i
+        failing += bool(want)
+    assert 50 <= failing <= 250

@@ -231,6 +231,23 @@ def test_element_equal_collapsing_map():
     assert kt.element_equal(g1, g2, pres) == "equal"
 
 
+def test_element_equal_stationary_tests_its_matrix_once(monkeypatch):
+    # 39 equal maps, invertible over Q (det 4): one SNF certifies them all.
+    m = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    pres = kt.k0_presentation(gen.stationary_adic(m, 40))
+    calls = []
+    snf = kt.smith_normal_form
+    monkeypatch.setattr(kt, "smith_normal_form",
+                        lambda a: calls.append(a) or snf(a))
+    g = kt.DimGroupElement(3, (1, -2, 0))
+    pushed = kt.DimGroupElement(5, tuple(pres.push(3, g.vector, 5)))
+    assert kt.element_equal(g, pushed, pres) == "equal"
+    assert calls == []
+    other = kt.DimGroupElement(3, (0, -2, 1))
+    assert kt.element_equal(g, other, pres) == "not_equal"
+    assert len(calls) == 1
+
+
 def test_element_positive_fibonacci():
     d = gen.stationary_adic([[1, 1], [1, 0]], 10)
     pres = kt.k0_presentation(d)
