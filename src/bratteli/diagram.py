@@ -65,17 +65,16 @@ class OrderedBratteliDiagram:
 
     # Derived tables: cached_property stores them in the instance __dict__,
     # past the frozen __setattr__, and equality and hashing never see them.
-    # The edge tables are columns of _level_index, which scans each distinct
-    # (edges, source count, range count) level once; the levels of a
-    # stationary diagram are all equal after the first, so they share rows.
+    # The in-edge and position tables, which path queries read, come from
+    # _level_index: one scan per distinct (edges, range count) level, equal
+    # levels (all but the first of a stationary diagram) sharing its rows.
 
     @cached_property
     def _level_index(self) -> tuple:
-        """Per level: (in-edge rows, out-edge rows, positions, in-edge
-        sources), equal levels sharing one entry."""
+        """Per level: (in-edge rows, edge positions), equal levels sharing
+        one entry."""
         seen, index = {}, []
-        vcs = self.vertex_counts
-        for key in zip(self.edges, vcs, vcs[1:]):
+        for key in zip(self.edges, self.vertex_counts[1:]):
             entry = seen.get(key)
             if entry is None:
                 entry = seen[key] = _index_level(*key)
@@ -90,7 +89,13 @@ class OrderedBratteliDiagram:
     @cached_property
     def out_edge_table(self) -> tuple:
         """out_edge_table[n-1][v]: level-n edges leaving level-(n-1) v."""
-        return tuple(entry[1] for entry in self._level_index)
+        table = []
+        for level, size in zip(self.edges, self.vertex_counts):
+            rows = [[] for _ in range(size)]
+            for i, (s, _) in enumerate(level):
+                rows[s].append(i)
+            table.append(tuple(map(tuple, rows)))
+        return tuple(table)
 
     @cached_property
     def path_count_table(self) -> tuple:
@@ -105,19 +110,16 @@ class OrderedBratteliDiagram:
 
     @cached_property
     def _rank_sums(self) -> tuple:
-        # Edges come in range, then edge order, so walking each range
-        # vertex's sources in turn meets the edges in index order, and the
-        # running path count when an edge is reached is its rank offset.
+        # One scan gives both tables: edges come in range, then edge order,
+        # so a range vertex's running path count when an edge is reached
+        # is that edge's rank offset.
         counts, offsets = [(1,)], []
-        for entry in self._level_index:
-            below = counts[-1]
-            row, before = [], []
-            for sources in entry[3]:
-                acc = 0
-                for s in sources:
-                    before.append(acc)
-                    acc += below[s]
-                row.append(acc)
+        for level, size in zip(self.edges, self.vertex_counts[1:]):
+            row = [0] * size
+            before = []
+            for s, r in level:
+                before.append(row[r])
+                row[r] += counts[-1][s]
             counts.append(tuple(row))
             offsets.append(tuple(before))
         return tuple(counts), tuple(offsets)
@@ -126,24 +128,18 @@ class OrderedBratteliDiagram:
     def edge_position_table(self) -> tuple:
         """edge_position_table[n-1][e]: place of level-n edge e among the
         edges into its range vertex (0 is minimal, the last is maximal)."""
-        return tuple(entry[2] for entry in self._level_index)
+        return tuple(entry[1] for entry in self._level_index)
 
 
-def _index_level(level: tuple, num_sources: int, num_ranges: int) -> tuple:
-    """One scan of a level: its in-edge rows, out-edge rows, edge positions
-    and, per range vertex, the sources of its in-edges in edge order."""
-    ins = [[] for _ in range(num_ranges)]
-    outs = [[] for _ in range(num_sources)]
-    sources = [[] for _ in range(num_ranges)]
+def _index_level(level: tuple, num_ranges: int) -> tuple:
+    """One scan of a level: its in-edge rows and edge positions."""
+    rows = [[] for _ in range(num_ranges)]
     positions = []
-    for i, (s, r) in enumerate(level):
-        row = ins[r]
+    for i, (_, r) in enumerate(level):
+        row = rows[r]
         positions.append(len(row))
         row.append(i)
-        outs[s].append(i)
-        sources[r].append(s)
-    return (tuple(map(tuple, ins)), tuple(map(tuple, outs)),
-            tuple(positions), tuple(map(tuple, sources)))
+    return tuple(map(tuple, rows)), tuple(positions)
 
 
 def make_diagram(num_levels: int,
@@ -438,10 +434,10 @@ def check_fem_properties(d: OrderedBratteliDiagram, m_max: int = 4) -> list:
             level_up = d.level_edges(n + 1)
             ext_up = set(extremal_edges(d, n + 1))
             # (b): needs an extremal vertex at level n+1, so n+1 < N.
-            if n + 1 < d.num_levels:
-                targets = set(extremal_vertices(d, n + 1))
+            targets = (set(extremal_vertices(d, n + 1))
+                       if n + 1 < d.num_levels else None)
             for v in vmin_n:
-                if n + 1 < d.num_levels:
+                if targets is not None:
                     ok = any(level_up[e][0] == v and level_up[e][1] in targets
                              for e in ext_up)
                     if not ok:

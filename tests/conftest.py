@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from bratteli import diagram as dg
 from bratteli import generators as gen
 
 
@@ -22,3 +25,43 @@ def suite_diagrams(levels=10):
 @pytest.fixture(scope="session")
 def suite():
     return suite_diagrams()
+
+
+def random_diagram(rng, levels, max_vertices, max_extra):
+    """A valid diagram: every vertex has an in-edge and an out-edge."""
+    vcs = [1] + [rng.randint(1, max_vertices) for _ in range(levels)]
+    edges = []
+    for n in range(1, levels + 1):
+        ns, nr = vcs[n - 1], vcs[n]
+        level = [(rng.randrange(ns), r) for r in range(nr)]
+        level += [(s, rng.randrange(nr)) for s in range(ns)]
+        level += [(rng.randrange(ns), rng.randrange(nr))
+                  for _ in range(rng.randint(0, max_extra))]
+        rng.shuffle(level)
+        edges.append(level)
+    return dg.make_diagram(levels, vcs, edges)
+
+
+@pytest.fixture(scope="session")
+def table_suite(suite):
+    """The suite plus diagrams whose levels repeat little or oddly, for
+    checking the derived tables against a scan of each level."""
+    inputs = dict(suite)
+    distinct = random_diagram(random.Random(12), 12, 4, 6)
+    vcs = distinct.vertex_counts
+    assert len(set(zip(distinct.edges, vcs, vcs[1:]))) == 12
+    inputs["distinct"] = distinct
+    # Levels 3 and 4 have the same edge tuple but 2 -> 3 and 3 -> 2
+    # vertices; vertex 2 at level 3 has neither in- nor out-edges.
+    same = [(0, 0), (1, 1)]
+    unequal = dg.make_diagram(4, [1, 2, 2, 3, 2],
+                              [[(0, 0), (0, 1)], [(0, 0), (1, 1), (1, 0)],
+                               same, same])
+    assert unequal.edges[2] == unequal.edges[3]
+    assert dg.validate_diagram(unequal)
+    inputs["unequal-counts"] = unequal
+    for name in ("union3", "fibonacci", "distinct"):
+        d = inputs[name]
+        inputs[name + "-telescoped"] = dg.telescope(
+            d, [2, 5, 6, d.num_levels])[0]
+    return inputs

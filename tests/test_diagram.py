@@ -5,6 +5,7 @@ import pytest
 
 from bratteli import diagram as dg
 from bratteli import generators as gen
+from conftest import random_diagram
 
 
 def fib(levels=6):
@@ -87,8 +88,8 @@ def test_telescope_map_round_trip():
             tmap.orig_path(1, e)
 
 
-def test_edge_tables_match_edge_scan(suite):
-    for d in suite.values():
+def test_edge_tables_match_edge_scan(table_suite):
+    for d in table_suite.values():
         for n in range(1, d.num_levels + 1):
             level = d.level_edges(n)
             ins = tuple(tuple(i for i, (_, r) in enumerate(level) if r == w)
@@ -174,81 +175,14 @@ def test_edge_tables_by_level_reject_levels_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# Derived tables against a naive scan of each level
-
-
-def _naive_tables(d):
-    """The five derived tables, each level scanned on its own."""
-    ins, outs, positions, counts, offsets = [], [], [], [(1,)], []
-    for n, level in enumerate(d.edges, start=1):
-        below = counts[-1]
-        ins.append(tuple(
-            tuple(i for i, (_, r) in enumerate(level) if r == w)
-            for w in range(d.vertex_counts[n])))
-        outs.append(tuple(
-            tuple(i for i, (s, _) in enumerate(level) if s == v)
-            for v in range(d.vertex_counts[n - 1])))
-        earlier = [[s2 for s2, r2 in level[:i] if r2 == r]
-                   for i, (_, r) in enumerate(level)]
-        positions.append(tuple(map(len, earlier)))
-        offsets.append(tuple(sum(below[s] for s in e) for e in earlier))
-        counts.append(tuple(sum(below[s] for s, r in level if r == w)
-                            for w in range(d.vertex_counts[n])))
-    return (tuple(ins), tuple(outs), tuple(positions), tuple(counts),
-            tuple(offsets))
-
-
-def _random_diagram(rng, levels, max_vertices, max_extra):
-    """A valid diagram: every vertex has an in-edge and an out-edge."""
-    vcs = [1] + [rng.randint(1, max_vertices) for _ in range(levels)]
-    edges = []
-    for n in range(1, levels + 1):
-        ns, nr = vcs[n - 1], vcs[n]
-        level = [(rng.randrange(ns), r) for r in range(nr)]
-        level += [(s, rng.randrange(nr)) for s in range(ns)]
-        level += [(rng.randrange(ns), rng.randrange(nr))
-                  for _ in range(rng.randint(0, max_extra))]
-        rng.shuffle(level)
-        edges.append(level)
-    return dg.make_diagram(levels, vcs, edges)
-
-
-def _distinct_levels_diagram():
-    d = _random_diagram(random.Random(12), 12, 4, 6)
-    assert len(set(zip(d.edges, d.vertex_counts, d.vertex_counts[1:]))) == 12
-    return d
-
-
-def _unequal_counts_diagram():
-    # Levels 3 and 4 have the same edge tuple but 2 -> 3 and 3 -> 2
-    # vertices; vertex 2 at level 3 has neither in- nor out-edges.
-    same = [(0, 0), (1, 1)]
-    d = dg.make_diagram(4, [1, 2, 2, 3, 2],
-                        [[(0, 0), (0, 1)], [(0, 0), (1, 1), (1, 0)],
-                         same, same])
-    assert d.edges[2] == d.edges[3] and dg.validate_diagram(d)
-    return d
-
-
-def test_derived_tables_match_naive_scan(suite):
-    inputs = dict(suite)
-    inputs["distinct"] = _distinct_levels_diagram()
-    inputs["unequal-counts"] = _unequal_counts_diagram()
-    for name in ("union3", "fibonacci", "distinct"):
-        d = inputs[name]
-        inputs[name + "-telescoped"] = dg.telescope(
-            d, [2, 5, 6, d.num_levels])[0]
-    for name, d in inputs.items():
-        tables = (d.in_edge_table, d.out_edge_table, d.edge_position_table,
-                  d.path_count_table, d.rank_offset_table)
-        assert tables == _naive_tables(d), name
+# Equal levels share their rows
 
 
 def test_stationary_levels_share_rows():
     d = gen.stationary_adic([[2, 1, 0], [1, 1, 1], [0, 1, 2]], 40)
-    rows = d.in_edge_table
-    assert all(rows[n - 1] is rows[1] for n in range(2, 41))
-    assert rows[0] is not rows[1]
+    for rows in (d.in_edge_table, d.edge_position_table):
+        assert all(rows[n - 1] is rows[1] for n in range(2, 41))
+        assert rows[0] is not rows[1]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +242,7 @@ def test_fem_properties_match_reference_loop(suite):
     rng = random.Random(2024)
     failing = 0
     for i in range(300):
-        d = _random_diagram(rng, rng.randint(2, 6), 3, 3)
+        d = random_diagram(rng, rng.randint(2, 6), 3, 3)
         want = _reference_fem_properties(d)
         assert dg.check_fem_properties(d) == want, i
         failing += bool(want)

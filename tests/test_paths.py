@@ -287,12 +287,16 @@ def test_rank_round_trip_property(base, data):
         assert pt.path_rank(d, pt.vershik_successor(d, p)) == r + 1
 
 
-def test_rank_and_position_tables_match_edge_scan(suite):
+def test_rank_and_position_tables_match_edge_scan(table_suite):
     rng = random.Random(3)
-    for d in suite.values():
+    for d in table_suite.values():
+        assert pt.path_counts(d, 0) == (1,)
         for n in range(1, d.num_levels + 1):
             level = d.level_edges(n)
             counts = pt.path_counts(d, n - 1)
+            assert pt.path_counts(d, n) == tuple(
+                sum(counts[s] for s, r in level if r == w)
+                for w in range(d.vertex_counts[n]))
             positions, offsets = [], []
             for i, (_, r) in enumerate(level):
                 before = [s for s, r2 in level[:i] if r2 == r]
