@@ -23,14 +23,13 @@ def odometer(base: int, levels: int) -> OrderedBratteliDiagram:
     return make_diagram(levels, [1] * (levels + 1), edges, labels)
 
 
-def stationary_adic(matrix: Sequence[Sequence[int]], levels: int,
-                    order_rule: str = "by_source") -> OrderedBratteliDiagram:
+def stationary_adic(matrix: Sequence[Sequence[int]],
+                    levels: int) -> OrderedBratteliDiagram:
     """Constant-incidence diagram for a square non-negative matrix.
 
     Levels 2..N realize matrix[w][v] edges from v to w, ordered within each
-    range vertex by source index (the default rule); level 1 gives each
-    vertex its row sum many root edges, so a 1x1 matrix [d] reproduces the
-    d-odometer exactly.
+    range vertex by source index; level 1 gives each vertex its row sum
+    many root edges, so a 1x1 matrix [d] reproduces the d-odometer exactly.
     """
     k = len(matrix)
     m = [[int(x) for x in row] for row in matrix]
@@ -42,8 +41,6 @@ def stationary_adic(matrix: Sequence[Sequence[int]], levels: int,
         raise DiagramError("matrix has a zero row")
     if any(all(row[j] == 0 for row in m) for j in range(k)):
         raise DiagramError("matrix has a zero column")
-    if order_rule != "by_source":
-        raise DiagramError(f"unknown order rule {order_rule}")
     if levels < 1:
         raise DiagramError("levels must be >= 1")
     level_edges = []

@@ -285,10 +285,6 @@ class DimensionGroupPresentation:
             pass
         return v
 
-    def heights(self, level: int):
-        """Push-forward of the order unit to the given level."""
-        return self.push(1, list(self.unit), level)
-
 
 @dataclass(frozen=True)
 class DimGroupElement:
@@ -337,16 +333,21 @@ def _injective(matrix) -> bool:
     return smith_normal_form(a).rank == len(a[0])
 
 
+# Push-forwards that element_equal and element_positive try before they
+# answer 'unknown'.
+DEPTH_BUDGET = 16
+
+
 def element_equal(g1: DimGroupElement, g2: DimGroupElement,
-                  pres: DimensionGroupPresentation,
-                  depth_budget: int = 16) -> str:
+                  pres: DimensionGroupPresentation) -> str:
     """Budgeted equality in the limit: 'equal', 'not_equal' or 'unknown'.
 
-    Pushes the difference forward; a nonzero difference plus injectivity of
-    every remaining map certifies inequality.
+    Pushes the difference forward at most DEPTH_BUDGET levels, within the
+    presentation; a nonzero difference plus injectivity of every remaining
+    map certifies inequality.
     """
     hi = max(g1.level, g2.level)
-    top = min(pres.num_levels, hi + max(0, depth_budget))
+    top = min(pres.num_levels, hi + DEPTH_BUDGET)
     v1 = pres.push(g1.level, g1.vector, hi)
     v2 = pres.push(g2.level, g2.vector, hi)
     diff = [a - b for a, b in zip(v1, v2)]
@@ -374,9 +375,9 @@ def _keeps_nonpositive(matrix) -> bool:
     return all(min(col) >= 0 and any(col) for col in zip(*matrix))
 
 
-def element_positive(g: DimGroupElement, pres: DimensionGroupPresentation,
-                     depth_budget: int = 16) -> str:
-    """'positive', 'not_positive' or 'unknown', from at most depth_budget
+def element_positive(g: DimGroupElement,
+                     pres: DimensionGroupPresentation) -> str:
+    """'positive', 'not_positive' or 'unknown', from at most DEPTH_BUDGET
     push-forwards of g, all in exact integers.
 
     'positive': a push-forward inside the presentation is entrywise >= 0.
@@ -389,7 +390,7 @@ def element_positive(g: DimGroupElement, pres: DimensionGroupPresentation,
     'unknown'.  Anything else, an infinitesimal for one, is 'unknown'.
     """
     v = pres.push(g.level, g.vector, g.level)
-    top = g.level + max(0, depth_budget)
+    top = g.level + DEPTH_BUDGET
     maps = pres.maps
     m = _stationary_matrix(pres)
     if m is not None and len(m) == len(m[0]):

@@ -242,20 +242,14 @@ def extremal_paths(d: OrderedBratteliDiagram, depth: int,
     check_valid(d)
     if not 0 <= depth <= d.num_levels:
         raise DiagramError(f"depth {depth} out of range")
-    builder = min_path_to if kind == "min" else max_path_to
     if kind not in ("min", "max"):
         raise DiagramError(f"kind must be min or max, got {kind}")
-    full = [builder(d, d.num_levels, v)
-            for v in range(d.vertex_counts[d.num_levels])]
-    by_depth = {}
-    for lvl in (depth, d.num_levels - 1, d.num_levels):
-        if lvl < 0:
-            continue
-        by_depth[lvl] = {p.edge_indices[:lvl] for p in full}
-    final = len(by_depth[d.num_levels])
-    stabilized = (depth >= 1 and d.num_levels >= 2 and
-                  len(by_depth[depth]) == final and
-                  len(by_depth[d.num_levels - 1]) == final)
+    builder = min_path_to if kind == "min" else max_path_to
+    final = d.vertex_counts[d.num_levels]     # one full path per vertex
+    full = [builder(d, d.num_levels, v) for v in range(final)]
+    stabilized = (depth >= 1 and d.num_levels >= 2 and all(
+        len({p.edge_indices[:lvl] for p in full}) == final
+        for lvl in (depth, d.num_levels - 1)))
     paths = tuple(sorted({path_prefix(d, p, depth) for p in full},
                          key=lambda p: p.edge_indices))
     return ExtremalPathSet(kind, depth, paths, stabilized)

@@ -21,7 +21,7 @@ from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       telescope, telescope_segments, vertex_ranges,
                       vertex_sources)
 from .paths import (FinitePath, MaximalPathError, MinimalPathError,
-                    all_paths, extremal_paths, is_maximal, is_minimal,
+                    extremal_paths, is_maximal,
                     path_prefix, path_rank, vershik_predecessor,
                     vershik_successor)
 
@@ -230,8 +230,7 @@ def check_interleaved_properties(bp: InterleavedDiagram) -> list:
         ext = {n: set(extremal(td, n)) for n in range(td.num_levels)}
         for n in range(td.num_levels - 1):
             for v in ext[n]:
-                if n + 1 in ext and not (
-                        set(vertex_ranges(td, n, v)) & ext[n + 1]):
+                if not set(vertex_ranges(td, n, v)) & ext[n + 1]:
                     failures.append(
                         f"(i) fails: {kind} vertex {v} at level {n} has no "
                         f"{kind} vertex in its range set")
@@ -454,12 +453,16 @@ def cocycle_images(F: OrbitMapRealization, p: FinitePath,
     return q, q2
 
 
+# Most B2 Vershik steps verify_cocycle takes to confirm one value.
+VERIFY_LIMIT = 10 ** 4
+
+
 def verify_cocycle(F: OrbitMapRealization, p: FinitePath,
-                   direction: str = "forward", limit: int = 10 ** 4) -> bool:
+                   direction: str = "forward") -> bool:
     """Confirm the reported value by literal successor iteration in B2."""
     q, q2 = cocycle_images(F, p, direction)
     n = path_rank(F.b2, q2) - path_rank(F.b2, q)
-    if abs(n) > limit:
+    if abs(n) > VERIFY_LIMIT:
         raise DiagramError(f"cocycle value {n} exceeds iteration limit")
     step = vershik_successor if n >= 0 else vershik_predecessor
     cur = q
@@ -468,8 +471,30 @@ def verify_cocycle(F: OrbitMapRealization, p: FinitePath,
     return cur == q2
 
 
+def _rank_order(F: OrbitMapRealization, k: int, v: int):
+    """(F-rank, edges) of each depth-k B1 path into v, in rank order: down
+    the in-edge table, deepest edge first, each step adding the term of
+    one edge pair to the F-rank.  The stack holds at most one vertex's
+    in-edges per level."""
+    f1, f2inv, offsets = F.f1_tables, F.f2_inverse, F.b2.rank_offset_table
+    edges, into = F.b1.edges, F.b1.in_edge_table
+    stack = [(0, (a,)) for a in reversed(into[k - 1][v])]
+    while stack:
+        rank, path = stack.pop()
+        n = k - len(path)           # path[0] is a level-(n+1) edge
+        if not n:
+            yield rank, path
+            continue
+        a = path[0]
+        first, off, pairs = f1[n][a][0], offsets[n - 1], f2inv[n - 1]
+        for b in reversed(into[n - 1][edges[n][a][0]]):
+            stack.append((rank + off[pairs[f1[n - 1][b][-1], first]],
+                          (b,) + path))
+
+
 def cocycle_values(F: OrbitMapRealization, depth: int):
-    """Both cocycles on every eligible B1 cylinder, from one depth-first walk.
+    """Both cocycles on every eligible B1 cylinder, from one rank-order walk
+    per B1 vertex.
 
     Yields (direction, edge_indices, value, parent_value) for every B1 path
     of depth 2..max_depth, max_depth = min(depth, realized B1 depth, B1
@@ -478,73 +503,38 @@ def cocycle_values(F: OrbitMapRealization, depth: int):
     the same cocycle on the cylinder one level up, or None when that
     cylinder is not eligible or has depth 1.
 
-    A walk node is a prefix of depth k.  For the prefix, and for its
-    Vershik successor and predecessor when they exist, the node carries the
-    last interleaved edge of the f1 image and the B2 rank of the image's
-    first k-1 B2 edges.  Rank is a sum of per-level offsets, so a child
-    pre + (e) extends all three states by one table lookup each: the
-    successor of pre + (e) is succ(pre) + (e) unless pre is all-maximal,
-    and only then (when e is not maximal) is it rebuilt from the root.
-    The predecessor is the mirror image.
+    The F-rank R(x), the B2 rank of apply_orbit_map(F, x), is a sum over
+    consecutive edges (a, b) of x of the rank offset of the B2 edge that
+    pairs a's last interleaved edge with b's first.  _rank_order lists the
+    depth-k paths into a vertex in rank order, so each x there is followed
+    by succ(x), and x + (e,) has forward value R(succ(x) + (e,)) - R(x +
+    (e,)), the negative of succ(x) + (e,)'s backward value.  When succ(x)
+    keeps x's last edge it is succ(x[:-1]) + that edge, so the parent value
+    is R(succ(x)) - R(x) and the two e-terms cancel: continuity holds by
+    construction.  Otherwise x[:-1] is all-maximal (always at k = 1) and
+    the parent is None.
     """
-    b1, b2 = F.b1, F.b2
-    max_depth = min(depth, len(F.f1_tables), b1.num_levels)
-    f1, f2inv, offsets = F.f1_tables, F.f2_inverse, b2.rank_offset_table
-
-    def extend(state, k, e):
-        # State of a depth-k path extended by level-(k+1) edge e, and the
-        # B2 edge that e's first interleaved edge completes.
-        bridge, last = f1[k][e]
-        b = f2inv[k - 1][state[0], bridge]
-        return (last, state[1] + offsets[k - 1][b]), b
-
-    def carried(path):
-        # State of a B1 path, built from the root.
-        state = (f1[0][path[0]][0], 0)
-        for k in range(1, len(path)):
-            state, _ = extend(state, k, path[k])
-        return state
-
-    def beside(other, k, e, b, rank):
-        # Neighbour's state extended by e, and its rank shift.
-        state, b_other = extend(other, k, e)
-        if b2.edges[k - 1][b_other][1] != b2.edges[k - 1][b][1]:
-            raise DiagramError("cocycle images disagree on vertices: "
-                               "internal error")
-        return state, state[1] - rank
-
-    stack = []
-
-    def push(pre, e, here, succ, pred, values):
-        # Node for pre + (e,), whose own cocycles are values.  succ / pred
-        # is None when pre is all-maximal / minimal; then it is rebuilt
-        # here, unless pre + (e,) is all-maximal / minimal too.
-        r = b1.edges[len(pre)][e][1]
-        path = FinitePath(len(pre) + 1, pre + (e,), r)
-        if succ is None and not is_maximal(b1, path):
-            succ = carried(vershik_successor(b1, path).edge_indices)
-        if pred is None and not is_minimal(b1, path):
-            pred = carried(vershik_predecessor(b1, path).edge_indices)
-        stack.append((path.edge_indices, r, here, succ, pred, values))
-
-    if max_depth >= 2:
-        for e in b1.out_edge_table[0][0]:
-            push((), e, carried((e,)), None, None, (None, None))
-    while stack:
-        pre, v, here, succ, pred, (up_f, up_b) = stack.pop()
-        k = len(pre)
-        for e in b1.out_edge_table[k][v]:
-            child, b = extend(here, k, e)
-            path = pre + (e,)
-            fwd = bwd = child_succ = child_pred = None
-            if succ is not None:
-                child_succ, fwd = beside(succ, k, e, b, child[1])
-                yield "forward", path, fwd, up_f
-            if pred is not None:
-                child_pred, bwd = beside(pred, k, e, b, child[1])
-                yield "backward", path, bwd, up_b
-            if k + 1 < max_depth:
-                push(pre, e, child, child_succ, child_pred, (fwd, bwd))
+    max_depth = min(depth, len(F.f1_tables), F.b1.num_levels)
+    f1, f2inv, offsets = F.f1_tables, F.f2_inverse, F.b2.rank_offset_table
+    for k in range(1, max_depth):
+        off, pairs, tails = offsets[k - 1], f2inv[k - 1], f1[k - 1]
+        for v, outs in enumerate(F.b1.out_edge_table[k]):
+            firsts = [f1[k][e][0] for e in outs]
+            for (r0, x0), (r1, x1) in itertools.pairwise(
+                    _rank_order(F, k, v)):
+                t0, t1 = tails[x0[-1]][-1], tails[x1[-1]][-1]
+                up, down = ((r1 - r0, r0 - r1) if x0[-1] == x1[-1]
+                            else (None, None))
+                # Both images' last B2 edges are segments ending in e's
+                # first interleaved edge, and _segment_bijection pairs an
+                # edge only with a segment of the same (source, range), so
+                # the images end at one vertex: unlike cocycle_images, no
+                # vertex check is needed.
+                for e, first in zip(outs, firsts):
+                    val = (r1 + off[pairs[t1, first]]
+                           - r0 - off[pairs[t0, first]])
+                    yield "forward", x0 + (e,), val, up
+                    yield "backward", x1 + (e,), -val, down
 
 
 def check_cocycle_continuity(F: OrbitMapRealization, depth: int) -> dict:
@@ -553,10 +543,8 @@ def check_cocycle_continuity(F: OrbitMapRealization, depth: int) -> dict:
     A depth-m cylinder is eligible for the forward (backward) cocycle when
     its first m-1 edges form a non-maximal (non-minimal) path; its value is
     then determined at depth m, and constancy means every one-edge
-    refinement reports the same value.  The values come from one
-    depth-first walk of B1's path tree (cocycle_values) that carries, for
-    each prefix and its successor and predecessor, the f1 image's last
-    edge and its B2 rank sum, so a cylinder costs a few table lookups.
+    refinement reports the same value.  The values come from
+    cocycle_values' rank-order walk, a few table lookups per cylinder.
     Returns the eligible count plus any failures, ordered by depth, then
     cylinder, then forward before backward.
 
@@ -666,11 +654,26 @@ def stationary_intertwining(p, q, num_p: int, num_q: int) -> Intertwining:
     return make_intertwining([p] * num_p, [q] * num_q)
 
 
+def _lex_paths(d: OrderedBratteliDiagram, depth: int):
+    """all_paths(d, depth) one path at a time, for a reader that stops
+    early."""
+    if not depth:
+        yield FinitePath(0, (), 0)
+        return
+    level, outs = d.edges[depth - 1], d.out_edge_table[depth - 1]
+    for pre in _lex_paths(d, depth - 1):
+        for e in outs[pre.terminal_vertex]:
+            yield FinitePath(depth, pre.edge_indices + (e,), level[e][1])
+
+
 def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
                w: Intertwining, depth: int) -> dict:
     """Run the whole pipeline and summarize each stage's verdict.  The
     pairing and the cocycles read one F, realized once; continuity holds
-    the count of eligible cylinders."""
+    the count of eligible cylinders.  A depth below 2 has no eligible
+    cylinder, so it raises DiagramError before anything is built."""
+    if depth < 2:
+        raise DiagramError("depth must be at least 2")
     out = {"interleaved_ok": False, "properties_ok": False,
            "pairing_ok": False, "continuity_ok": False,
            "cocycle_samples": []}
@@ -697,7 +700,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     if cont["nonconstant"]:
         out["nonconstant"] = cont["nonconstant"][:10]
     samples = []
-    for p in all_paths(b1, min(3, b1.num_levels)):
+    for p in _lex_paths(b1, min(3, b1.num_levels)):
         if len(samples) >= 5:
             break
         if is_maximal(b1, path_prefix(b1, p, p.depth - 1)):

@@ -157,6 +157,30 @@ def test_soe_check_and_search(capsys, tmp_path):
     assert res["payload"]["P"] == [[2]]
 
 
+@pytest.mark.parametrize("depth, cap", [("1", None), ("6", "1")],
+                         ids=["depth-1", "capped-to-1"])
+def test_soe_check_depth_below_2_is_domain_error(capsys, tmp_path,
+                                                 monkeypatch, depth, cap):
+    b1, _ = dg.telescope(gen.odometer(2, 9), [1, 3, 5, 7, 9])
+    diagrams = {"b1": b1, "b2": gen.odometer(4, 4)}
+    for name, d in diagrams.items():
+        dg.save_diagram(d, str(tmp_path / f"{name}.json"))
+    w = soe.stationary_intertwining([[2]], [[2]], 4, 4)
+    (tmp_path / "w.json").write_text(json.dumps(soe.intertwining_to_json(w)))
+    if cap is not None:
+        monkeypatch.setenv("BRATTELI_MAX_DEPTH", cap)
+    code, res = run_json(capsys, [
+        "soe", "check", "--b1", str(tmp_path / "b1.json"),
+        "--b2", str(tmp_path / "b2.json"),
+        "--intertwining", str(tmp_path / "w.json"), "--depth", depth])
+    assert code == 1
+    assert res["status"] == "error"
+    assert res["payload"]["message"] == "depth must be at least 2"
+    capped = [line for line in res["diagnostics"] if "capped" in line]
+    assert capped == ([] if cap is None else
+                      [f"depth 6 capped to BRATTELI_MAX_DEPTH={cap}"])
+
+
 def test_domain_error_exit_code_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"num_levels": 1}')

@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +244,36 @@ def test_soe_report_end_to_end():
     assert all(s["forward"] == 1 for s in report["cocycle_samples"])
 
 
+@pytest.mark.parametrize("depth", [1, 0, -3])
+def test_soe_report_rejects_depth_below_2(monkeypatch, depth):
+    # No cylinder is eligible below depth 2, so a pass would be vacuous;
+    # the report refuses before it builds anything.
+    def unexpected(*args):
+        raise AssertionError("build_interleaved called")
+
+    monkeypatch.setattr(soe, "build_interleaved", unexpected)
+    with pytest.raises(dg.DiagramError, match="depth must be at least 2"):
+        soe.soe_report(*odometer_pair(5, 4), depth)
+
+
+def test_soe_report_samples_stay_small():
+    # The five cocycle samples must not materialize B1's depth-3 level,
+    # 60^3 paths here.
+    b = 60
+    d = gen.odometer(b, 4)
+    w = soe.stationary_intertwining([[1]], [[b]], 4, 3)
+    tracemalloc.start()
+    try:
+        report = soe.soe_report(d, d, w, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["continuity"] == {"eligible": 7080}
+    assert [s["path"] for s in report["cocycle_samples"]] == [
+        [0, 0, e] for e in range(5)]
+    assert peak < 10 * 2 ** 20
+
+
 def test_intertwining_json_round_trip():
     w = soe.stationary_intertwining([[2]], [[2]], 3, 2)
     assert soe.intertwining_from_json(soe.intertwining_to_json(w)) == w
@@ -274,9 +305,21 @@ def odometer_map():
     return soe.realize_orbit_map(soe.build_interleaved(*odometer_pair(5, 4)))
 
 
+def fibonacci_square_map():
+    # B1 vertices take in-edges from two sources, so a walk that descends
+    # to the wrong vertex gets other ranks.  The intertwining is the match
+    # search_stationary_intertwining(b1, b2, 2) finds.
+    b1 = dg.telescope(gen.stationary_adic([[1, 1], [1, 0]], 10),
+                      [2, 4, 6, 8, 10])[0]
+    b2 = gen.stationary_adic([[2, 1], [1, 1]], 5)
+    w = soe.stationary_intertwining([[1, 0], [0, 1]], [[2, 1], [1, 1]], 5, 4)
+    return soe.realize_orbit_map(soe.build_interleaved(b1, b2, w))
+
+
 @pytest.mark.parametrize("make_map, depth", [
     (criterion6_map, 6), (union_swap_map, 5), (odometer_map, 5),
-], ids=["criterion6", "union-swap", "odometer"])
+    (fibonacci_square_map, 5),
+], ids=["criterion6", "union-swap", "odometer", "fibonacci-square"])
 def test_cocycle_values_match_cocycle(make_map, depth):
     F = make_map()
     b1 = F.b1
