@@ -16,10 +16,8 @@ from functools import cached_property
 from operator import getitem
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      check_valid, incidence_matrix, is_int_list,
-                      make_diagram, mat_mul, min_vertices, max_vertices,
-                      telescope, telescope_segments, vertex_ranges,
-                      vertex_sources)
+                      _iterate_r, _iterate_s, check_valid, incidence_matrix,
+                      is_int_list, make_diagram, mat_mul, telescope_segments)
 from .paths import (FinitePath, MaximalPathError, MinimalPathError,
                     extremal_paths, is_maximal,
                     path_prefix, path_rank, vershik_predecessor,
@@ -169,7 +167,9 @@ class InterleavedDiagram:
         f2t, f2i = zip(*(
             _segment_bijection(d, self.b2, m, 2 * m - 1, 2 * m)
             for m in range(1, top // 2 + 1)))
-        return OrbitMapRealization(self, f1t, f1i, f2t, f2i)
+        heads = tuple(tuple(t[e][0] for e in range(len(t))) for t in f1t)
+        tails = tuple(tuple(t[e][-1] for e in range(len(t))) for t in f1t)
+        return OrbitMapRealization(self, f1t, f1i, f2t, f2i, heads, tails)
 
 
 def _edges_from_matrix(m):
@@ -217,31 +217,50 @@ def check_interleaved_properties(bp: InterleavedDiagram) -> list:
       (i)  at least one extremal vertex of the same kind lies in R(v);
       (ii) precisely one extremal vertex of the same kind lies in S(v).
     Returns a list of failure strings, empty on success.
+
+    The telescoped diagram is not built.  Its extremal edge into a vertex
+    is the segment of extremal edges below it (telescoping orders segments
+    deepest edge first), so its extremal vertices at a cut are where those
+    segments start, and R(v) and S(v) are the vertices v reaches at the
+    next and the previous cut.
     """
     d = bp.diagram
-    cuts = list(range(1, d.num_levels + 1, 3))
+    cuts = [0, *range(1, d.num_levels + 1, 3)]
     if cuts[-1] != d.num_levels:
         cuts.append(d.num_levels)
-    td, _ = telescope(d, cuts)
     failures = []
-    for kind, extremal in (("min", min_vertices), ("max", max_vertices)):
+    for kind, end in (("min", 0), ("max", -1)):
         # Extremal vertices are defined one level down from the edges that
-        # witness them, so interior levels only.
-        ext = {n: set(extremal(td, n)) for n in range(td.num_levels)}
-        for n in range(td.num_levels - 1):
+        # witness them, so interior levels only.  Each set is built from
+        # the sorted vertices, and failures follow its iteration order.
+        ext = [set(sorted(_segment_starts(d, lo, hi, end)))
+               for lo, hi in zip(cuts, cuts[1:])]
+        for n in range(len(ext) - 1):
             for v in ext[n]:
-                if not set(vertex_ranges(td, n, v)) & ext[n + 1]:
+                reach = _iterate_r(d, cuts[n], {v}, cuts[n + 1] - cuts[n])
+                if not reach & ext[n + 1]:
                     failures.append(
                         f"(i) fails: {kind} vertex {v} at level {n} has no "
                         f"{kind} vertex in its range set")
-        for n in range(1, td.num_levels):
+        for n in range(1, len(ext)):
             for v in ext[n]:
-                hits = set(vertex_sources(td, n, v)) & ext[n - 1]
+                hits = (_iterate_s(d, cuts[n], {v}, cuts[n] - cuts[n - 1])
+                        & ext[n - 1])
                 if len(hits) != 1:
                     failures.append(
                         f"(ii) fails: {kind} vertex {v} at level {n} has "
                         f"{len(hits)} {kind} vertices in its source set")
     return failures
+
+
+def _segment_starts(d, lo, hi, end):
+    """Level-lo sources of the segments that follow each level-hi vertex's
+    first (end 0) or last (end -1) in-edge down to level lo."""
+    cur = set(range(d.vertex_counts[hi]))
+    for n in range(hi, lo, -1):
+        level, into = d.edges[n - 1], d.in_edge_table[n - 1]
+        cur = {level[into[w][end]][0] for w in cur}
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +274,10 @@ class OrbitMapRealization:
 
     f1_tables[n-1] maps a B1 level-n edge index to its segment of
     interleaved edge indices (length 1 at level 1, else 2); f2_tables
-    likewise for B2 (always length 2).
+    likewise for B2 (always length 2).  f1_heads[n-1][e] and
+    f1_tails[n-1][e] are the first and last edges of f1_tables[n-1][e]:
+    the B2 level-n edge of consecutive B1 edges (a, b) is
+    f2_inverse[n-1][f1_tails[n-1][a], f1_heads[n][b]].
     """
 
     interleaved: InterleavedDiagram
@@ -263,6 +285,8 @@ class OrbitMapRealization:
     f1_inverse: tuple
     f2_tables: tuple
     f2_inverse: tuple
+    f1_heads: tuple
+    f1_tails: tuple
 
     @property
     def b1(self):
@@ -357,12 +381,20 @@ def f2_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
 def apply_orbit_map(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
     """F on cylinders: a depth-k B1 path determines a depth-(k-1) B2 path.
 
-    The interleaved image of p has odd depth 2k-1; dropping its last edge
-    leaves the even prefix that translates back to B2.
+    B2's level-n edge is the segment from B1 edge n's last interleaved edge
+    to B1 edge n+1's first, so each pair of consecutive B1 edges (a, b)
+    gives one B2 edge, f2_inverse[n-1][f1_tails[n-1][a], f1_heads[n][b]],
+    the same rule cocycle_values sums rank offsets over.  The path ends at
+    its last B2 edge's range, or at the root for k = 1.
     """
-    img = f1_path(F, p)
-    return f2_inverse_path(F, path_prefix(F.interleaved.diagram, img,
-                                          img.depth - 1))
+    if p.depth < 1 or p.depth > len(F.f1_tables):
+        raise NeedsDepth(f"F is realized for B1 depths 1..{len(F.f1_tables)}")
+    e = p.edge_indices
+    idx = tuple(map(getitem, F.f2_inverse,
+                    zip(map(getitem, F.f1_tails, e),
+                        map(getitem, F.f1_heads[1:], e[1:]))))
+    v = F.b2.edges[len(idx) - 1][idx[-1]][1] if idx else 0
+    return FinitePath(len(idx), idx, v)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +508,8 @@ def _rank_order(F: OrbitMapRealization, k: int, v: int):
     the in-edge table, deepest edge first, each step adding the term of
     one edge pair to the F-rank.  The stack holds at most one vertex's
     in-edges per level."""
-    f1, f2inv, offsets = F.f1_tables, F.f2_inverse, F.b2.rank_offset_table
+    heads, tails = F.f1_heads, F.f1_tails
+    f2inv, offsets = F.f2_inverse, F.b2.rank_offset_table
     edges, into = F.b1.edges, F.b1.in_edge_table
     stack = [(0, (a,)) for a in reversed(into[k - 1][v])]
     while stack:
@@ -486,10 +519,10 @@ def _rank_order(F: OrbitMapRealization, k: int, v: int):
             yield rank, path
             continue
         a = path[0]
-        first, off, pairs = f1[n][a][0], offsets[n - 1], f2inv[n - 1]
+        head, off, pairs = heads[n][a], offsets[n - 1], f2inv[n - 1]
+        tail = tails[n - 1]
         for b in reversed(into[n - 1][edges[n][a][0]]):
-            stack.append((rank + off[pairs[f1[n - 1][b][-1], first]],
-                          (b,) + path))
+            stack.append((rank + off[pairs[tail[b], head]], (b,) + path))
 
 
 def cocycle_values(F: OrbitMapRealization, depth: int):
@@ -504,25 +537,27 @@ def cocycle_values(F: OrbitMapRealization, depth: int):
     cylinder is not eligible or has depth 1.
 
     The F-rank R(x), the B2 rank of apply_orbit_map(F, x), is a sum over
-    consecutive edges (a, b) of x of the rank offset of the B2 edge that
-    pairs a's last interleaved edge with b's first.  _rank_order lists the
-    depth-k paths into a vertex in rank order, so each x there is followed
-    by succ(x), and x + (e,) has forward value R(succ(x) + (e,)) - R(x +
-    (e,)), the negative of succ(x) + (e,)'s backward value.  When succ(x)
-    keeps x's last edge it is succ(x[:-1]) + that edge, so the parent value
-    is R(succ(x)) - R(x) and the two e-terms cancel: continuity holds by
-    construction.  Otherwise x[:-1] is all-maximal (always at k = 1) and
-    the parent is None.
+    consecutive edges (a, b) of x of the rank offset of the one B2 edge
+    that apply_orbit_map reads for them from F's end tables (a at level n
+    gives f2_inverse[n-1][f1_tails[n-1][a], f1_heads[n][b]]).
+    _rank_order lists the depth-k paths into a vertex in rank order, so
+    each x there is followed by succ(x), and x + (e,) has forward value
+    R(succ(x) + (e,)) - R(x + (e,)), the negative of succ(x) + (e,)'s
+    backward value.  When succ(x) keeps x's last edge it is succ(x[:-1])
+    + that edge, so the parent value is R(succ(x)) - R(x) and the two
+    e-terms cancel: continuity holds by construction.  Otherwise x[:-1]
+    is all-maximal (always at k = 1) and the parent is None.
     """
     max_depth = min(depth, len(F.f1_tables), F.b1.num_levels)
-    f1, f2inv, offsets = F.f1_tables, F.f2_inverse, F.b2.rank_offset_table
+    f2inv, offsets = F.f2_inverse, F.b2.rank_offset_table
     for k in range(1, max_depth):
-        off, pairs, tails = offsets[k - 1], f2inv[k - 1], f1[k - 1]
+        off, pairs, tails = offsets[k - 1], f2inv[k - 1], F.f1_tails[k - 1]
+        heads = F.f1_heads[k]
         for v, outs in enumerate(F.b1.out_edge_table[k]):
-            firsts = [f1[k][e][0] for e in outs]
+            firsts = [heads[e] for e in outs]
             for (r0, x0), (r1, x1) in itertools.pairwise(
                     _rank_order(F, k, v)):
-                t0, t1 = tails[x0[-1]][-1], tails[x1[-1]][-1]
+                t0, t1 = tails[x0[-1]], tails[x1[-1]]
                 up, down = ((r1 - r0, r0 - r1) if x0[-1] == x1[-1]
                             else (None, None))
                 # Both images' last B2 edges are segments ending in e's
@@ -670,8 +705,14 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
                w: Intertwining, depth: int) -> dict:
     """Run the whole pipeline and summarize each stage's verdict.  The
     pairing and the cocycles read one F, realized once; continuity holds
-    the count of eligible cylinders.  A depth below 2 has no eligible
-    cylinder, so it raises DiagramError before anything is built."""
+    the count of eligible cylinders.
+
+    The cocycles reach B1 depth min(depth, F's realized B1 depth, B1's
+    levels), and no cylinder is eligible below 2, so a pass there would be
+    vacuous: a depth below 2 raises DiagramError before anything is built,
+    and F's realized B1 depth or B1's levels below 2 raise it, naming that
+    limit, once the interleaving is built.  The five cocycle samples are
+    B1 paths of depth min(3, F's realized B1 depth, B1's levels)."""
     if depth < 2:
         raise DiagramError("depth must be at least 2")
     out = {"interleaved_ok": False, "properties_ok": False,
@@ -682,6 +723,13 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     except DiagramError as exc:
         out["error"] = str(exc)
         return out
+    F = realize_orbit_map(bp)
+    realized = min(len(F.f1_tables), b1.num_levels)
+    if realized < 2:
+        limit = (f"B1 has {b1.num_levels} level" if b1.num_levels < 2 else
+                 f"F is realized only to B1 depth {realized} by "
+                 f"{len(w.p_matrices)} P and {len(w.q_matrices)} Q matrices")
+        raise DiagramError(f"{limit}; cocycles need B1 depth at least 2")
     out["interleaved_ok"] = True
     failures = check_interleaved_properties(bp)
     out["properties_ok"] = not failures
@@ -693,14 +741,13 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
         out["pairing_size"] = len(pairing.min_pairs)
     except DiagramError as exc:
         out["pairing_error"] = str(exc)
-    F = realize_orbit_map(bp)
     cont = check_cocycle_continuity(F, depth)
     out["continuity_ok"] = cont["ok"]
     out["continuity"] = {"eligible": cont["eligible"]}
     if cont["nonconstant"]:
         out["nonconstant"] = cont["nonconstant"][:10]
     samples = []
-    for p in _lex_paths(b1, min(3, b1.num_levels)):
+    for p in _lex_paths(b1, min(3, realized)):
         if len(samples) >= 5:
             break
         if is_maximal(b1, path_prefix(b1, p, p.depth - 1)):

@@ -9,6 +9,7 @@ from bratteli import diagram as dg
 from bratteli import generators as gen
 from bratteli import paths as pt
 from bratteli import soe
+from conftest import random_diagram
 
 
 def odometer_pair(levels1=9, levels2=8):
@@ -100,6 +101,53 @@ def test_interleaved_properties_pass():
     b1, b2, w = odometer_pair(5, 4)
     bp = soe.build_interleaved(b1, b2, w)
     assert soe.check_interleaved_properties(bp) == []
+
+
+def _reference_properties(bp):
+    # The check read off the telescoped diagram itself.
+    d = bp.diagram
+    cuts = list(range(1, d.num_levels + 1, 3))
+    if cuts[-1] != d.num_levels:
+        cuts.append(d.num_levels)
+    td, _ = dg.telescope(d, cuts)
+    failures = []
+    for kind, extremal in (("min", dg.min_vertices),
+                           ("max", dg.max_vertices)):
+        ext = {n: set(extremal(td, n)) for n in range(td.num_levels)}
+        for n in range(td.num_levels - 1):
+            for v in ext[n]:
+                if not set(dg.vertex_ranges(td, n, v)) & ext[n + 1]:
+                    failures.append(
+                        f"(i) fails: {kind} vertex {v} at level {n} has no "
+                        f"{kind} vertex in its range set")
+        for n in range(1, td.num_levels):
+            for v in ext[n]:
+                hits = set(dg.vertex_sources(td, n, v)) & ext[n - 1]
+                if len(hits) != 1:
+                    failures.append(
+                        f"(ii) fails: {kind} vertex {v} at level {n} has "
+                        f"{len(hits)} {kind} vertices in its source set")
+    return failures
+
+
+def test_interleaved_properties_match_telescoped_reference():
+    # The check reads only bp.diagram, so any valid diagram can stand in
+    # for an interleaving; many of the random ones fail, some at vertices
+    # past a small set's table size, where set order is not sorted order.
+    inputs = [m().interleaved for m in _MAPS.values()]
+    inputs.append(soe.build_interleaved(
+        gen.odometer(2, 6), gen.odometer(2, 6),
+        soe.stationary_intertwining([[1]], [[2]], 6, 5)))
+    for seed in range(300):
+        d = random_diagram(random.Random(seed), 1 + seed % 10,
+                           1 + seed % 12, seed % 7)
+        inputs.append(soe.InterleavedDiagram(d, d, d))
+    failing = 0
+    for bp in inputs:
+        want = _reference_properties(bp)
+        assert soe.check_interleaved_properties(bp) == want, bp.diagram
+        failing += bool(want)
+    assert 50 < failing < len(inputs)
 
 
 def test_pair_extremal_paths_singletons():
@@ -256,6 +304,31 @@ def test_soe_report_rejects_depth_below_2(monkeypatch, depth):
         soe.soe_report(*odometer_pair(5, 4), depth)
 
 
+@pytest.mark.parametrize("levels, num_q, limit", [
+    (1, 0, "B1 has 1 level"),
+    (5, 0, "F is realized only to B1 depth 1 by 1 P and 0 Q matrices"),
+])
+def test_soe_report_rejects_realized_depth_below_2(levels, num_q, limit):
+    # The requested depth is fine, but F or B1 stops at depth 1, where no
+    # cylinder is eligible.
+    d = gen.odometer(2, levels)
+    w = soe.stationary_intertwining([[1]], [[2]], 1, num_q)
+    with pytest.raises(dg.DiagramError, match=limit):
+        soe.soe_report(d, d, w, 3)
+
+
+def test_soe_report_samples_stop_at_realized_depth():
+    # One P and one Q realize F to B1 depth 2, so the samples are depth-2
+    # paths even though depth 3 is asked for and B1 has 5 levels.
+    d = gen.odometer(2, 5)
+    w = soe.stationary_intertwining([[1]], [[2]], 1, 1)
+    report = soe.soe_report(d, d, w, 3)
+    assert report["continuity_ok"]
+    assert report["continuity"] == {"eligible": 4}
+    assert report["cocycle_samples"] == [{"path": [0, 0], "forward": 1},
+                                         {"path": [0, 1], "forward": 1}]
+
+
 def test_soe_report_samples_stay_small():
     # The five cocycle samples must not materialize B1's depth-3 level,
     # 60^3 paths here.
@@ -377,8 +450,8 @@ def test_continuity_orders_failures_by_depth_cylinder_direction(monkeypatch):
 
 
 @pytest.mark.parametrize("make_map", [
-    criterion6_map, union_swap_map, odometer_map,
-], ids=["criterion6", "union-swap", "odometer"])
+    criterion6_map, union_swap_map, odometer_map, fibonacci_square_map,
+], ids=["criterion6", "union-swap", "odometer", "fibonacci-square"])
 def test_orbit_map_paths_match_checked_paths(make_map):
     # F builds its paths from its tables; each must equal the path
     # make_path checks edge by edge.
@@ -411,7 +484,7 @@ def test_orbit_map_paths_match_checked_paths(make_map):
 
 
 _MAPS = {"criterion6": criterion6_map, "union-swap": union_swap_map,
-         "odometer": odometer_map}
+         "odometer": odometer_map, "fibonacci-square": fibonacci_square_map}
 
 
 @functools.cache
@@ -474,6 +547,27 @@ def test_orbit_map_paths_match_level_lookups(name, data):
     m = data.draw(st.integers(0, len(F.f2_inverse)))
     y = _drawn_path(data, d, 2 * m)
     assert soe.f2_inverse_path(F, y) == _reference_f2_inverse(F, y)
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_orbit_map_end_tables_are_segment_ends(name):
+    F = _orbit_map(name)
+    assert F.f1_heads == tuple(tuple(t[e][0] for e in range(len(t)))
+                               for t in F.f1_tables)
+    assert F.f1_tails == tuple(tuple(t[e][-1] for e in range(len(t)))
+                               for t in F.f1_tables)
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_apply_orbit_map_needs_depth_past_the_tables(name):
+    F = _orbit_map(name)
+    k = len(F.f1_tables)
+    with pytest.raises(soe.NeedsDepth):
+        soe.apply_orbit_map(F, pt.FinitePath(0, (), 0))
+    # F is realized to B1's full depth here, so only a hand-built path
+    # goes one level past it.
+    with pytest.raises(soe.NeedsDepth):
+        soe.apply_orbit_map(F, pt.FinitePath(k + 1, (0,) * (k + 1), 0))
 
 
 def test_inverse_maps_need_depth_past_the_tables():
