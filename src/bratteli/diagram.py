@@ -259,25 +259,59 @@ def max_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
 
 def min_vertices(d: OrderedBratteliDiagram, n: int) -> tuple:
     """Level-n vertices that are sources of minimal level-(n+1) edges."""
-    level = d.level_edges(n + 1)
-    return tuple(sorted({level[e][0] for e in min_edges(d, n + 1)}))
+    d.level_edges(n + 1)    # range-checks n
+    return _extremal_sources(d, n, n + 1, 0)
 
 
 def max_vertices(d: OrderedBratteliDiagram, n: int) -> tuple:
-    level = d.level_edges(n + 1)
-    return tuple(sorted({level[e][0] for e in max_edges(d, n + 1)}))
+    d.level_edges(n + 1)    # range-checks n
+    return _extremal_sources(d, n, n + 1, -1)
 
 
 def vertex_ranges(d: OrderedBratteliDiagram, n: int, v: int) -> tuple:
     """R(v): level-(n+1) vertices connected to level-n vertex v."""
-    level = d.level_edges(n + 1)
-    return tuple(sorted({level[e][1] for e in out_edges(d, n + 1)[v]}))
+    d.level_edges(n + 1)    # range-checks n
+    return tuple(sorted(_iterate_r(d, n, {v}, 1)))
 
 
 def vertex_sources(d: OrderedBratteliDiagram, n: int, v: int) -> tuple:
     """S(v): level-(n-1) vertices connected to level-n vertex v."""
-    level = d.level_edges(n)
-    return tuple(sorted({level[e][0] for e in in_edges(d, n)[v]}))
+    d.level_edges(n)        # range-checks n
+    return tuple(sorted(_iterate_s(d, n, {v}, 1)))
+
+
+# The walks behind the structural checks.  They read the edge tables
+# directly and trust their levels; the per-level queries above are the
+# range-checked boundary.
+
+def _extremal_sources(d, lo, hi, end):
+    """Level-lo vertices, sorted, where the walks down from every level-hi
+    vertex along first (end 0) or last (end -1) in-edges arrive.  For
+    hi = lo + 1 they are the level-lo extremal vertices; in general, the
+    ends of the extremal paths into level hi truncated to depth lo."""
+    cur = range(d.vertex_counts[hi])
+    for k in range(hi - 1, lo - 1, -1):
+        level, into = d.edges[k], d.in_edge_table[k]
+        cur = {level[into[w][end]][0] for w in cur}
+    return tuple(sorted(cur))
+
+
+def _iterate_r(d, n, vs, m):
+    """R^m(vs): the level-(n+m) vertices reached up from level-n vs."""
+    cur = set(vs)
+    for k in range(n, n + m):
+        level, outs = d.edges[k], d.out_edge_table[k]
+        cur = {level[e][1] for v in cur for e in outs[v]}
+    return cur
+
+
+def _iterate_s(d, n, vs, m):
+    """S^m(vs): the level-(n-m) vertices reached down from level-n vs."""
+    cur = set(vs)
+    for k in range(n - 1, n - m - 1, -1):
+        level, into = d.edges[k], d.in_edge_table[k]
+        cur = {level[e][0] for v in cur for e in into[v]}
+    return cur
 
 
 def incidence_matrix(d: OrderedBratteliDiagram, n: int) -> list:
@@ -290,6 +324,13 @@ def incidence_matrix(d: OrderedBratteliDiagram, n: int) -> list:
     for s, r in d.level_edges(n):
         m[r][s] += 1
     return m
+
+
+def _edges_from_matrix(m) -> list:
+    """Inverse of incidence_matrix: m[w][v] edges from v to w, by range w,
+    then source v."""
+    return [(v, w) for w, row in enumerate(m)
+            for v, count in enumerate(row) for _ in range(count)]
 
 
 def mat_mul(a: list, b: list) -> list:
@@ -425,55 +466,31 @@ def check_fem_properties(d: OrderedBratteliDiagram, m_max: int = 4) -> list:
     Returns a list of PropertyFailure records, empty when all hold.
     """
     check_valid(d)
+    top = d.num_levels
     failures = []
-    for kind, extremal_edges, extremal_vertices in (
-            ("min", min_edges, min_vertices),
-            ("max", max_edges, max_vertices)):
-        for n in range(d.num_levels):
-            vmin_n = extremal_vertices(d, n)
-            level_up = d.level_edges(n + 1)
-            ext_up = set(extremal_edges(d, n + 1))
+    for kind, extremal_edges, end in (("min", min_edges, 0),
+                                      ("max", max_edges, -1)):
+        ext = [_extremal_sources(d, n, n + 1, end) for n in range(top)]
+        for n in range(top):
+            # Each level-(n+1) vertex has one extremal in-edge; heads[r] is
+            # its source.
+            level_up = d.edges[n]
+            heads = [level_up[e][0] for e in extremal_edges(d, n + 1)]
             # (b): needs an extremal vertex at level n+1, so n+1 < N.
-            targets = (set(extremal_vertices(d, n + 1))
-                       if n + 1 < d.num_levels else None)
-            for v in vmin_n:
-                if targets is not None:
-                    ok = any(level_up[e][0] == v and level_up[e][1] in targets
-                             for e in ext_up)
-                    if not ok:
-                        failures.append(PropertyFailure("b", kind, n, v))
-                rv = set(vertex_ranges(d, n, v))
-                for e in ext_up:
-                    s, r = level_up[e]
-                    if r in rv and s != v:
-                        failures.append(PropertyFailure("c", kind, n, v))
-                        break
-                rm = {v}
-                for m in range(1, m_max + 1):
-                    if n + m > d.num_levels:
-                        break
-                    rm = _iterate_r(d, n + m - 1, rm, 1)    # R^m(v)
+            fed = {heads[r] for r in ext[n + 1]} if n + 1 < top else None
+            for v in ext[n]:
+                if fed is not None and v not in fed:
+                    failures.append(PropertyFailure("b", kind, n, v))
+                rm = _iterate_r(d, n, {v}, 1)       # R(v)
+                if any(heads[r] != v for r in rm):
+                    failures.append(PropertyFailure("c", kind, n, v))
+                for m in range(1, min(m_max, top - n) + 1):
+                    if m > 1:
+                        rm = _iterate_r(d, n + m - 1, rm, 1)    # R^m(v)
                     sm = _iterate_s(d, n + m, rm, m)
-                    rsr = _iterate_r(d, n, sm, m)
-                    if rm != rsr:
+                    if rm != _iterate_r(d, n, sm, m):
                         failures.append(PropertyFailure("d", kind, n, v, m))
     return failures
-
-
-def _iterate_r(d, n, vs, m):
-    cur = set(vs)
-    for k in range(n + 1, n + m + 1):
-        level, outs = d.level_edges(k), out_edges(d, k)
-        cur = {level[e][1] for v in cur for e in outs[v]}
-    return cur
-
-
-def _iterate_s(d, n, vs, m):
-    cur = set(vs)
-    for k in range(n, n - m, -1):
-        level, ins = d.level_edges(k), in_edges(d, k)
-        cur = {level[e][0] for v in cur for e in ins[v]}
-    return cur
 
 
 # ---------------------------------------------------------------------------

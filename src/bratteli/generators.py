@@ -8,7 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from .diagram import DiagramError, OrderedBratteliDiagram, make_diagram
+from .diagram import (DiagramError, OrderedBratteliDiagram, _edges_from_matrix,
+                      make_diagram)
 from .ktheory import FinitePermutationSystem, make_permutation_system
 
 
@@ -43,14 +44,9 @@ def stationary_adic(matrix: Sequence[Sequence[int]],
         raise DiagramError("matrix has a zero column")
     if levels < 1:
         raise DiagramError("levels must be >= 1")
-    level_edges = []
-    for w in range(k):
-        for v in range(k):
-            level_edges.extend([(v, w)] * m[w][v])
-    root = []
-    for w in range(k):
-        root.extend([(0, w)] * sum(m[w]))
-    edges = [root] + [level_edges] * (levels - 1)
+    root = [[sum(row)] for row in m]
+    edges = ([_edges_from_matrix(root)]
+             + [_edges_from_matrix(m)] * (levels - 1))
     return make_diagram(levels, [1] + [k] * levels, edges)
 
 

@@ -12,12 +12,14 @@ map F build their paths from a FinitePath and the diagram's tables.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import getitem
 from typing import NamedTuple, Optional
 
 from .diagram import (DiagramError, OrderedBratteliDiagram,
+                      _extremal_sources, _iterate_r, _iterate_s,
                       check_fem_properties, check_valid, paths_between)
 
 
@@ -227,7 +229,7 @@ def orbit_shift(d: OrderedBratteliDiagram, e: FinitePath, f: FinitePath) -> int:
 class ExtremalPathSet:
     kind: str               # "min" or "max"
     depth: int
-    paths: tuple            # FinitePath, in vertex order at the final level
+    paths: tuple            # FinitePath, sorted by edge indices
     stabilized: bool
 
 
@@ -237,21 +239,24 @@ def extremal_paths(d: OrderedBratteliDiagram, depth: int,
 
     Only extremal paths that extend to the full truncation depth count;
     stabilized requires the path count to agree over the last two levels
-    with unique extensions between them.
+    with unique extensions between them.  The extremal path into a vertex
+    is unique, so a truncation is the extremal path into a level-depth
+    vertex that the extremal walk from the last level reaches.
     """
     check_valid(d)
     if not 0 <= depth <= d.num_levels:
         raise DiagramError(f"depth {depth} out of range")
     if kind not in ("min", "max"):
         raise DiagramError(f"kind must be min or max, got {kind}")
-    builder = min_path_to if kind == "min" else max_path_to
-    final = d.vertex_counts[d.num_levels]     # one full path per vertex
-    full = [builder(d, d.num_levels, v) for v in range(final)]
-    stabilized = (depth >= 1 and d.num_levels >= 2 and all(
-        len({p.edge_indices[:lvl] for p in full}) == final
-        for lvl in (depth, d.num_levels - 1)))
-    paths = tuple(sorted({path_prefix(d, p, depth) for p in full},
-                         key=lambda p: p.edge_indices))
+    end = 0 if kind == "min" else -1
+    top = d.num_levels
+    reached = _extremal_sources(d, depth, top, end)
+    final = d.vertex_counts[top]
+    stabilized = (depth >= 1 and top >= 2 and len(reached) == final
+                  and len(_extremal_sources(d, top - 1, top, end)) == final)
+    paths = tuple(sorted(
+        (FinitePath(depth, _extremal_edges(d, depth, v, end), v)
+         for v in reached), key=lambda p: p.edge_indices))
     return ExtremalPathSet(kind, depth, paths, stabilized)
 
 
@@ -307,28 +312,24 @@ def _extend_vertex(d, p):
 
 def _last_level_components(d):
     """Weak-connectivity component id per last-level vertex, computed over
-    the deep half of the diagram (from num_levels//2 up)."""
-    start = max(1, d.num_levels // 2)
-    parent = {}
+    the deep half of the diagram (from num_levels//2 up).
 
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for n in range(start, d.num_levels + 1):
-        for s, r in d.level_edges(n):
-            union((n - 1, s), (n, r))
-    comps = {}
-    out = {}
-    for v in range(d.vertex_counts[d.num_levels]):
-        root = find((d.num_levels, v))
-        out[v] = comps.setdefault(root, len(comps))
-    return out
+    In a valid diagram every vertex there reaches both ends of the half,
+    so a component's last-level vertices are a closure under S^m then
+    R^m across it; ids follow each component's smallest vertex."""
+    top = d.num_levels
+    low = max(1, top // 2) - 1
+    comp, ids = {}, itertools.count()
+    for v in range(d.vertex_counts[top]):
+        if v in comp:
+            continue
+        members, grown = None, {v}
+        while grown != members:
+            members = grown
+            grown = _iterate_r(d, low, _iterate_s(d, top, members, top - low),
+                               top - low)
+        comp.update(dict.fromkeys(members, next(ids)))
+    return comp
 
 
 def check_perfect_ordering(d: OrderedBratteliDiagram, depth: int) -> dict:

@@ -16,8 +16,9 @@ from functools import cached_property
 from operator import getitem
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      _iterate_r, _iterate_s, check_valid, incidence_matrix,
-                      is_int_list, make_diagram, mat_mul, telescope_segments)
+                      _edges_from_matrix, _extremal_sources, _iterate_r,
+                      _iterate_s, check_valid, incidence_matrix, is_int_list,
+                      make_diagram, mat_mul, telescope_segments)
 from .paths import (FinitePath, MaximalPathError, MinimalPathError,
                     extremal_paths, is_maximal,
                     path_prefix, path_rank, vershik_predecessor,
@@ -172,14 +173,6 @@ class InterleavedDiagram:
         return OrbitMapRealization(self, f1t, f1i, f2t, f2i, heads, tails)
 
 
-def _edges_from_matrix(m):
-    edges = []
-    for w in range(len(m)):
-        for v in range(len(m[0])):
-            edges.extend([(v, w)] * m[w][v])
-    return edges
-
-
 def build_interleaved(b1: OrderedBratteliDiagram,
                       b2: OrderedBratteliDiagram,
                       w: Intertwining) -> InterleavedDiagram:
@@ -231,36 +224,26 @@ def check_interleaved_properties(bp: InterleavedDiagram) -> list:
     failures = []
     for kind, end in (("min", 0), ("max", -1)):
         # Extremal vertices are defined one level down from the edges that
-        # witness them, so interior levels only.  Each set is built from
-        # the sorted vertices, and failures follow its iteration order.
-        ext = [set(sorted(_segment_starts(d, lo, hi, end)))
+        # witness them, so interior levels only.  Failures follow the
+        # sorted vertices; the reach sets only test membership.
+        ext = [_extremal_sources(d, lo, hi, end)
                for lo, hi in zip(cuts, cuts[1:])]
         for n in range(len(ext) - 1):
             for v in ext[n]:
                 reach = _iterate_r(d, cuts[n], {v}, cuts[n + 1] - cuts[n])
-                if not reach & ext[n + 1]:
+                if reach.isdisjoint(ext[n + 1]):
                     failures.append(
                         f"(i) fails: {kind} vertex {v} at level {n} has no "
                         f"{kind} vertex in its range set")
         for n in range(1, len(ext)):
             for v in ext[n]:
-                hits = (_iterate_s(d, cuts[n], {v}, cuts[n] - cuts[n - 1])
-                        & ext[n - 1])
-                if len(hits) != 1:
+                hits = _iterate_s(d, cuts[n], {v}, cuts[n] - cuts[n - 1])
+                count = len(hits.intersection(ext[n - 1]))
+                if count != 1:
                     failures.append(
                         f"(ii) fails: {kind} vertex {v} at level {n} has "
-                        f"{len(hits)} {kind} vertices in its source set")
+                        f"{count} {kind} vertices in its source set")
     return failures
-
-
-def _segment_starts(d, lo, hi, end):
-    """Level-lo sources of the segments that follow each level-hi vertex's
-    first (end 0) or last (end -1) in-edge down to level lo."""
-    cur = set(range(d.vertex_counts[hi]))
-    for n in range(hi, lo, -1):
-        level, into = d.edges[n - 1], d.in_edge_table[n - 1]
-        cur = {level[into[w][end]][0] for w in cur}
-    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bratteli import diagram as dg
 from bratteli import generators as gen
 from bratteli import paths as pt
+from conftest import random_diagram
 
 
 def test_make_path_validates_composition():
@@ -230,6 +231,93 @@ def test_perfect_ordering_verdicts(suite):
     # extremal sets never stabilize, so the check stays inconclusive.
     res = pt.check_perfect_ordering(suite["fibonacci"], 6)
     assert res["verdict"] == "unknown"
+
+
+def _reference_extremal_paths(d, depth, kind):
+    # One full-depth extremal path per last-level vertex, truncated.
+    dg.check_valid(d)
+    if not 0 <= depth <= d.num_levels:
+        raise dg.DiagramError(f"depth {depth} out of range")
+    builder = pt.min_path_to if kind == "min" else pt.max_path_to
+    final = d.vertex_counts[d.num_levels]
+    full = [builder(d, d.num_levels, v) for v in range(final)]
+    stabilized = (depth >= 1 and d.num_levels >= 2 and all(
+        len({p.edge_indices[:lvl] for p in full}) == final
+        for lvl in (depth, d.num_levels - 1)))
+    paths = tuple(sorted({pt.path_prefix(d, p, depth) for p in full},
+                         key=lambda p: p.edge_indices))
+    return paths, stabilized
+
+
+def test_extremal_paths_match_full_path_reference(table_suite):
+    inputs = list(table_suite.items())
+    for seed in range(300):
+        rng = random.Random(seed)
+        inputs.append((seed, random_diagram(
+            rng, rng.randint(1, 8), rng.randint(1, 6), rng.randint(0, 5))))
+    for name, d in inputs:
+        if dg.validate_diagram(d):
+            with pytest.raises(dg.InvalidDiagram):
+                pt.extremal_paths(d, 0)
+            continue
+        for depth in range(d.num_levels + 1):
+            for kind in ("min", "max"):
+                got = pt.extremal_paths(d, depth, kind)
+                assert (got.paths, got.stabilized) == \
+                    _reference_extremal_paths(d, depth, kind), \
+                    (name, depth, kind)
+
+
+def _strip_labels(d):
+    return dg.make_diagram(d.num_levels, d.vertex_counts, d.edges)
+
+
+def test_unlabeled_unions_pair_like_labeled(suite):
+    # Without group labels the pairing falls back to the deep levels'
+    # weak-connectivity components, which here are the fibers.
+    for name, fibers in (("union2", 2), ("union3", 3)):
+        d = suite[name]
+        for depth in range(1, d.num_levels + 1):
+            want = pt.check_perfect_ordering(d, depth)
+            assert pt.check_perfect_ordering(_strip_labels(d), depth) == \
+                want, (name, depth)
+        assert want["verdict"] == "pass" and len(want["pairing"]) == fibers
+
+
+def _reference_components(d):
+    # Union-find over the edges of the deep half, ids in order of each
+    # component's smallest last-level vertex.
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for n in range(max(1, d.num_levels // 2), d.num_levels + 1):
+        for s, r in d.level_edges(n):
+            parent[find((n - 1, s))] = find((n, r))
+    ids = {}
+    return {v: ids.setdefault(find((d.num_levels, v)), len(ids))
+            for v in range(d.vertex_counts[d.num_levels])}
+
+
+def test_last_level_components_match_union_find():
+    rng = random.Random(5)
+    inputs = [random_diagram(rng, rng.randint(1, 8), 5, 3)
+              for _ in range(200)]
+    # A union's fibers split only once the deep half leaves the root.
+    for _ in range(100):
+        levels = rng.randint(4, 7)
+        inputs.append(gen.disjoint_union(
+            [random_diagram(rng, levels, 3, 2)
+             for _ in range(rng.randint(2, 4))]))
+    split = 0
+    for d in inputs:
+        want = _reference_components(d)
+        assert pt._last_level_components(d) == want, d
+        split += len(set(want.values())) > 1
+    assert split >= 100, split
 
 
 def test_telescope_path_round_trip():

@@ -115,13 +115,13 @@ def _reference_properties(bp):
                            ("max", dg.max_vertices)):
         ext = {n: set(extremal(td, n)) for n in range(td.num_levels)}
         for n in range(td.num_levels - 1):
-            for v in ext[n]:
+            for v in sorted(ext[n]):
                 if not set(dg.vertex_ranges(td, n, v)) & ext[n + 1]:
                     failures.append(
                         f"(i) fails: {kind} vertex {v} at level {n} has no "
                         f"{kind} vertex in its range set")
         for n in range(1, td.num_levels):
-            for v in ext[n]:
+            for v in sorted(ext[n]):
                 hits = set(dg.vertex_sources(td, n, v)) & ext[n - 1]
                 if len(hits) != 1:
                     failures.append(
@@ -148,6 +148,18 @@ def test_interleaved_properties_match_telescoped_reference():
         assert soe.check_interleaved_properties(bp) == want, bp.diagram
         failing += bool(want)
     assert 50 < failing < len(inputs)
+
+
+def test_interleaved_property_failures_in_vertex_order():
+    # Level 2's min vertices include 8, past a small set's table size, so
+    # set iteration order would list it before 3 and 7.
+    d = random_diagram(random.Random(47), 8, 12, 5)
+    bp = soe.InterleavedDiagram(d, d, d)
+    failures = soe.check_interleaved_properties(bp)
+    prefix = "(ii) fails: min vertex "
+    vertices = [int(f[len(prefix):].split()[0]) for f in failures
+                if f.startswith(prefix) and " at level 2 " in f]
+    assert vertices == [0, 3, 7, 8]
 
 
 def test_pair_extremal_paths_singletons():
