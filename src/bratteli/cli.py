@@ -157,7 +157,7 @@ def _cmd_soe(args, diags):
         w = soe.intertwining_from_json(dg.load_json(args.intertwining))
         return soe.soe_report(b1, b2, w, depth)
     match, rejections = soe.search_stationary_intertwining(
-        b1, b2, args.bound, args.seed)
+        b1, b2, args.bound)
     out = {"found": match is not None,
            "candidates_rejected": len(rejections)}
     if match:
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intertwining")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_soe)
 
     p = sub.add_parser("generate")

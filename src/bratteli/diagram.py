@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem
 from typing import Optional, Sequence
 
 
@@ -271,13 +270,20 @@ def max_vertices(d: OrderedBratteliDiagram, n: int) -> tuple:
 def vertex_ranges(d: OrderedBratteliDiagram, n: int, v: int) -> tuple:
     """R(v): level-(n+1) vertices connected to level-n vertex v."""
     d.level_edges(n + 1)    # range-checks n
+    _check_vertex(d, n, v)
     return tuple(sorted(_iterate_r(d, n, {v}, 1)))
 
 
 def vertex_sources(d: OrderedBratteliDiagram, n: int, v: int) -> tuple:
     """S(v): level-(n-1) vertices connected to level-n vertex v."""
     d.level_edges(n)        # range-checks n
+    _check_vertex(d, n, v)
     return tuple(sorted(_iterate_s(d, n, {v}, 1)))
+
+
+def _check_vertex(d, n, v):
+    if not 0 <= v < d.vertex_counts[n]:
+        raise DiagramError(f"vertex {v} out of range at level {n}")
 
 
 # The walks behind the structural checks.  They read the edge tables
@@ -385,31 +391,31 @@ class TelescopeMap:
         return paths[new_edge]
 
 
-def paths_between(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
-    """Every path over edge levels lo..hi as (source, range, edge tuple).
-
-    Lexicographic in (source, edge tuple), so from the root (lo == 1) in
-    the edges alone; hi == lo - 1 gives each vertex's empty path.
-    """
-    paths = [(v, v, ()) for v in range(d.vertex_counts[lo - 1])]
-    for n in range(lo, hi + 1):
-        level = d.level_edges(n)
-        outs = out_edges(d, n)
-        paths = [(start, level[i][1], path + (i,))
-                 for start, end, path in paths for i in outs[end]]
-    return paths
-
-
 def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
-    """paths_between(d, lo, hi) in the order telescoping numbers them:
-    by range vertex, then with the deepest edge's order most significant.
-    """
-    segs = paths_between(d, lo, hi)     # range-checks lo..hi
-    deepest_first = d.edge_position_table[lo - 1:hi][::-1]
+    """Every path over edge levels lo..hi as (source, range, edge tuple), in
+    the order telescoping numbers them: by range vertex, then rank order.
 
-    def key(seg):
-        return seg[1], tuple(map(getitem, deepest_first, reversed(seg[2])))
-    return sorted(segs, key=key)
+    A walk down the in-edge table from each range vertex, deepest edge
+    first, reads the edge order as the Vershik step does, so the deepest
+    edge's order is the most significant.
+    """
+    if not 1 <= lo <= hi <= d.num_levels:
+        raise DiagramError(
+            f"segment levels {lo}..{hi} out of range 1..{d.num_levels}")
+    edges, into = d.edges, d.in_edge_table
+    segs = []
+    for r in range(d.vertex_counts[hi]):
+        stack = [(r, ())]
+        while stack:
+            v, path = stack.pop()
+            n = hi - len(path)      # v is a level-n vertex
+            if n < lo:
+                segs.append((v, r, path))
+                continue
+            level = edges[n - 1]
+            for e in reversed(into[n - 1][v]):
+                stack.append((level[e][0], (e,) + path))
+    return segs
 
 
 def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import NamedTuple, Optional
 
-from .diagram import (DiagramError, OrderedBratteliDiagram,
+from .diagram import (DiagramError, OrderedBratteliDiagram, _check_vertex,
                       _extremal_sources, _iterate_r, _iterate_s,
-                      check_fem_properties, check_valid, paths_between)
+                      check_fem_properties, check_valid)
 
 
 class MaximalPathError(DiagramError):
@@ -91,8 +91,7 @@ def max_path_to(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePat
 def _extremal_path_to(d, level, vertex, which):
     if not 0 <= level <= d.num_levels:
         raise DiagramError(f"level {level} out of range")
-    if not 0 <= vertex < d.vertex_counts[level]:
-        raise DiagramError(f"vertex {vertex} out of range at level {level}")
+    _check_vertex(d, level, vertex)
     return FinitePath(level, _extremal_edges(d, level, vertex, which), vertex)
 
 
@@ -200,7 +199,8 @@ def full_vershik(d: OrderedBratteliDiagram, p: FinitePath,
     """Successor extended over the boundary by a max->min path pairing.
 
     pairing maps each all-maximal path (by edge tuple) to the all-minimal
-    path that continues its orbit; required only when p is maximal.
+    FinitePath that continues its orbit, as check_perfect_ordering
+    certifies it; required only when p is maximal.
     """
     if not is_maximal(d, p):
         return vershik_successor(d, p)
@@ -211,7 +211,7 @@ def full_vershik(d: OrderedBratteliDiagram, p: FinitePath,
     if target is None:
         raise MaximalPathError(
             f"no pairing entry for maximal path {p.edge_indices}")
-    return target if isinstance(target, FinitePath) else make_path(d, target)
+    return target
 
 
 def orbit_shift(d: OrderedBratteliDiagram, e: FinitePath, f: FinitePath) -> int:
@@ -258,18 +258,6 @@ def extremal_paths(d: OrderedBratteliDiagram, depth: int,
         (FinitePath(depth, _extremal_edges(d, depth, v, end), v)
          for v in reached), key=lambda p: p.edge_indices))
     return ExtremalPathSet(kind, depth, paths, stabilized)
-
-
-def extremal_pairing(d: OrderedBratteliDiagram, depth: int) -> Optional[dict]:
-    """Max->min pairing at the given depth, when one is certified; else None.
-
-    With group labels, paths pair fiberwise (one extremal path of each kind
-    per label).  Without labels the pairing falls back to weak-connectivity
-    components of the deep levels; a unique max and min path per component
-    pairs them.
-    """
-    return _pair_extremal(d, extremal_paths(d, depth, "min"),
-                          extremal_paths(d, depth, "max"))
 
 
 def _pair_extremal(d, mins: ExtremalPathSet,
@@ -379,4 +367,18 @@ def untelescope_path(tmap, p: FinitePath, original: OrderedBratteliDiagram):
 
 def all_paths(d: OrderedBratteliDiagram, depth: int):
     """Every path of the given depth, in lexicographic order of edges."""
-    return [FinitePath(depth, p, r) for _, r, p in paths_between(d, 1, depth)]
+    if not 0 <= depth <= d.num_levels:
+        raise DiagramError(f"depth {depth} out of range 0..{d.num_levels}")
+    return list(_lex_paths(d, depth))
+
+
+def _lex_paths(d, depth):
+    """all_paths(d, depth) one path at a time, for a reader that stops
+    early; depth is trusted."""
+    if not depth:
+        yield FinitePath(0, (), 0)
+        return
+    level, outs = d.edges[depth - 1], d.out_edge_table[depth - 1]
+    for pre in _lex_paths(d, depth - 1):
+        for e in outs[pre.terminal_vertex]:
+            yield FinitePath(depth, pre.edge_indices + (e,), level[e][1])

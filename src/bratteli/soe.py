@@ -20,9 +20,8 @@ from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       _iterate_s, check_valid, incidence_matrix, is_int_list,
                       make_diagram, mat_mul, telescope_segments)
 from .paths import (FinitePath, MaximalPathError, MinimalPathError,
-                    extremal_paths, is_maximal,
-                    path_prefix, path_rank, vershik_predecessor,
-                    vershik_successor)
+                    _lex_paths, extremal_paths, is_maximal, path_prefix,
+                    path_rank, vershik_predecessor, vershik_successor)
 
 
 class IntertwiningInvalid(DiagramError):
@@ -614,15 +613,14 @@ MAX_SEARCH_CANDIDATES = 2 ** 19
 
 def search_stationary_intertwining(b1: OrderedBratteliDiagram,
                                    b2: OrderedBratteliDiagram,
-                                   bound: int, seed: int = 0):
+                                   bound: int):
     """Brute-force search for a one-step stationary intertwining.
 
     Tries the pairs of non-negative matrices (P, Q) with entries up to
     bound one at a time, in itertools.product order (P's entries row by
     row, then Q's), and stops at the first match.  Returns (match or None,
     rejections) where each rejection names a candidate before the match
-    and the first identity it breaks.  The order is fixed, so seed is
-    ignored; it is kept for callers that pass one.  A search of more than
+    and the first identity it breaks.  A search of more than
     MAX_SEARCH_CANDIDATES candidates raises DiagramError.
     """
     if bound < 0:
@@ -670,18 +668,6 @@ def search_stationary_intertwining(b1: OrderedBratteliDiagram,
 def stationary_intertwining(p, q, num_p: int, num_q: int) -> Intertwining:
     """Repeat one (P, Q) pair into a full intertwining."""
     return make_intertwining([p] * num_p, [q] * num_q)
-
-
-def _lex_paths(d: OrderedBratteliDiagram, depth: int):
-    """all_paths(d, depth) one path at a time, for a reader that stops
-    early."""
-    if not depth:
-        yield FinitePath(0, (), 0)
-        return
-    level, outs = d.edges[depth - 1], d.out_edge_table[depth - 1]
-    for pre in _lex_paths(d, depth - 1):
-        for e in outs[pre.terminal_vertex]:
-            yield FinitePath(depth, pre.edge_indices + (e,), level[e][1])
 
 
 def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,

@@ -198,7 +198,7 @@ def test_criterion_6_soe_pipeline_end_to_end():
 def test_criterion_7_soe_negative_control():
     b1 = gen.odometer(2, 6)
     b2 = gen.odometer(3, 6)
-    match, rejections = soe.search_stationary_intertwining(b1, b2, 12, 0)
+    match, rejections = soe.search_stationary_intertwining(b1, b2, 12)
     assert match is None
     assert len(rejections) == 13 * 13
     for r in rejections:

@@ -157,6 +157,27 @@ def test_soe_check_and_search(capsys, tmp_path):
     assert res["payload"]["P"] == [[2]]
 
 
+def test_telescope_payload(capsys, odo2):
+    code, res = run_json(capsys, ["telescope", "--diagram", odo2,
+                                  "--cuts", "2,4,6"])
+    assert code == 0
+    td, _ = dg.telescope(gen.odometer(2, 6), [2, 4, 6])
+    assert res["payload"] == dg.diagram_to_json(td)
+
+
+def test_soe_search_without_match_lists_rejections(capsys, tmp_path, odo2):
+    odo3 = tmp_path / "odo3.json"
+    dg.save_diagram(gen.odometer(3, 6), str(odo3))
+    code, res = run_json(capsys, ["soe", "search", "--b1", odo2,
+                                  "--b2", str(odo3), "--bound", "2"])
+    assert code == 0
+    payload = res["payload"]
+    assert payload["found"] is False
+    assert payload["candidates_rejected"] == len(payload["rejections"]) == 9
+    assert all(set(r) == {"P", "Q", "reason"}
+               for r in payload["rejections"])
+
+
 @pytest.mark.parametrize("depth, cap", [("1", None), ("6", "1")],
                          ids=["depth-1", "capped-to-1"])
 def test_soe_check_depth_below_2_is_domain_error(capsys, tmp_path,
@@ -215,6 +236,13 @@ def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["vershik"])    # missing required arguments
     assert exc.value.code == 2
+
+
+def test_soe_search_has_no_seed(capsys, odo2):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["soe", "search", "--b1", odo2, "--b2", odo2, "--seed", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_text_format(capsys, odo2):

@@ -65,8 +65,7 @@ GRAMMAR = {
     "soe": [(None, st.sampled_from(["check", "search", "find"]), True),
             ("--b1", _FILE, True), ("--b2", _FILE, True),
             ("--intertwining", _FILE, False), ("--depth", _INT, False),
-            ("--bound", st.one_of(_ints(-3, 3), _STRINGS), False),
-            ("--seed", _INT, False)],
+            ("--bound", st.one_of(_ints(-3, 3), _STRINGS), False)],
     "generate odometer": [("--base", st.one_of(_ints(-3, 5), _STRINGS), True),
                           ("--levels", _LEVELS, True)],
     "generate stationary": [("--matrix", _FILE, True),

@@ -106,6 +106,15 @@ def test_edge_tables_match_edge_scan(table_suite):
                 assert dg.vertex_sources(d, n, w) == want
 
 
+def test_vertex_queries_reject_vertices_out_of_range():
+    d = gen.odometer(2, 3)
+    for query, n in ((dg.vertex_ranges, 0), (dg.vertex_sources, 1)):
+        assert query(d, n, 0) == (0,)
+        for v in (5, 1, -1):
+            with pytest.raises(dg.DiagramError, match="out of range"):
+                query(d, n, v)
+
+
 def test_fem_properties_pass_on_suite(suite):
     for name, d in suite.items():
         if name == "fibonacci":
@@ -247,3 +256,59 @@ def test_fem_properties_match_reference_loop(suite):
         assert dg.check_fem_properties(d) == want, i
         failing += bool(want)
     assert 50 <= failing <= 250
+
+
+# ---------------------------------------------------------------------------
+# telescope_segments against the sort it replaced
+
+
+def _sorted_segments(d, lo, hi):
+    """Every segment over levels lo..hi listed breadth-first, then sorted by
+    range and by the edge positions read deepest edge first."""
+    segs = [(v, v, ()) for v in range(d.vertex_counts[lo - 1])]
+    for n in range(lo, hi + 1):
+        level, outs = d.level_edges(n), dg.out_edges(d, n)
+        segs = [(s, level[e][1], path + (e,))
+                for s, end, path in segs for e in outs[end]]
+
+    def key(seg):
+        return seg[1], tuple(dg.edge_order_index(d, n, e) for n, e in
+                             reversed(list(enumerate(seg[2], start=lo))))
+    return sorted(segs, key=key)
+
+
+def _segment_count(d, lo, hi):
+    counts = [1] * d.vertex_counts[lo - 1]
+    for n in range(lo, hi + 1):
+        row = [0] * d.vertex_counts[n]
+        for s, r in d.level_edges(n):
+            row[r] += counts[s]
+        counts = row
+    return sum(counts)
+
+
+def test_telescope_segments_match_sorted_reference(table_suite):
+    rng = random.Random(16)
+    diagrams = list(table_suite.values()) + [
+        random_diagram(rng, rng.randint(1, 8), rng.randint(1, 5),
+                       rng.randint(0, 4)) for _ in range(300)]
+    checked = 0
+    for d in diagrams:
+        for lo in range(1, d.num_levels + 1):
+            for hi in range(lo, min(lo + 3, d.num_levels) + 1):
+                # Spans of the telescoped suite diagrams run to millions
+                # of segments; the reference is only built for small ones.
+                if _segment_count(d, lo, hi) > 5000:
+                    continue
+                assert dg.telescope_segments(d, lo, hi) == \
+                    _sorted_segments(d, lo, hi), (d.vertex_counts, lo, hi)
+                checked += 1
+    assert checked > 3500
+
+
+def test_telescope_segments_reject_levels_out_of_range():
+    d = gen.odometer(2, 4)
+    assert dg.telescope_segments(d, 2, 2) == [(0, 0, (0,)), (0, 0, (1,))]
+    for lo, hi in ((3, 2), (0, 2), (1, 5)):
+        with pytest.raises(dg.DiagramError, match="out of range"):
+            dg.telescope_segments(d, lo, hi)

@@ -64,6 +64,28 @@ def test_path_counts_and_all_paths_match_edge_scan(suite):
             assert pt.path_counts(d, depth) == tuple(counts)
 
 
+def test_all_paths_match_breadth_first_reference(table_suite):
+    rng = random.Random(7)
+    diagrams = list(table_suite.values()) + [
+        random_diagram(rng, rng.randint(1, 8), 3, 2) for _ in range(50)]
+    for d in diagrams:
+        want = [((), 0)]
+        for depth in range(d.num_levels + 1):
+            # The deep suite levels have millions of paths.
+            if sum(pt.path_counts(d, depth)) > 2000:
+                break
+            if depth:
+                level, outs = d.level_edges(depth), dg.out_edges(d, depth)
+                want = [(idx + (e,), level[e][1]) for idx, v in want
+                        for e in outs[v]]
+            got = pt.all_paths(d, depth)
+            assert [(p.depth, p.edge_indices, p.terminal_vertex)
+                    for p in got] == [(depth, *w) for w in want]
+        for depth in (-1, d.num_levels + 1):
+            with pytest.raises(dg.DiagramError, match="out of range"):
+                pt.all_paths(d, depth)
+
+
 def test_queries_do_not_keep_diagram_alive():
     d = gen.stationary_adic([[2, 1], [1, 1]], 12)
     p = pt.path_unrank(d, 12, 0, 5)
@@ -205,7 +227,7 @@ def test_extremal_paths_union_counts(suite):
 
 def test_pairing_respects_fibers():
     d = gen.disjoint_union([gen.odometer(2, 6), gen.odometer(3, 6)])
-    pairing = pt.extremal_pairing(d, 6)
+    pairing = pt.check_perfect_ordering(d, 6)["pairing"]
     assert pairing is not None
     for max_idx, min_path in pairing.items():
         max_path = pt.make_path(d, max_idx)
@@ -215,7 +237,7 @@ def test_pairing_respects_fibers():
 
 def test_full_vershik_wraps_through_pairing():
     d = gen.odometer(2, 4)
-    pairing = pt.extremal_pairing(d, 4)
+    pairing = pt.check_perfect_ordering(d, 4)["pairing"]
     top = pt.max_path_to(d, 4, 0)
     assert pt.full_vershik(d, top, pairing) == pt.min_path_to(d, 4, 0)
     with pytest.raises(pt.MaximalPathError):

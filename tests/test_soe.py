@@ -52,6 +52,30 @@ def test_validate_intertwining_checks_root_column():
     assert "root" in str(err.value)
 
 
+@pytest.mark.parametrize("levels1, levels2, change, level, entry, message", [
+    (2, 3, None, 2, None, "needs 3 levels of B1, which has 2"),
+    (3, 2, None, 3, None, "needs 3 levels of B2, which has 2"),
+    (3, 3, ("P", 1, [[1, 1]]), 2, None, "P_2 must be 1x1"),
+    (3, 3, ("Q", 0, [[2, 2]]), 1, None, "Q_1 must be 1x1"),
+    (3, 3, ("P", 1, [[2]]), 1, (0, 0),
+     "P_2 Q_1 differs from B2 incidence at level 2, entry (0, 0): 4 vs 2"),
+], ids=["b1-levels", "b2-levels", "p-shape", "q-shape", "pq-product"])
+def test_validate_intertwining_failures(levels1, levels2, change, level,
+                                        entry, message):
+    # 2-odometers with P = [1] and Q = [2] pass; each case changes one
+    # level count or one matrix.
+    mats = {"P": [[[1]]] * 3, "Q": [[[2]]] * 2}
+    if change is not None:
+        key, i, m = change
+        mats[key][i] = m
+    w = soe.make_intertwining(mats["P"], mats["Q"])
+    with pytest.raises(soe.IntertwiningInvalid) as err:
+        soe.validate_intertwining(gen.odometer(2, levels1),
+                                  gen.odometer(2, levels2), w)
+    assert (err.value.level, err.value.entry) == (level, entry)
+    assert message in str(err.value)
+
+
 def test_build_interleaved_odometer_pair():
     b1, b2, w = odometer_pair(4, 3)
     bp = soe.build_interleaved(b1, b2, w)
@@ -302,6 +326,35 @@ def test_soe_report_end_to_end():
     assert report["pairing_ok"]
     assert report["continuity_ok"]
     assert all(s["forward"] == 1 for s in report["cocycle_samples"])
+
+
+def test_soe_report_names_a_bad_intertwining():
+    w = soe.stationary_intertwining([[3]], [[2]], 3, 3)
+    report = soe.soe_report(gen.odometer(2, 4), gen.odometer(4, 3), w, 3)
+    assert not report["interleaved_ok"]
+    assert report["error"] == ("root columns differ at entry (0, 0): "
+                               "P_1 gives 6, B2 has 4")
+
+
+def test_soe_report_lists_property_failures():
+    m = [[0, 1], [1, 1]]
+    d = gen.stationary_adic(m, 5)
+    w = soe.stationary_intertwining([[1, 0], [0, 1]], m, 5, 4)
+    report = soe.soe_report(d, d, w, 4)
+    assert report["interleaved_ok"] and not report["properties_ok"]
+    assert report["property_failures"][0] == (
+        "(ii) fails: min vertex 1 at level 2 has 2 min vertices in its "
+        "source set")
+
+
+def test_soe_report_names_an_unstabilized_pairing():
+    m = [[2, 1], [1, 1]]
+    d = gen.stationary_adic(m, 8)
+    w = soe.stationary_intertwining([[1, 0], [0, 1]], m, 8, 7)
+    report = soe.soe_report(d, d, w, 5)
+    assert report["properties_ok"] and not report["pairing_ok"]
+    assert report["pairing_error"] == (
+        "min paths of the interleaved diagram are not stabilized at depth 5")
 
 
 @pytest.mark.parametrize("depth", [1, 0, -3])
@@ -625,14 +678,11 @@ def test_soe_report_realizes_orbit_map_once(monkeypatch):
     assert len(built) == 17
 
 
-def test_search_order_is_fixed_and_seed_ignored():
+def test_search_order_is_fixed():
     # Candidates come in itertools.product order, so the 1x1 match [2], [2]
     # follows P = [0] and [1] with each Q in 0..4, then Q = [0] and [1].
     b1, b2, _ = odometer_pair(4, 3)
-    runs = [soe.search_stationary_intertwining(b1, b2, 4, seed)
-            for seed in (0, 1)]
-    assert runs[0] == runs[1]
-    match, rejections = runs[0]
+    match, rejections = soe.search_stationary_intertwining(b1, b2, 4)
     assert match == ([[2]], [[2]])
     assert [(r["P"], r["Q"]) for r in rejections] == [
         ([[p]], [[q]]) for p in range(3) for q in range(5)][:12]
