@@ -461,14 +461,18 @@ class PropertyFailure:
                 f"{self.vertex} at level {self.level}{extra}")
 
 
-def check_fem_properties(d: OrderedBratteliDiagram, m_max: int = 4) -> list:
+# Largest m for which check_fem_properties tests property (d).
+FEM_M_MAX = 4
+
+
+def check_fem_properties(d: OrderedBratteliDiagram) -> list:
     """Structural checks satisfied by diagrams arising from tower sequences.
 
     For every extremal vertex v (source of a minimal, resp. maximal, edge):
       (b) some minimal (maximal) edge leaving v ends at an extremal vertex
           of the same kind;
       (c) every minimal (maximal) edge whose range lies in R(v) starts at v;
-      (d) R^m(v) == (R^m . S^m . R^m)(v) for m up to m_max.
+      (d) R^m(v) == (R^m . S^m . R^m)(v) for m up to FEM_M_MAX.
     Returns a list of PropertyFailure records, empty when all hold.
     """
     check_valid(d)
@@ -490,7 +494,7 @@ def check_fem_properties(d: OrderedBratteliDiagram, m_max: int = 4) -> list:
                 rm = _iterate_r(d, n, {v}, 1)       # R(v)
                 if any(heads[r] != v for r in rm):
                     failures.append(PropertyFailure("c", kind, n, v))
-                for m in range(1, min(m_max, top - n) + 1):
+                for m in range(1, min(FEM_M_MAX, top - n) + 1):
                     if m > 1:
                         rm = _iterate_r(d, n + m - 1, rm, 1)    # R^m(v)
                     sm = _iterate_s(d, n + m, rm, m)

@@ -262,23 +262,13 @@ def extremal_paths(d: OrderedBratteliDiagram, depth: int,
 
 def _pair_extremal(d, mins: ExtremalPathSet,
                    maxs: ExtremalPathSet) -> Optional[dict]:
-    if len(mins.paths) != len(maxs.paths):
-        return None
     key = _fiber_key(d)
-    min_by = {}
-    max_by = {}
-    for p in mins.paths:
-        min_by.setdefault(key(p), []).append(p)
-    for p in maxs.paths:
-        max_by.setdefault(key(p), []).append(p)
-    if set(min_by) != set(max_by):
+    min_by = {key(p): p for p in mins.paths}
+    max_by = {key(p): p for p in maxs.paths}
+    if not (len(min_by) == len(mins.paths) and len(max_by) == len(maxs.paths)
+            and min_by.keys() == max_by.keys()):
         return None
-    pairing = {}
-    for k in max_by:
-        if len(max_by[k]) != 1 or len(min_by[k]) != 1:
-            return None
-        pairing[max_by[k][0].edge_indices] = min_by[k][0]
-    return pairing
+    return {p.edge_indices: min_by[k] for k, p in max_by.items()}
 
 
 def _fiber_key(d: OrderedBratteliDiagram):

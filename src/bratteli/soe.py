@@ -146,6 +146,15 @@ class InterleavedDiagram:
     """Diagram whose odd vertex levels 2n-1 carry B1's level n and even
     levels 2n B2's level n, with edge multiplicities from the intertwining
     matrices.
+
+    Its segment tables realize the orbit map F, each built on first read
+    and shared by every reader.  f1_tables[n-1][e] is the segment of
+    interleaved edge indices for B1's level-n edge e, over edge levels
+    (2n-2, 2n-1) (level 1 maps straight across); f2_tables[m-1][e] is B2's,
+    over (2m-1, 2m).  f1_inverse and f2_inverse map segments back to edges.
+    f1_heads[n-1][e] and f1_tails[n-1][e] are the first and last edges of
+    f1_tables[n-1][e]: the B2 level-n edge of consecutive B1 edges (a, b)
+    is f2_inverse[n-1][f1_tails[n-1][a], f1_heads[n][b]].
     """
 
     diagram: OrderedBratteliDiagram
@@ -153,23 +162,37 @@ class InterleavedDiagram:
     b2: OrderedBratteliDiagram
 
     @cached_property
-    def orbit_map(self) -> OrbitMapRealization:
-        """F, realized once per interleaving and shared by every reader.
+    def f1_tables(self) -> tuple:
+        d = self.diagram
+        return tuple(
+            _segment_table(d, self.b1, n, max(2 * n - 2, 1), 2 * n - 1)
+            for n in range(1, (d.num_levels + 1) // 2 + 1))
 
-        B1's level-n edges map to interleaved segments over edge levels
-        (2n-2, 2n-1) (level 1 maps straight across), B2's level-m edges to
-        (2m-1, 2m).
-        """
-        d, top = self.diagram, self.diagram.num_levels
-        f1t, f1i = zip(*(
-            _segment_bijection(d, self.b1, n, max(2 * n - 2, 1), 2 * n - 1)
-            for n in range(1, (top + 1) // 2 + 1)))
-        f2t, f2i = zip(*(
-            _segment_bijection(d, self.b2, m, 2 * m - 1, 2 * m)
-            for m in range(1, top // 2 + 1)))
-        heads = tuple(tuple(t[e][0] for e in range(len(t))) for t in f1t)
-        tails = tuple(tuple(t[e][-1] for e in range(len(t))) for t in f1t)
-        return OrbitMapRealization(self, f1t, f1i, f2t, f2i, heads, tails)
+    @cached_property
+    def f2_tables(self) -> tuple:
+        d = self.diagram
+        return tuple(_segment_table(d, self.b2, m, 2 * m - 1, 2 * m)
+                     for m in range(1, d.num_levels // 2 + 1))
+
+    @cached_property
+    def f1_inverse(self) -> tuple:
+        return tuple({seg: e for e, seg in enumerate(table)}
+                     for table in self.f1_tables)
+
+    @cached_property
+    def f2_inverse(self) -> tuple:
+        return tuple({seg: e for e, seg in enumerate(table)}
+                     for table in self.f2_tables)
+
+    @cached_property
+    def f1_heads(self) -> tuple:
+        return tuple(tuple(seg[0] for seg in table)
+                     for table in self.f1_tables)
+
+    @cached_property
+    def f1_tails(self) -> tuple:
+        return tuple(tuple(seg[-1] for seg in table)
+                     for table in self.f1_tables)
 
 
 def build_interleaved(b1: OrderedBratteliDiagram,
@@ -249,75 +272,43 @@ def check_interleaved_properties(bp: InterleavedDiagram) -> list:
 # Orbit map realization
 
 
-@dataclass(frozen=True)
-class OrbitMapRealization:
-    """Per-level bijections identifying B1 and B2 edges with path segments
-    of the interleaved diagram, composed into the orbit map F.
-
-    f1_tables[n-1] maps a B1 level-n edge index to its segment of
-    interleaved edge indices (length 1 at level 1, else 2); f2_tables
-    likewise for B2 (always length 2).  f1_heads[n-1][e] and
-    f1_tails[n-1][e] are the first and last edges of f1_tables[n-1][e]:
-    the B2 level-n edge of consecutive B1 edges (a, b) is
-    f2_inverse[n-1][f1_tails[n-1][a], f1_heads[n][b]].
-    """
-
-    interleaved: InterleavedDiagram
-    f1_tables: tuple
-    f1_inverse: tuple
-    f2_tables: tuple
-    f2_inverse: tuple
-    f1_heads: tuple
-    f1_tails: tuple
-
-    @property
-    def b1(self):
-        return self.interleaved.b1
-
-    @property
-    def b2(self):
-        return self.interleaved.b2
-
-
-def _segment_bijection(d, bd, level, lo, hi):
-    """Order-preserving bijection between bd's level edges and d's paths
-    spanning edge levels lo..hi, blockwise per (source, range).
+def _segment_table(d, bd, level, lo, hi) -> tuple:
+    """The segment of d over edge levels lo..hi for each of bd's level
+    edges, a tuple indexed by edge, blockwise per (source, range).
 
     Within a block both sides come in telescope order: bd's edges by index
-    (their edge order) and d's paths deepest edge first, which reserves the
-    all-minimal and all-maximal assignments automatically.
+    and d's paths deepest edge first.  The order is kept only inside a
+    block: bd's minimal (maximal) edge into a vertex maps to d's minimal
+    (maximal) segment into it only when the two share a source, and nothing
+    here makes them share one.  So F need not send extremal paths to
+    extremal paths: it does not when B1's in-edges come from source 1
+    first and d's, built from matrices, from source 0 first.
     """
-    blocks1, blocks2 = {}, {}
-    for e, key in enumerate(bd.edges[level - 1]):
-        blocks1.setdefault(key, []).append(e)
-    for s, r, path in telescope_segments(d, lo, hi):
-        blocks2.setdefault((s, r), []).append(path)
-    if set(blocks1) != set(blocks2):
+    blocks = {}
+    for s, r, path in reversed(telescope_segments(d, lo, hi)):
+        blocks.setdefault((s, r), []).append(path)
+    try:
+        table = tuple(blocks[key].pop() for key in bd.edges[level - 1])
+        mismatch = any(blocks.values())     # a leftover block
+    except (KeyError, IndexError):      # a missing or a short block
+        mismatch = True
+    if mismatch:
         raise DiagramError(
-            f"segment blocks differ at level {level}: internal error")
-    table = {}
-    inverse = {}
-    for key in blocks1:
-        if len(blocks1[key]) != len(blocks2[key]):
-            raise DiagramError(
-                f"segment count mismatch in block {key} at level {level}: "
-                "internal error")
-        for e, path in zip(blocks1[key], blocks2[key]):
-            table[e] = path
-            inverse[path] = e
-    return table, inverse
+            f"segments differ from the edges at level {level} in some "
+            "(source, range) block: internal error")
+    return table
 
 
 def realize_orbit_map(bp: InterleavedDiagram,
-                      pairing=None) -> OrbitMapRealization:
-    """The realization of F on finite paths: bp.orbit_map, built on the
-    first call and the same object on every later one.  pairing is unused
-    until the next benchmark revision.
+                      pairing=None) -> InterleavedDiagram:
+    """The realization of F on finite paths: bp itself, whose segment
+    tables are built on first read.  pairing is unused until the next
+    benchmark revision.
     """
-    return bp.orbit_map
+    return bp
 
 
-def f1_path(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
+def f1_path(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
     """Interleaved path (depth 2k-1) for a B1 path of depth k.  Segments
     keep their edge's source and range, so F and F^-1 keep p's end vertex."""
     if p.depth < 1 or p.depth > len(F.f1_tables):
@@ -327,7 +318,7 @@ def f1_path(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
     return FinitePath(len(idx), idx, p.terminal_vertex)
 
 
-def f1_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
+def f1_inverse_path(F: InterleavedDiagram, bpath: FinitePath) -> FinitePath:
     if bpath.depth % 2 == 0:
         raise DiagramError("B1 side corresponds to odd interleaved depths")
     k = (bpath.depth + 1) // 2
@@ -340,7 +331,7 @@ def f1_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
     return FinitePath(k, idx, bpath.terminal_vertex)
 
 
-def f2_path(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
+def f2_path(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
     """Interleaved path (depth 2m) for a B2 path of depth m."""
     if p.depth > len(F.f2_tables):
         raise NeedsDepth(f"F is realized for B2 depths 1..{len(F.f2_tables)}")
@@ -349,7 +340,7 @@ def f2_path(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
     return FinitePath(len(idx), idx, p.terminal_vertex)
 
 
-def f2_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
+def f2_inverse_path(F: InterleavedDiagram, bpath: FinitePath) -> FinitePath:
     if bpath.depth % 2 != 0:
         raise DiagramError("B2 side corresponds to even interleaved depths")
     m = bpath.depth // 2
@@ -360,7 +351,7 @@ def f2_inverse_path(F: OrbitMapRealization, bpath: FinitePath) -> FinitePath:
     return FinitePath(m, idx, bpath.terminal_vertex)
 
 
-def apply_orbit_map(F: OrbitMapRealization, p: FinitePath) -> FinitePath:
+def apply_orbit_map(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
     """F on cylinders: a depth-k B1 path determines a depth-(k-1) B2 path.
 
     B2's level-n edge is the segment from B1 edge n's last interleaved edge
@@ -401,11 +392,10 @@ def pair_extremal_paths(bp: InterleavedDiagram, depth: int) -> ExtremalPairing:
     depth is an interleaved-diagram depth; both extremal sets must be
     stabilized there.  Each interleaved extremal path truncates to a B1
     path (odd prefix) and a B2 path (even prefix), translated through bp's
-    F; those two are paired.
+    segment tables; those two are paired.
     """
     if depth < 2:
         raise DiagramError("depth must be at least 2")
-    F = realize_orbit_map(bp)
     d = bp.diagram
     pairs = {}
     for kind in ("min", "max"):
@@ -418,7 +408,7 @@ def pair_extremal_paths(bp: InterleavedDiagram, depth: int) -> ExtremalPairing:
         for p in ps.paths:
             odd = path_prefix(d, p, depth - 1 + depth % 2)
             even = path_prefix(d, p, depth - depth % 2)
-            out.append((f1_inverse_path(F, odd), f2_inverse_path(F, even)))
+            out.append((f1_inverse_path(bp, odd), f2_inverse_path(bp, even)))
         pairs[kind] = tuple(out)
     return ExtremalPairing(pairs["min"], pairs["max"])
 
@@ -427,7 +417,7 @@ def pair_extremal_paths(bp: InterleavedDiagram, depth: int) -> ExtremalPairing:
 # Cocycles
 
 
-def cocycle(F: OrbitMapRealization, p: FinitePath,
+def cocycle(F: InterleavedDiagram, p: FinitePath,
             direction: str = "forward") -> int:
     """Orbit cocycle on the cylinder of p, a B1 path of depth >= 2.
 
@@ -442,7 +432,7 @@ def cocycle(F: OrbitMapRealization, p: FinitePath,
     return path_rank(F.b2, q2) - path_rank(F.b2, q)
 
 
-def cocycle_images(F: OrbitMapRealization, p: FinitePath,
+def cocycle_images(F: InterleavedDiagram, p: FinitePath,
                    direction: str = "forward"):
     """The two B2 paths whose rank difference is the cocycle value."""
     if direction not in ("forward", "backward"):
@@ -471,7 +461,7 @@ def cocycle_images(F: OrbitMapRealization, p: FinitePath,
 VERIFY_LIMIT = 10 ** 4
 
 
-def verify_cocycle(F: OrbitMapRealization, p: FinitePath,
+def verify_cocycle(F: InterleavedDiagram, p: FinitePath,
                    direction: str = "forward") -> bool:
     """Confirm the reported value by literal successor iteration in B2."""
     q, q2 = cocycle_images(F, p, direction)
@@ -485,7 +475,7 @@ def verify_cocycle(F: OrbitMapRealization, p: FinitePath,
     return cur == q2
 
 
-def _rank_order(F: OrbitMapRealization, k: int, v: int):
+def _rank_order(F: InterleavedDiagram, k: int, v: int):
     """(F-rank, edges) of each depth-k B1 path into v, in rank order: down
     the in-edge table, deepest edge first, each step adding the term of
     one edge pair to the F-rank.  The stack holds at most one vertex's
@@ -507,7 +497,7 @@ def _rank_order(F: OrbitMapRealization, k: int, v: int):
             stack.append((rank + off[pairs[tail[b], head]], (b,) + path))
 
 
-def cocycle_values(F: OrbitMapRealization, depth: int):
+def cocycle_values(F: InterleavedDiagram, depth: int):
     """Both cocycles on every eligible B1 cylinder, from one rank-order walk
     per B1 vertex.
 
@@ -543,7 +533,7 @@ def cocycle_values(F: OrbitMapRealization, depth: int):
                 up, down = ((r1 - r0, r0 - r1) if x0[-1] == x1[-1]
                             else (None, None))
                 # Both images' last B2 edges are segments ending in e's
-                # first interleaved edge, and _segment_bijection pairs an
+                # first interleaved edge, and _segment_table pairs an
                 # edge only with a segment of the same (source, range), so
                 # the images end at one vertex: unlike cocycle_images, no
                 # vertex check is needed.
@@ -554,7 +544,7 @@ def cocycle_values(F: OrbitMapRealization, depth: int):
                     yield "backward", x1 + (e,), -val, down
 
 
-def check_cocycle_continuity(F: OrbitMapRealization, depth: int) -> dict:
+def check_cocycle_continuity(F: InterleavedDiagram, depth: int) -> dict:
     """Verify both cocycles are constant on every eligible cylinder.
 
     A depth-m cylinder is eligible for the forward (backward) cocycle when
@@ -673,8 +663,8 @@ def stationary_intertwining(p, q, num_p: int, num_q: int) -> Intertwining:
 def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
                w: Intertwining, depth: int) -> dict:
     """Run the whole pipeline and summarize each stage's verdict.  The
-    pairing and the cocycles read one F, realized once; continuity holds
-    the count of eligible cylinders.
+    pairing and the cocycles read the interleaving's segment tables, each
+    built once; continuity holds the count of eligible cylinders.
 
     The cocycles reach B1 depth min(depth, F's realized B1 depth, B1's
     levels), and no cylinder is eligible below 2, so a pass there would be
@@ -692,8 +682,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     except DiagramError as exc:
         out["error"] = str(exc)
         return out
-    F = realize_orbit_map(bp)
-    realized = min(len(F.f1_tables), b1.num_levels)
+    realized = min(len(bp.f1_tables), b1.num_levels)
     if realized < 2:
         limit = (f"B1 has {b1.num_levels} level" if b1.num_levels < 2 else
                  f"F is realized only to B1 depth {realized} by "
@@ -710,7 +699,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
         out["pairing_size"] = len(pairing.min_pairs)
     except DiagramError as exc:
         out["pairing_error"] = str(exc)
-    cont = check_cocycle_continuity(F, depth)
+    cont = check_cocycle_continuity(bp, depth)
     out["continuity_ok"] = cont["ok"]
     out["continuity"] = {"eligible": cont["eligible"]}
     if cont["nonconstant"]:
@@ -722,7 +711,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
         if is_maximal(b1, path_prefix(b1, p, p.depth - 1)):
             continue
         samples.append({"path": list(p.edge_indices),
-                        "forward": cocycle(F, p, "forward")})
+                        "forward": cocycle(bp, p, "forward")})
     out["cocycle_samples"] = samples
     return out
 

@@ -78,16 +78,16 @@ def test_criterion_3_structural_properties():
     systems, refinements = gen.odometer_towers(3, 6)
     diagrams["towers"] = gen.towers_to_diagram(systems, refinements)
     for name, d in diagrams.items():
-        assert dg.check_fem_properties(d, m_max=4) == [], name
+        assert dg.check_fem_properties(d) == [], name
         n = d.num_levels
         cuts = sorted(set(list(range(2, n + 1, 2)) + [n]))
         td, _ = dg.telescope(d, cuts)
-        assert dg.check_fem_properties(td, m_max=4) == [], f"{name} telescoped"
+        assert dg.check_fem_properties(td) == [], f"{name} telescoped"
     violating = dg.make_diagram(
         2, [1, 2, 2],
         [[(0, 0), (0, 1)],
          [(0, 0), (1, 0), (1, 1), (0, 1)]])
-    failures = dg.check_fem_properties(violating, m_max=4)
+    failures = dg.check_fem_properties(violating)
     assert failures and {f.prop for f in failures} == {"c"}
     print(f"PASS criterion 3: properties (b),(c),(d) hold on "
           f"{len(diagrams)} diagrams and their telescopings; the injected "

@@ -306,6 +306,16 @@ def test_unlabeled_unions_pair_like_labeled(suite):
         assert want["verdict"] == "pass" and len(want["pairing"]) == fibers
 
 
+def test_perfect_ordering_unknown_when_labels_merge_fibers():
+    # Both odometers labeled fiber 0: two min and two max paths share one
+    # key, so no one-to-one pairing is certified.
+    d = gen.disjoint_union([gen.odometer(2, 6), gen.odometer(3, 6)])
+    merged = dg.make_diagram(d.num_levels, d.vertex_counts, d.edges,
+                             [[0] * len(l) for l in d.group_labels])
+    assert pt.check_perfect_ordering(merged, 5) == {"verdict": "unknown",
+                                                    "pairing": None}
+
+
 def _reference_components(d):
     # Union-find over the edges of the deep half, ids in order of each
     # component's smallest last-level vertex.

@@ -158,7 +158,7 @@ def test_interleaved_properties_match_telescoped_reference():
     # The check reads only bp.diagram, so any valid diagram can stand in
     # for an interleaving; many of the random ones fail, some at vertices
     # past a small set's table size, where set order is not sorted order.
-    inputs = [m().interleaved for m in _MAPS.values()]
+    inputs = [m() for m in _MAPS.values()]
     inputs.append(soe.build_interleaved(
         gen.odometer(2, 6), gen.odometer(2, 6),
         soe.stationary_intertwining([[1]], [[2]], 6, 5)))
@@ -454,10 +454,25 @@ def fibonacci_square_map():
     return soe.realize_orbit_map(soe.build_interleaved(b1, b2, w))
 
 
+def reversed_order_map():
+    # B1 is M = [[1, 1], [1, 1]] with each vertex's in-edges from source 1
+    # first; the interleaving's in-edges come from source 0 first.  Within
+    # each (source, range) block the segment tables keep the order, but
+    # B1's minimal edges map to segments that are not minimal.
+    m = [[1, 1], [1, 1]]
+    b1 = dg.make_diagram(6, [1] + [2] * 6,
+                         [[(0, 0), (0, 0), (0, 1), (0, 1)]]
+                         + [[(1, 0), (0, 0), (1, 1), (0, 1)]] * 5)
+    b2 = gen.stationary_adic(m, 6)
+    w = soe.stationary_intertwining([[1, 0], [0, 1]], m, 6, 5)
+    return soe.realize_orbit_map(soe.build_interleaved(b1, b2, w))
+
+
 @pytest.mark.parametrize("make_map, depth", [
     (criterion6_map, 6), (union_swap_map, 5), (odometer_map, 5),
-    (fibonacci_square_map, 5),
-], ids=["criterion6", "union-swap", "odometer", "fibonacci-square"])
+    (fibonacci_square_map, 5), (reversed_order_map, 6),
+], ids=["criterion6", "union-swap", "odometer", "fibonacci-square",
+        "reversed-order"])
 def test_cocycle_values_match_cocycle(make_map, depth):
     F = make_map()
     b1 = F.b1
@@ -516,12 +531,14 @@ def test_continuity_orders_failures_by_depth_cylinder_direction(monkeypatch):
 
 @pytest.mark.parametrize("make_map", [
     criterion6_map, union_swap_map, odometer_map, fibonacci_square_map,
-], ids=["criterion6", "union-swap", "odometer", "fibonacci-square"])
+    reversed_order_map,
+], ids=["criterion6", "union-swap", "odometer", "fibonacci-square",
+        "reversed-order"])
 def test_orbit_map_paths_match_checked_paths(make_map):
     # F builds its paths from its tables; each must equal the path
     # make_path checks edge by edge.
     F = make_map()
-    b1, b2, d = F.b1, F.b2, F.interleaved.diagram
+    b1, b2, d = F.b1, F.b2, F.diagram
 
     def checked(diagram, p):
         return p == pt.make_path(diagram, p.edge_indices)
@@ -542,14 +559,15 @@ def test_orbit_map_paths_match_checked_paths(make_map):
             assert checked(d, img) and checked(b2, soe.f2_inverse_path(F, img))
     # An odd and an even interleaved depth take different prefix lengths.
     for depth in (d.num_levels - 1, d.num_levels):
-        pairing = soe.pair_extremal_paths(F.interleaved, depth)
+        pairing = soe.pair_extremal_paths(F, depth)
         for p1, p2 in pairing.min_pairs + pairing.max_pairs:
             assert checked(b1, p1) and checked(b2, p2), (depth, p1, p2)
             assert (p1.depth, p2.depth) == ((depth + 1) // 2, depth // 2)
 
 
 _MAPS = {"criterion6": criterion6_map, "union-swap": union_swap_map,
-         "odometer": odometer_map, "fibonacci-square": fibonacci_square_map}
+         "odometer": odometer_map, "fibonacci-square": fibonacci_square_map,
+         "reversed-order": reversed_order_map}
 
 
 @functools.cache
@@ -598,7 +616,7 @@ def _reference_f2_inverse(F, q):
 @given(data=st.data())
 def test_orbit_map_paths_match_level_lookups(name, data):
     F = _orbit_map(name)
-    b1, b2, d = F.b1, F.b2, F.interleaved.diagram
+    b1, b2, d = F.b1, F.b2, F.diagram
     p = _drawn_path(data, b1, data.draw(st.integers(1, len(F.f1_tables))))
     img = _reference_f(F.f1_tables, d, p)
     assert soe.f1_path(F, p) == img
@@ -635,6 +653,46 @@ def test_apply_orbit_map_needs_depth_past_the_tables(name):
         soe.apply_orbit_map(F, pt.FinitePath(k + 1, (0,) * (k + 1), 0))
 
 
+def _reference_segment_tables(bp):
+    # F's tables as dicts keyed by edge: the edges of each (source, range)
+    # block take that block's segments in telescope order.
+    d = bp.diagram
+
+    def table(bd, level, lo, hi):
+        edges, segs = {}, {}
+        for e, key in enumerate(bd.edges[level - 1]):
+            edges.setdefault(key, []).append(e)
+        for s, r, path in dg.telescope_segments(d, lo, hi):
+            segs.setdefault((s, r), []).append(path)
+        assert edges.keys() == segs.keys()
+        return {e: path for key in edges
+                for e, path in zip(edges[key], segs[key], strict=True)}
+
+    top = d.num_levels
+    return ([table(bp.b1, n, max(2 * n - 2, 1), 2 * n - 1)
+             for n in range(1, (top + 1) // 2 + 1)],
+            [table(bp.b2, m, 2 * m - 1, 2 * m) for m in range(1, top // 2 + 1)])
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_segment_tables_are_the_reference_read_in_edge_order(name):
+    F = _orbit_map(name)
+    want1, want2 = _reference_segment_tables(F)
+    for got, want in ((F.f1_tables, want1), (F.f2_tables, want2)):
+        assert type(got) is tuple and all(type(t) is tuple for t in got)
+        assert got == tuple(tuple(t[e] for e in range(len(t))) for t in want)
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_cocycle_values_verified_by_iteration(name):
+    # verify_cocycle iterates B2's Vershik map instead of reading the rank
+    # tables that cocycle_values sums.
+    F = _orbit_map(name)
+    for direction, idx, _, _ in soe.cocycle_values(F, 4):
+        assert soe.verify_cocycle(F, pt.make_path(F.b1, idx), direction), \
+            (direction, idx)
+
+
 def test_inverse_maps_need_depth_past_the_tables():
     F = odometer_map()
     k, m = len(F.f1_inverse), len(F.f2_inverse)
@@ -648,12 +706,12 @@ def test_inverse_maps_need_depth_past_the_tables():
 
 def _count_segment_tables(monkeypatch):
     built = []
-    real = soe._segment_bijection
+    real = soe._segment_table
 
     def counted(d, bd, level, lo, hi):
         built.append(level)
         return real(d, bd, level, lo, hi)
-    monkeypatch.setattr(soe, "_segment_bijection", counted)
+    monkeypatch.setattr(soe, "_segment_table", counted)
     return built
 
 
@@ -661,11 +719,16 @@ def test_orbit_map_is_built_once_per_interleaving(monkeypatch):
     bp = soe.build_interleaved(*criterion6_pair())
     built = _count_segment_tables(monkeypatch)
     F = soe.realize_orbit_map(bp)
-    assert soe.realize_orbit_map(bp) is F is bp.orbit_map
-    assert len(built) == 17     # 9 B1 levels and 8 B2 levels
-    # The pairing reads the same F and builds no table of its own.
+    assert F is bp and built == []
+    # The pairing reads both sides' tables, which builds them; the
+    # cocycles read the same ones.
     pairing = soe.pair_extremal_paths(bp, bp.diagram.num_levels)
+    assert soe.check_cocycle_continuity(F, 4)["ok"]
+    assert len(built) == 17     # 9 B1 levels and 8 B2 levels
+    pairing_again = soe.pair_extremal_paths(bp, bp.diagram.num_levels)
+    assert soe.check_cocycle_continuity(F, 4)["ok"]
     assert len(built) == 17
+    assert pairing_again == pairing
     assert pairing.min_pairs == ((pt.min_path_to(F.b1, 9, 0),
                                   pt.min_path_to(F.b2, 8, 0)),)
 
