@@ -150,12 +150,11 @@ def _cmd_oracle(args, diags):
 def _cmd_soe(args, diags):
     b1 = dg.load_diagram(args.b1)
     b2 = dg.load_diagram(args.b2)
-    depth = _cap_depth(args.depth, diags)
     if args.action == "check":
         if not args.intertwining:
             raise dg.DiagramError("soe check needs --intertwining")
         w = soe.intertwining_from_json(dg.load_json(args.intertwining))
-        return soe.soe_report(b1, b2, w, depth)
+        return soe.soe_report(b1, b2, w, _cap_depth(args.depth, diags))
     match, rejections = soe.search_stationary_intertwining(
         b1, b2, args.bound)
     out = {"found": match is not None,

@@ -368,27 +368,23 @@ def mat_vec(a: list, v: list) -> list:
 
 @dataclass(frozen=True)
 class TelescopeMap:
-    """Bijection data produced by telescope().
+    """Bijection between the edges of a telescoped diagram and the paths
+    they collapse, as telescope() and soe's orbit map F build it.
 
-    cut_points includes the implicit 0; path_tables[m] maps each original
-    edge-index path spanning levels cut_points[m]+1..cut_points[m+1] to its
-    edge index in the telescoped diagram's level m+1, and orig_paths[m]
-    lists those paths by new edge index.
+    cut_points includes the implicit 0; orig_paths[m] lists, by new edge
+    index at level m+1, the original edge-index paths spanning levels
+    cut_points[m]+1..cut_points[m+1].  path_tables[m] maps those paths back
+    to their new edge index, built on first read.
     """
 
     cut_points: tuple
-    path_tables: tuple   # tuple of dicts {orig edge tuple: new edge index}
     orig_paths: tuple    # tuple of tuples of orig edge tuples
 
-    def new_edge(self, new_level: int, orig_path: tuple) -> int:
-        return self.path_tables[new_level - 1][tuple(orig_path)]
-
-    def orig_path(self, new_level: int, new_edge: int) -> tuple:
-        paths = self.orig_paths[new_level - 1]
-        if not 0 <= new_edge < len(paths):
-            raise DiagramError(
-                f"edge {new_edge} missing at level {new_level}")
-        return paths[new_edge]
+    @cached_property
+    def path_tables(self) -> tuple:
+        """Per level, a dict {orig edge tuple: new edge index}."""
+        return tuple({path: e for e, path in enumerate(level)}
+                     for level in self.orig_paths)
 
 
 def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
@@ -442,9 +438,7 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
         labels = [d.group_labels[c - 1] for c in cuts]
     td = make_diagram(len(cuts), [1] + [d.vertex_counts[c] for c in cuts],
                       new_edges, labels)
-    tables = tuple({path: i for i, path in enumerate(level)}
-                   for level in paths)
-    return td, TelescopeMap((0,) + cuts, tables, paths)
+    return td, TelescopeMap((0,) + cuts, paths)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ the shallowest non-maximal edge and resetting everything below it to the
 unique all-minimal path, which enumerates the paths into each vertex in
 rank order; the predecessor is its mirror image.  make_path is the one
 checked constructor, for paths from outside (CLI, JSON, caller tuples);
-steps, prefixes, extremal walks, enumerations, telescoping and soe's orbit
-map F build their paths from a FinitePath and the diagram's tables.
+steps, prefixes, extremal walks, enumerations and the telescope
+translators, which are also soe's orbit map F, build their paths from a
+FinitePath and the diagram's tables.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ class FinitePath(NamedTuple):
     fields.
 
     The fields are trusted.  make_path is the one function that checks a
-    path from outside; path_rank, the Vershik steps, prefixes and soe's
-    maps read the fields as given.  So a hand-built path whose edges do
-    not compose gives a wrong answer or an IndexError, and a negative edge
-    index reads an edge counted from the end of its level.
+    path from outside; path_rank, the Vershik steps, prefixes, the
+    telescope translators and soe's maps read the fields as given.  So a
+    hand-built path whose edges do not compose gives a wrong answer or an
+    IndexError, and a negative edge index reads an edge counted from the
+    end of its level.
     """
 
     depth: int
@@ -315,8 +317,12 @@ def check_perfect_ordering(d: OrderedBratteliDiagram, depth: int) -> dict:
 
     Returns {"verdict": "pass" | "fail" | "unknown", "pairing": ...}.
     pass requires stabilized extremal sets, structural tower properties,
-    and a certified one-to-one fiber pairing; fail is only reported when
-    the stabilized counts make a bijection impossible.
+    and a certified one-to-one fiber pairing.  fail means two stabilized
+    sets of different sizes, which rules out a bijection; extremal_paths
+    calls a set stabilized only when it has vertex_counts[N] paths, so
+    two stabilized sets have equal sizes and the verdict is pass or
+    unknown.  The fail branch is kept for a rule that compares the counts
+    across levels instead.
     """
     mins = extremal_paths(d, depth, "min")
     maxs = extremal_paths(d, depth, "max")
@@ -334,25 +340,26 @@ def check_perfect_ordering(d: OrderedBratteliDiagram, depth: int) -> dict:
 
 def telescope_path(tmap, p: FinitePath, telescoped: OrderedBratteliDiagram):
     """Map a path of the original diagram (depth at a cut point) through a
-    TelescopeMap to the corresponding telescoped path."""
+    TelescopeMap to the corresponding telescoped path: one path-table
+    lookup per segment between cut points."""
     cuts = tmap.cut_points
-    if p.depth not in cuts:
+    try:
+        m = cuts.index(p.depth)
+    except ValueError:
         raise DiagramError(
-            f"path depth {p.depth} is not a cut point {cuts}")
-    m = cuts.index(p.depth)
-    idx = []
-    for i in range(m):
-        chunk = p.edge_indices[cuts[i]:cuts[i + 1]]
-        idx.append(tmap.new_edge(i + 1, chunk))
-    return FinitePath(m, tuple(idx), p.terminal_vertex)
+            f"path depth {p.depth} is not a cut point {cuts}") from None
+    e = p.edge_indices
+    segments = map(e.__getitem__, map(slice, cuts, cuts[1:m + 1]))
+    idx = tuple(map(getitem, tmap.path_tables, segments))
+    return FinitePath(m, idx, p.terminal_vertex)
 
 
 def untelescope_path(tmap, p: FinitePath, original: OrderedBratteliDiagram):
-    """Inverse of telescope_path."""
-    idx = []
-    for i, e in enumerate(p.edge_indices, start=1):
-        idx.extend(tmap.orig_path(i, e))
-    return FinitePath(len(idx), tuple(idx), p.terminal_vertex)
+    """Inverse of telescope_path: each telescoped edge's original path, in
+    turn."""
+    idx = tuple(itertools.chain.from_iterable(
+        map(getitem, tmap.orig_paths, p.edge_indices)))
+    return FinitePath(len(idx), idx, p.terminal_vertex)
 
 
 def all_paths(d: OrderedBratteliDiagram, depth: int):

@@ -16,12 +16,13 @@ from functools import cached_property
 from operator import getitem
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      _edges_from_matrix, _extremal_sources, _iterate_r,
-                      _iterate_s, check_valid, incidence_matrix, is_int_list,
-                      make_diagram, mat_mul, telescope_segments)
+                      TelescopeMap, _edges_from_matrix, _extremal_sources,
+                      _iterate_r, _iterate_s, check_valid, incidence_matrix,
+                      is_int_list, make_diagram, mat_mul, telescope_segments)
 from .paths import (FinitePath, MaximalPathError, MinimalPathError,
                     _lex_paths, extremal_paths, is_maximal, path_prefix,
-                    path_rank, vershik_predecessor, vershik_successor)
+                    path_rank, telescope_path, untelescope_path,
+                    vershik_predecessor, vershik_successor)
 
 
 class IntertwiningInvalid(DiagramError):
@@ -147,14 +148,14 @@ class InterleavedDiagram:
     levels 2n B2's level n, with edge multiplicities from the intertwining
     matrices.
 
-    Its segment tables realize the orbit map F, each built on first read
-    and shared by every reader.  f1_tables[n-1][e] is the segment of
-    interleaved edge indices for B1's level-n edge e, over edge levels
-    (2n-2, 2n-1) (level 1 maps straight across); f2_tables[m-1][e] is B2's,
-    over (2m-1, 2m).  f1_inverse and f2_inverse map segments back to edges.
-    f1_heads[n-1][e] and f1_tails[n-1][e] are the first and last edges of
-    f1_tables[n-1][e]: the B2 level-n edge of consecutive B1 edges (a, b)
-    is f2_inverse[n-1][f1_tails[n-1][a], f1_heads[n][b]].
+    It is the orbit map F: B1 and B2 are its odd and even telescopings,
+    and f1 and f2 are those two telescope maps, each built on first read
+    and shared by every reader.  f1 has cut points (0, 1, 3, 5, ...), so
+    f1.orig_paths[n-1][e] is the segment of interleaved edge indices for
+    B1's level-n edge e; f2 has cut points (0, 2, 4, ...).  f1_heads[n-1][e]
+    and f1_tails[n-1][e] are the first and last edges of that segment: the
+    B2 level-n edge of consecutive B1 edges (a, b) is
+    f2.path_tables[n-1][f1_tails[n-1][a], f1_heads[n][b]].
     """
 
     diagram: OrderedBratteliDiagram
@@ -162,37 +163,22 @@ class InterleavedDiagram:
     b2: OrderedBratteliDiagram
 
     @cached_property
-    def f1_tables(self) -> tuple:
-        d = self.diagram
-        return tuple(
-            _segment_table(d, self.b1, n, max(2 * n - 2, 1), 2 * n - 1)
-            for n in range(1, (d.num_levels + 1) // 2 + 1))
+    def f1(self) -> TelescopeMap:
+        return _side_map(self.diagram, self.b1, 1)
 
     @cached_property
-    def f2_tables(self) -> tuple:
-        d = self.diagram
-        return tuple(_segment_table(d, self.b2, m, 2 * m - 1, 2 * m)
-                     for m in range(1, d.num_levels // 2 + 1))
-
-    @cached_property
-    def f1_inverse(self) -> tuple:
-        return tuple({seg: e for e, seg in enumerate(table)}
-                     for table in self.f1_tables)
-
-    @cached_property
-    def f2_inverse(self) -> tuple:
-        return tuple({seg: e for e, seg in enumerate(table)}
-                     for table in self.f2_tables)
+    def f2(self) -> TelescopeMap:
+        return _side_map(self.diagram, self.b2, 2)
 
     @cached_property
     def f1_heads(self) -> tuple:
         return tuple(tuple(seg[0] for seg in table)
-                     for table in self.f1_tables)
+                     for table in self.f1.orig_paths)
 
     @cached_property
     def f1_tails(self) -> tuple:
         return tuple(tuple(seg[-1] for seg in table)
-                     for table in self.f1_tables)
+                     for table in self.f1.orig_paths)
 
 
 def build_interleaved(b1: OrderedBratteliDiagram,
@@ -299,6 +285,15 @@ def _segment_table(d, bd, level, lo, hi) -> tuple:
     return table
 
 
+def _side_map(d, bd, first) -> TelescopeMap:
+    """The telescope map from d onto bd, which d carries on the vertex
+    levels first, first + 2, ...: one segment table per level of bd."""
+    cuts = (0, *range(first, d.num_levels + 1, 2))
+    return TelescopeMap(cuts, tuple(
+        _segment_table(d, bd, n, lo + 1, hi)
+        for n, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1)))
+
+
 def realize_orbit_map(bp: InterleavedDiagram,
                       pairing=None) -> InterleavedDiagram:
     """The realization of F on finite paths: bp itself, whose segment
@@ -308,47 +303,38 @@ def realize_orbit_map(bp: InterleavedDiagram,
     return bp
 
 
+def _check_realized(side: TelescopeMap, k: int, name: str, lowest=1):
+    """Raise NeedsDepth unless F's side realizes depth k (at least lowest)."""
+    realized = len(side.orig_paths)
+    if not lowest <= k <= realized:
+        raise NeedsDepth(f"F is realized for {name} depths 1..{realized}")
+
+
 def f1_path(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
     """Interleaved path (depth 2k-1) for a B1 path of depth k.  Segments
     keep their edge's source and range, so F and F^-1 keep p's end vertex."""
-    if p.depth < 1 or p.depth > len(F.f1_tables):
-        raise NeedsDepth(f"F is realized for B1 depths 1..{len(F.f1_tables)}")
-    idx = tuple(itertools.chain.from_iterable(
-        map(getitem, F.f1_tables, p.edge_indices)))
-    return FinitePath(len(idx), idx, p.terminal_vertex)
+    _check_realized(F.f1, p.depth, "B1")
+    return untelescope_path(F.f1, p, F.diagram)
 
 
 def f1_inverse_path(F: InterleavedDiagram, bpath: FinitePath) -> FinitePath:
     if bpath.depth % 2 == 0:
         raise DiagramError("B1 side corresponds to odd interleaved depths")
-    k = (bpath.depth + 1) // 2
-    if k > len(F.f1_inverse):
-        raise NeedsDepth(f"F is realized for B1 depths 1..{len(F.f1_inverse)}")
-    # Level 1 is one interleaved edge, every later level a pair.
-    e = bpath.edge_indices
-    idx = tuple(map(getitem, F.f1_inverse,
-                    itertools.chain((e[:1],), zip(e[1::2], e[2::2]))))
-    return FinitePath(k, idx, bpath.terminal_vertex)
+    _check_realized(F.f1, (bpath.depth + 1) // 2, "B1")
+    return telescope_path(F.f1, bpath, F.b1)
 
 
 def f2_path(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
     """Interleaved path (depth 2m) for a B2 path of depth m."""
-    if p.depth > len(F.f2_tables):
-        raise NeedsDepth(f"F is realized for B2 depths 1..{len(F.f2_tables)}")
-    idx = tuple(itertools.chain.from_iterable(
-        map(getitem, F.f2_tables, p.edge_indices)))
-    return FinitePath(len(idx), idx, p.terminal_vertex)
+    _check_realized(F.f2, p.depth, "B2", lowest=0)
+    return untelescope_path(F.f2, p, F.diagram)
 
 
 def f2_inverse_path(F: InterleavedDiagram, bpath: FinitePath) -> FinitePath:
     if bpath.depth % 2 != 0:
         raise DiagramError("B2 side corresponds to even interleaved depths")
-    m = bpath.depth // 2
-    if m > len(F.f2_inverse):
-        raise NeedsDepth(f"F is realized for B2 depths 1..{len(F.f2_inverse)}")
-    e = bpath.edge_indices
-    idx = tuple(map(getitem, F.f2_inverse, zip(e[0::2], e[1::2])))
-    return FinitePath(m, idx, bpath.terminal_vertex)
+    _check_realized(F.f2, bpath.depth // 2, "B2", lowest=0)
+    return telescope_path(F.f2, bpath, F.b2)
 
 
 def apply_orbit_map(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
@@ -356,14 +342,13 @@ def apply_orbit_map(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
 
     B2's level-n edge is the segment from B1 edge n's last interleaved edge
     to B1 edge n+1's first, so each pair of consecutive B1 edges (a, b)
-    gives one B2 edge, f2_inverse[n-1][f1_tails[n-1][a], f1_heads[n][b]],
+    gives one B2 edge, f2.path_tables[n-1][f1_tails[n-1][a], f1_heads[n][b]],
     the same rule cocycle_values sums rank offsets over.  The path ends at
     its last B2 edge's range, or at the root for k = 1.
     """
-    if p.depth < 1 or p.depth > len(F.f1_tables):
-        raise NeedsDepth(f"F is realized for B1 depths 1..{len(F.f1_tables)}")
+    _check_realized(F.f1, p.depth, "B1")
     e = p.edge_indices
-    idx = tuple(map(getitem, F.f2_inverse,
+    idx = tuple(map(getitem, F.f2.path_tables,
                     zip(map(getitem, F.f1_tails, e),
                         map(getitem, F.f1_heads[1:], e[1:]))))
     v = F.b2.edges[len(idx) - 1][idx[-1]][1] if idx else 0
@@ -436,7 +421,7 @@ def cocycle_images(F: InterleavedDiagram, p: FinitePath,
                    direction: str = "forward"):
     """The two B2 paths whose rank difference is the cocycle value."""
     if direction not in ("forward", "backward"):
-        raise DiagramError(f"direction must be forward or backward")
+        raise DiagramError("direction must be forward or backward")
     if p.depth < 2:
         raise NeedsDepth("cocycle needs a path of depth at least 2")
     pre = path_prefix(F.b1, p, p.depth - 1)
@@ -481,7 +466,7 @@ def _rank_order(F: InterleavedDiagram, k: int, v: int):
     one edge pair to the F-rank.  The stack holds at most one vertex's
     in-edges per level."""
     heads, tails = F.f1_heads, F.f1_tails
-    f2inv, offsets = F.f2_inverse, F.b2.rank_offset_table
+    f2inv, offsets = F.f2.path_tables, F.b2.rank_offset_table
     edges, into = F.b1.edges, F.b1.in_edge_table
     stack = [(0, (a,)) for a in reversed(into[k - 1][v])]
     while stack:
@@ -511,7 +496,7 @@ def cocycle_values(F: InterleavedDiagram, depth: int):
     The F-rank R(x), the B2 rank of apply_orbit_map(F, x), is a sum over
     consecutive edges (a, b) of x of the rank offset of the one B2 edge
     that apply_orbit_map reads for them from F's end tables (a at level n
-    gives f2_inverse[n-1][f1_tails[n-1][a], f1_heads[n][b]]).
+    gives f2.path_tables[n-1][f1_tails[n-1][a], f1_heads[n][b]]).
     _rank_order lists the depth-k paths into a vertex in rank order, so
     each x there is followed by succ(x), and x + (e,) has forward value
     R(succ(x) + (e,)) - R(x + (e,)), the negative of succ(x) + (e,)'s
@@ -520,8 +505,8 @@ def cocycle_values(F: InterleavedDiagram, depth: int):
     e-terms cancel: continuity holds by construction.  Otherwise x[:-1]
     is all-maximal (always at k = 1) and the parent is None.
     """
-    max_depth = min(depth, len(F.f1_tables), F.b1.num_levels)
-    f2inv, offsets = F.f2_inverse, F.b2.rank_offset_table
+    max_depth = min(depth, len(F.f1.orig_paths), F.b1.num_levels)
+    f2inv, offsets = F.f2.path_tables, F.b2.rank_offset_table
     for k in range(1, max_depth):
         off, pairs, tails = offsets[k - 1], f2inv[k - 1], F.f1_tails[k - 1]
         heads = F.f1_heads[k]
@@ -682,7 +667,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     except DiagramError as exc:
         out["error"] = str(exc)
         return out
-    realized = min(len(bp.f1_tables), b1.num_levels)
+    realized = min(len(bp.f1.orig_paths), b1.num_levels)
     if realized < 2:
         limit = (f"B1 has {b1.num_levels} level" if b1.num_levels < 2 else
                  f"F is realized only to B1 depth {realized} by "

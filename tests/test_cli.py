@@ -178,6 +178,26 @@ def test_soe_search_without_match_lists_rejections(capsys, tmp_path, odo2):
                for r in payload["rejections"])
 
 
+def test_soe_depth_cap_is_reported_only_where_depth_is_read(
+        capsys, tmp_path, monkeypatch, odo2):
+    # search reads no --depth, so it has nothing to cap; check caps it.
+    monkeypatch.setenv("BRATTELI_MAX_DEPTH", "16")
+    odo3 = tmp_path / "odo3.json"
+    dg.save_diagram(gen.odometer(3, 6), str(odo3))
+    code, res = run_json(capsys, ["soe", "search", "--b1", odo2,
+                                  "--b2", str(odo3), "--bound", "2",
+                                  "--depth", "20"])
+    assert code == 0 and res["diagnostics"] == []
+    w = soe.stationary_intertwining([[1]], [[2]], 6, 5)
+    (tmp_path / "w.json").write_text(json.dumps(soe.intertwining_to_json(w)))
+    code, res = run_json(capsys, ["soe", "check", "--b1", odo2,
+                                  "--b2", odo2, "--intertwining",
+                                  str(tmp_path / "w.json"), "--depth", "20"])
+    assert code == 0 and res["payload"]["continuity_ok"]
+    assert res["diagnostics"] == [
+        "depth 20 capped to BRATTELI_MAX_DEPTH=16"]
+
+
 @pytest.mark.parametrize("depth, cap", [("1", None), ("6", "1")],
                          ids=["depth-1", "capped-to-1"])
 def test_soe_check_depth_below_2_is_domain_error(capsys, tmp_path,

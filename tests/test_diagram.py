@@ -5,6 +5,7 @@ import pytest
 
 from bratteli import diagram as dg
 from bratteli import generators as gen
+from bratteli import paths as pt
 from conftest import random_diagram
 
 
@@ -81,11 +82,19 @@ def test_telescope_map_round_trip():
     td, tmap = dg.telescope(d, [2, 4])
     for lvl in (1, 2):
         for e in range(len(td.level_edges(lvl))):
-            path = tmap.orig_path(lvl, e)
-            assert tmap.new_edge(lvl, path) == e
-    for e in (-1, len(td.level_edges(1))):
-        with pytest.raises(dg.DiagramError):
-            tmap.orig_path(1, e)
+            path = tmap.orig_paths[lvl - 1][e]
+            assert tmap.path_tables[lvl - 1][path] == e
+
+
+def test_telescope_leaves_path_tables_unbuilt():
+    # telescope() and `bratteli telescope` read only the collapsed paths;
+    # the inverse dicts wait for the first path translation.
+    d = fib(6)
+    td, tmap = dg.telescope(d, [2, 4, 6])
+    assert "path_tables" not in vars(tmap)
+    p = pt.all_paths(d, 6)[0]
+    assert pt.telescope_path(tmap, p, td).depth == 3
+    assert "path_tables" in vars(tmap)
 
 
 def test_edge_tables_match_edge_scan(table_suite):

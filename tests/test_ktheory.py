@@ -231,6 +231,33 @@ def test_element_equal_collapsing_map():
     assert kt.element_equal(g1, g2, pres) == "equal"
 
 
+def test_element_equal_non_injective_map_is_unknown():
+    # [[1, 1], [1, 1]] is not injective: a difference it kills is equal,
+    # one it never kills within the budget proves nothing.
+    pres = kt.k0_presentation(gen.stationary_adic([[1, 1], [1, 1]], 4))
+    g = kt.DimGroupElement(1, (1, 0))
+    assert kt.element_equal(
+        g, kt.DimGroupElement(1, (0, 0)), pres) == "unknown"
+    assert kt.element_equal(
+        g, kt.DimGroupElement(1, (0, 1)), pres) == "equal"
+
+
+def test_element_positive_without_maps():
+    # A 1-level diagram has no maps: the vector itself decides.
+    pres = kt.k0_presentation(gen.odometer(2, 1))
+    assert pres.maps == ()
+    assert kt.element_positive(
+        kt.DimGroupElement(1, (-1,)), pres) == "not_positive"
+    assert kt.element_positive(
+        kt.DimGroupElement(1, (1,)), pres) == "positive"
+
+
+def test_push_rejects_vector_of_wrong_length():
+    pres = kt.k0_presentation(gen.stationary_adic([[1, 1], [1, 0]], 4))
+    with pytest.raises(dg.DiagramError, match="vector length"):
+        pres.push(1, [1, 0, 0], 2)
+
+
 def test_element_equal_stationary_tests_its_matrix_once(monkeypatch):
     # 39 equal maps, invertible over Q (det 4): one SNF certifies them all.
     m = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]

@@ -242,6 +242,10 @@ def test_full_vershik_wraps_through_pairing():
     assert pt.full_vershik(d, top, pairing) == pt.min_path_to(d, 4, 0)
     with pytest.raises(pt.MaximalPathError):
         pt.full_vershik(d, top, None)
+    # Off the boundary it is the plain successor and needs no pairing.
+    p = pt.make_path(d, (0, 1, 1))
+    assert pt.full_vershik(d, p) == pt.vershik_successor(d, p)
+    assert pt.full_vershik(d, p).edge_indices == (1, 1, 1)
 
 
 def test_perfect_ordering_verdicts(suite):

@@ -282,6 +282,14 @@ def test_cocycle_needs_depth_on_extremal_prefix():
         soe.cocycle(F, pt.min_path_to(b1, 3, 0), "backward")
 
 
+def test_cocycle_rejects_unknown_direction():
+    F = odometer_map()
+    p = pt.make_path(F.b1, (1, 0, 0))
+    with pytest.raises(dg.DiagramError,
+                       match="^direction must be forward or backward$"):
+        soe.cocycle(F, p, "sideways")
+
+
 def test_cocycle_continuity_odometer_pair():
     b1, b2, w = odometer_pair(5, 4)
     bp = soe.build_interleaved(b1, b2, w)
@@ -499,7 +507,7 @@ def test_cocycle_values_match_cocycle(make_map, depth):
 def test_cocycle_continuity_at_full_depth():
     F = criterion6_map()
     b1 = F.b1
-    assert len(F.f1_tables) == b1.num_levels == 9
+    assert len(F.f1.orig_paths) == b1.num_levels == 9
     report = soe.check_cocycle_continuity(F, 9)
     assert report["ok"] and report["nonconstant"] == []
     # Each vertex has one all-maximal and one all-minimal path into it;
@@ -601,13 +609,13 @@ def _reference_f(tables, d, p):
 def _reference_f1_inverse(F, q):
     e = q.edge_indices
     segments = [e[:1]] + [e[i:i + 2] for i in range(1, len(e), 2)]
-    return _reference_path(F.b1, [F.f1_inverse[n][seg]
+    return _reference_path(F.b1, [F.f1.path_tables[n][seg]
                                   for n, seg in enumerate(segments)])
 
 
 def _reference_f2_inverse(F, q):
     e = q.edge_indices
-    return _reference_path(F.b2, [F.f2_inverse[m][e[2 * m:2 * m + 2]]
+    return _reference_path(F.b2, [F.f2.path_tables[m][e[2 * m:2 * m + 2]]
                                   for m in range(len(e) // 2)])
 
 
@@ -617,17 +625,18 @@ def _reference_f2_inverse(F, q):
 def test_orbit_map_paths_match_level_lookups(name, data):
     F = _orbit_map(name)
     b1, b2, d = F.b1, F.b2, F.diagram
-    p = _drawn_path(data, b1, data.draw(st.integers(1, len(F.f1_tables))))
-    img = _reference_f(F.f1_tables, d, p)
+    f1, f2 = F.f1.orig_paths, F.f2.orig_paths
+    p = _drawn_path(data, b1, data.draw(st.integers(1, len(f1))))
+    img = _reference_f(f1, d, p)
     assert soe.f1_path(F, p) == img
     assert soe.apply_orbit_map(F, p) == _reference_f2_inverse(
         F, _reference_path(d, img.edge_indices[:-1]))
-    q = _drawn_path(data, b2, data.draw(st.integers(0, len(F.f2_tables))))
-    assert soe.f2_path(F, q) == _reference_f(F.f2_tables, d, q)
-    k = data.draw(st.integers(1, len(F.f1_inverse)))
+    q = _drawn_path(data, b2, data.draw(st.integers(0, len(f2))))
+    assert soe.f2_path(F, q) == _reference_f(f2, d, q)
+    k = data.draw(st.integers(1, len(F.f1.path_tables)))
     x = _drawn_path(data, d, 2 * k - 1)
     assert soe.f1_inverse_path(F, x) == _reference_f1_inverse(F, x)
-    m = data.draw(st.integers(0, len(F.f2_inverse)))
+    m = data.draw(st.integers(0, len(F.f2.path_tables)))
     y = _drawn_path(data, d, 2 * m)
     assert soe.f2_inverse_path(F, y) == _reference_f2_inverse(F, y)
 
@@ -636,15 +645,15 @@ def test_orbit_map_paths_match_level_lookups(name, data):
 def test_orbit_map_end_tables_are_segment_ends(name):
     F = _orbit_map(name)
     assert F.f1_heads == tuple(tuple(t[e][0] for e in range(len(t)))
-                               for t in F.f1_tables)
+                               for t in F.f1.orig_paths)
     assert F.f1_tails == tuple(tuple(t[e][-1] for e in range(len(t)))
-                               for t in F.f1_tables)
+                               for t in F.f1.orig_paths)
 
 
 @pytest.mark.parametrize("name", list(_MAPS))
 def test_apply_orbit_map_needs_depth_past_the_tables(name):
     F = _orbit_map(name)
-    k = len(F.f1_tables)
+    k = len(F.f1.orig_paths)
     with pytest.raises(soe.NeedsDepth):
         soe.apply_orbit_map(F, pt.FinitePath(0, (), 0))
     # F is realized to B1's full depth here, so only a hand-built path
@@ -678,9 +687,29 @@ def _reference_segment_tables(bp):
 def test_segment_tables_are_the_reference_read_in_edge_order(name):
     F = _orbit_map(name)
     want1, want2 = _reference_segment_tables(F)
-    for got, want in ((F.f1_tables, want1), (F.f2_tables, want2)):
+    for got, want in ((F.f1.orig_paths, want1), (F.f2.orig_paths, want2)):
         assert type(got) is tuple and all(type(t) is tuple for t in got)
         assert got == tuple(tuple(t[e] for e in range(len(t))) for t in want)
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_orbit_map_sides_are_the_odd_and_even_telescopings(name):
+    # F's two sides are telescope maps of the interleaving: each level
+    # collapses the same segments telescope() does, reordered to follow
+    # B1's (B2's) edges instead of the telescoped diagram's.
+    F = _orbit_map(name)
+    top = F.diagram.num_levels
+    assert F.f1.cut_points == (0, *range(1, top + 1, 2))
+    assert F.f2.cut_points == tuple(range(0, top + 1, 2))
+    for side in (F.f1, F.f2):
+        cuts = side.cut_points[1:]
+        if cuts[-1] < top:      # telescope() also cuts at the last level
+            cuts += (top,)
+        _, tmap = dg.telescope(F.diagram, cuts)
+        assert tmap.cut_points[:len(side.cut_points)] == side.cut_points
+        assert len(side.orig_paths) == len(side.cut_points) - 1
+        for got, want in zip(side.orig_paths, tmap.orig_paths):
+            assert sorted(got) == sorted(want)
 
 
 @pytest.mark.parametrize("name", list(_MAPS))
@@ -695,7 +724,7 @@ def test_cocycle_values_verified_by_iteration(name):
 
 def test_inverse_maps_need_depth_past_the_tables():
     F = odometer_map()
-    k, m = len(F.f1_inverse), len(F.f2_inverse)
+    k, m = len(F.f1.path_tables), len(F.f2.path_tables)
     assert (k, m) == (5, 4)
     # One-vertex levels, so all-zero edges compose at any depth.
     with pytest.raises(soe.NeedsDepth):
