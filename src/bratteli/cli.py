@@ -4,11 +4,13 @@ Every subcommand prints a CommandResult object:
     {"status": "ok" | "error", "payload": ..., "diagnostics": [...]}
 Exit codes: 0 ok, 1 domain error (with the envelope), 2 usage or argument
 parse error (argparse's usage message on stderr, no envelope); a reader
-that closes stdout early also gets exit code 1, without a traceback.  The
-environment variable BRATTELI_MAX_DEPTH (default 16) caps every --depth
-argument; it is read on every call and capped values are reported in
-diagnostics.  The argument parser is built once per process and shared by
-every ``run`` call; it holds no per-call state.
+that closes stdout early also gets exit code 1, without a traceback.
+Every command but validate and export-dot refuses a diagram file that
+fails the axioms, with exit code 1.  The environment variable
+BRATTELI_MAX_DEPTH (default 16) caps every --depth argument; it is read
+on every call and capped values are reported in diagnostics.  The
+argument parser is built once per process and shared by every ``run``
+call; it holds no per-call state.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ def _parse_ints(text: str) -> list:
     return [int(x) for x in text.split(",")]
 
 
+def _load_valid(path):
+    """The diagram in a file, refused unless it meets the axioms."""
+    d = dg.load_diagram(path)
+    dg.check_valid(d)
+    return d
+
+
 def _path_arg(d, text):
     return pt.make_path(d, _parse_ints(text))
 
@@ -69,20 +78,20 @@ def _cmd_validate(args, diags):
 
 
 def _cmd_telescope(args, diags):
-    d = dg.load_diagram(args.diagram)
+    d = _load_valid(args.diagram)
     td, _ = dg.telescope(d, _parse_ints(args.cuts))
     return dg.diagram_to_json(td)
 
 
 def _cmd_vershik(args, diags):
-    d = dg.load_diagram(args.diagram)
+    d = _load_valid(args.diagram)
     p = _path_arg(d, args.path)
     q = pt.vershik_successor(d, p)
     return {"successor": _path_out(q)}
 
 
 def _cmd_rank(args, diags):
-    d = dg.load_diagram(args.diagram)
+    d = _load_valid(args.diagram)
     if args.path is not None:
         p = _path_arg(d, args.path)
         return {"rank": pt.path_rank(d, p)}
@@ -94,14 +103,14 @@ def _cmd_rank(args, diags):
 
 
 def _cmd_orbit_shift(args, diags):
-    d = dg.load_diagram(args.diagram)
+    d = _load_valid(args.diagram)
     e = _path_arg(d, getattr(args, "from"))
     f = _path_arg(d, args.to)
     return {"shift": pt.orbit_shift(d, e, f)}
 
 
 def _cmd_extremal(args, diags):
-    d = dg.load_diagram(args.diagram)
+    d = _load_valid(args.diagram)
     depth = _cap_depth(args.depth, diags)
     ps = pt.extremal_paths(d, depth, args.kind)
     return {"kind": ps.kind, "depth": ps.depth,
@@ -110,7 +119,7 @@ def _cmd_extremal(args, diags):
 
 
 def _cmd_perfect(args, diags):
-    d = dg.load_diagram(args.diagram)
+    d = _load_valid(args.diagram)
     depth = _cap_depth(args.depth, diags)
     res = pt.check_perfect_ordering(d, depth)
     pairing = res["pairing"]
@@ -121,7 +130,7 @@ def _cmd_perfect(args, diags):
 
 
 def _cmd_k0(args, diags):
-    d = dg.load_diagram(args.diagram)
+    d = _load_valid(args.diagram)
     heights = _parse_ints(args.heights) if args.heights else None
     pres = kt.k0_presentation(d, heights)
     out = {"sizes": list(pres.sizes), "unit": list(pres.unit)}
@@ -136,7 +145,7 @@ def _cmd_k0(args, diags):
 
 
 def _cmd_k1(args, diags):
-    d = dg.load_diagram(args.diagram)
+    d = _load_valid(args.diagram)
     depth = _cap_depth(args.depth, diags)
     return kt.k1_rank(d, depth)
 
@@ -148,8 +157,8 @@ def _cmd_oracle(args, diags):
 
 
 def _cmd_soe(args, diags):
-    b1 = dg.load_diagram(args.b1)
-    b2 = dg.load_diagram(args.b2)
+    b1 = _load_valid(args.b1)
+    b2 = _load_valid(args.b2)
     if args.action == "check":
         if not args.intertwining:
             raise dg.DiagramError("soe check needs --intertwining")
@@ -175,7 +184,7 @@ def _cmd_generate(args, diags):
             raise dg.MalformedDiagram("matrix must be a list of integer lists")
         d = gen.stationary_adic(m, args.levels)
     elif args.family == "union":
-        parts = [dg.load_diagram(p) for p in args.parts]
+        parts = [_load_valid(p) for p in args.parts]
         d = gen.disjoint_union(parts)
     elif args.family == "cycles":
         system, d = gen.finite_cycle_system(_parse_ints(args.lengths),
@@ -331,8 +340,7 @@ def run(argv) -> int:
         payload = args.fn(args, diagnostics)
         status = "ok"
         code = 0
-    except (dg.DiagramError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (dg.DiagramError, OSError, ValueError) as exc:
         payload = {"message": str(exc)}
         diagnostics.append(str(exc))
         status = "error"

@@ -472,21 +472,20 @@ def check_fem_properties(d: OrderedBratteliDiagram) -> list:
     check_valid(d)
     top = d.num_levels
     failures = []
-    for kind, extremal_edges, end in (("min", min_edges, 0),
-                                      ("max", max_edges, -1)):
-        ext = [_extremal_sources(d, n, n + 1, end) for n in range(top)]
+    for kind, extremal_edges in (("min", min_edges), ("max", max_edges)):
+        # Each level-(n+1) vertex has one extremal in-edge; heads[n][r] is
+        # its source, so the level-n extremal vertices are heads[n]'s.
+        heads = [[level[e][0] for e in extremal_edges(d, n + 1)]
+                 for n, level in enumerate(d.edges)]
+        ext = [sorted(set(h)) for h in heads]
         for n in range(top):
-            # Each level-(n+1) vertex has one extremal in-edge; heads[r] is
-            # its source.
-            level_up = d.edges[n]
-            heads = [level_up[e][0] for e in extremal_edges(d, n + 1)]
             # (b): needs an extremal vertex at level n+1, so n+1 < N.
-            fed = {heads[r] for r in ext[n + 1]} if n + 1 < top else None
+            fed = {heads[n][r] for r in ext[n + 1]} if n + 1 < top else None
             for v in ext[n]:
                 if fed is not None and v not in fed:
                     failures.append(PropertyFailure("b", kind, n, v))
                 rm = _iterate_r(d, n, {v}, 1)       # R(v)
-                if any(heads[r] != v for r in rm):
+                if any(heads[n][r] != v for r in rm):
                     failures.append(PropertyFailure("c", kind, n, v))
                 for m in range(1, min(FEM_M_MAX, top - n) + 1):
                     if m > 1:

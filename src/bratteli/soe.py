@@ -317,24 +317,10 @@ def f1_path(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
     return untelescope_path(F.f1, p, F.diagram)
 
 
-def f1_inverse_path(F: InterleavedDiagram, bpath: FinitePath) -> FinitePath:
-    if bpath.depth % 2 == 0:
-        raise DiagramError("B1 side corresponds to odd interleaved depths")
-    _check_realized(F.f1, (bpath.depth + 1) // 2, "B1")
-    return telescope_path(F.f1, bpath, F.b1)
-
-
 def f2_path(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
     """Interleaved path (depth 2m) for a B2 path of depth m."""
     _check_realized(F.f2, p.depth, "B2", lowest=0)
     return untelescope_path(F.f2, p, F.diagram)
-
-
-def f2_inverse_path(F: InterleavedDiagram, bpath: FinitePath) -> FinitePath:
-    if bpath.depth % 2 != 0:
-        raise DiagramError("B2 side corresponds to even interleaved depths")
-    _check_realized(F.f2, bpath.depth // 2, "B2", lowest=0)
-    return telescope_path(F.f2, bpath, F.b2)
 
 
 def apply_orbit_map(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
@@ -376,8 +362,9 @@ def pair_extremal_paths(bp: InterleavedDiagram, depth: int) -> ExtremalPairing:
 
     depth is an interleaved-diagram depth; both extremal sets must be
     stabilized there.  Each interleaved extremal path truncates to a B1
-    path (odd prefix) and a B2 path (even prefix), translated through bp's
-    segment tables; those two are paired.
+    path (odd prefix) and a B2 path (even prefix), telescoped through
+    bp.f1 and bp.f2; those two are paired.  telescope_path refuses a
+    prefix deeper than F's tables, whose cut points are its depths.
     """
     if depth < 2:
         raise DiagramError("depth must be at least 2")
@@ -393,7 +380,8 @@ def pair_extremal_paths(bp: InterleavedDiagram, depth: int) -> ExtremalPairing:
         for p in ps.paths:
             odd = path_prefix(d, p, depth - 1 + depth % 2)
             even = path_prefix(d, p, depth - depth % 2)
-            out.append((f1_inverse_path(bp, odd), f2_inverse_path(bp, even)))
+            out.append((telescope_path(bp.f1, odd, bp.b1),
+                        telescope_path(bp.f2, even, bp.b2)))
         pairs[kind] = tuple(out)
     return ExtremalPairing(pairs["min"], pairs["max"])
 
@@ -487,11 +475,11 @@ def cocycle_values(F: InterleavedDiagram, depth: int):
     per B1 vertex.
 
     Yields (direction, edge_indices, value, parent_value) for every B1 path
-    of depth 2..max_depth, max_depth = min(depth, realized B1 depth, B1
-    depth), whose prefix is non-maximal (forward) or non-minimal
-    (backward); value equals cocycle(F, path, direction).  parent_value is
-    the same cocycle on the cylinder one level up, or None when that
-    cylinder is not eligible or has depth 1.
+    of depth 2..max_depth, max_depth = min(depth, realized B1 depth), whose
+    prefix is non-maximal (forward) or non-minimal (backward); value equals
+    cocycle(F, path, direction).  parent_value is the same cocycle on the
+    cylinder one level up, or None when that cylinder is not eligible or
+    has depth 1.
 
     The F-rank R(x), the B2 rank of apply_orbit_map(F, x), is a sum over
     consecutive edges (a, b) of x of the rank offset of the one B2 edge
@@ -505,7 +493,7 @@ def cocycle_values(F: InterleavedDiagram, depth: int):
     e-terms cancel: continuity holds by construction.  Otherwise x[:-1]
     is all-maximal (always at k = 1) and the parent is None.
     """
-    max_depth = min(depth, len(F.f1.orig_paths), F.b1.num_levels)
+    max_depth = min(depth, len(F.f1.orig_paths))
     f2inv, offsets = F.f2.path_tables, F.b2.rank_offset_table
     for k in range(1, max_depth):
         off, pairs, tails = offsets[k - 1], f2inv[k - 1], F.f1_tails[k - 1]
@@ -651,12 +639,12 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     pairing and the cocycles read the interleaving's segment tables, each
     built once; continuity holds the count of eligible cylinders.
 
-    The cocycles reach B1 depth min(depth, F's realized B1 depth, B1's
-    levels), and no cylinder is eligible below 2, so a pass there would be
-    vacuous: a depth below 2 raises DiagramError before anything is built,
-    and F's realized B1 depth or B1's levels below 2 raise it, naming that
-    limit, once the interleaving is built.  The five cocycle samples are
-    B1 paths of depth min(3, F's realized B1 depth, B1's levels)."""
+    The cocycles reach B1 depth min(depth, F's realized B1 depth), and no
+    cylinder is eligible below 2, so a pass there would be vacuous: a
+    depth below 2 raises DiagramError before anything is built, and a
+    realized depth below 2 raises it, naming that limit, once the
+    interleaving is built.  The five cocycle samples are B1 paths of
+    depth min(3, F's realized B1 depth)."""
     if depth < 2:
         raise DiagramError("depth must be at least 2")
     out = {"interleaved_ok": False, "properties_ok": False,
@@ -667,7 +655,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     except DiagramError as exc:
         out["error"] = str(exc)
         return out
-    realized = min(len(bp.f1.orig_paths), b1.num_levels)
+    realized = len(bp.f1.orig_paths)
     if realized < 2:
         limit = (f"B1 has {b1.num_levels} level" if b1.num_levels < 2 else
                  f"F is realized only to B1 depth {realized} by "

@@ -27,6 +27,12 @@ def suite():
     return suite_diagrams()
 
 
+# Diagram JSON that is well-formed but fails the axioms: level-1 vertex 1
+# has no in-edge.
+UNFED_JSON = ('{"num_levels": 2, "vertex_counts": [1, 2, 1], "edges":'
+              ' [[{"s": 0, "r": 0}], [{"s": 0, "r": 0}, {"s": 1, "r": 0}]]}')
+
+
 def random_diagram(rng, levels, max_vertices, max_extra):
     """A valid diagram: every vertex has an in-edge and an out-edge."""
     vcs = [1] + [rng.randint(1, max_vertices) for _ in range(levels)]

@@ -12,6 +12,7 @@ from bratteli import generators as gen
 from bratteli import ktheory as kt
 from bratteli import paths as pt
 from bratteli import soe
+from conftest import UNFED_JSON
 
 
 def run_json(capsys, argv):
@@ -249,6 +250,44 @@ def test_mistyped_diagram_json_is_domain_error(capsys, tmp_path, text):
     assert res["status"] == "error"
 
 
+@pytest.mark.parametrize("argv", [
+    ["vershik", "--diagram", "BAD", "--path", "0,0"],
+    ["rank", "--diagram", "BAD", "--path", "0,0"],
+    ["telescope", "--diagram", "BAD", "--cuts", "2"],
+    ["orbit-shift", "--diagram", "BAD", "--from", "0,0", "--to", "0,0"],
+    ["extremal", "--diagram", "BAD", "--depth", "2"],
+    ["perfect", "--diagram", "BAD", "--depth", "2"],
+    ["k0", "BAD"],
+    ["k1", "BAD", "--depth", "2"],
+    ["soe", "search", "--b1", "BAD", "--b2", "BAD", "--bound", "1"],
+    ["soe", "check", "--b1", "BAD", "--b2", "BAD", "--intertwining", "W"],
+    ["generate", "union", "BAD"],
+], ids=["vershik", "rank", "telescope", "orbit-shift", "extremal", "perfect",
+        "k0", "k1", "soe-search", "soe-check", "generate-union"])
+def test_diagram_failing_the_axioms_is_domain_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(UNFED_JSON)
+    w = tmp_path / "w.json"
+    w.write_text('{"P": [[[1]]], "Q": [[[1]]]}')
+    argv = [{"BAD": str(bad), "W": str(w)}.get(a, a) for a in argv]
+    code, res = run_json(capsys, argv)
+    assert code == 1
+    assert res["status"] == "error"
+    assert res["payload"]["message"] == (
+        "[range-surjectivity] level 1: vertex 1 at level 1 has no incoming "
+        "edge")
+
+
+def test_validate_and_export_dot_read_a_diagram_failing_the_axioms(
+        capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(UNFED_JSON)
+    code, res = run_json(capsys, ["validate", "--diagram", str(bad)])
+    assert code == 0 and res["payload"]["valid"] is False
+    code, res = run_json(capsys, ["export-dot", "--diagram", str(bad)])
+    assert code == 0 and res["payload"]["dot"].startswith("digraph")
+
+
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["no-such-command"])
@@ -265,12 +304,52 @@ def test_soe_search_has_no_seed(capsys, odo2):
     assert capsys.readouterr().out == ""
 
 
-def test_text_format(capsys, odo2):
+def test_text_format(capsys, odo2, tmp_path):
     code = cli.run(["--format", "text", "k1", odo2, "--depth", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "status: ok" in out
     assert "rank: 1" in out
+    # A nested payload indents; export-dot prints the DOT text raw.
+    path = tmp_path / "odo.json"
+    dg.save_diagram(gen.odometer(2, 3), str(path))
+    code = cli.run(["--format", "text", "perfect", "--diagram", str(path),
+                    "--depth", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == ["status: ok", "verdict: pass", "pairing:",
+                                "  1,1: 0,0"]
+    code = cli.run(["--format", "text", "export-dot", "--diagram",
+                    str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == "status: ok\n" + dg.diagram_to_dot(gen.odometer(2, 3))
+
+
+@pytest.mark.parametrize("heights, message", [
+    ("1,1", "heights must have 1 entries, got 2"),
+    ("0", "heights must be strictly positive"),
+], ids=["wrong-length", "zero"])
+def test_k0_bad_heights_are_domain_errors(capsys, odo2, heights, message):
+    code, res = run_json(capsys, ["k0", odo2, "--heights", heights])
+    assert code == 1
+    assert res["status"] == "error"
+    assert res["payload"]["message"] == message
+
+
+@pytest.mark.parametrize("b1, message", [
+    (gen.odometer(2, 1), "stationary search needs at least two levels"),
+    (dg.telescope(gen.odometer(2, 5), [1, 3, 4, 5])[0],
+     "diagram is not stationary"),
+], ids=["one-level", "not-stationary"])
+def test_soe_search_refuses_b1(capsys, tmp_path, odo2, b1, message):
+    path = tmp_path / "b1.json"
+    dg.save_diagram(b1, str(path))
+    code, res = run_json(capsys, ["soe", "search", "--b1", str(path),
+                                  "--b2", odo2, "--bound", "2"])
+    assert code == 1
+    assert res["status"] == "error"
+    assert res["payload"]["message"] == message
 
 
 @pytest.mark.parametrize("command, text", [

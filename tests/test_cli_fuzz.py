@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bratteli import cli
 from bratteli import diagram as dg
 from bratteli import generators as gen
+from conftest import UNFED_JSON
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +25,10 @@ def files(tmp_path_factory):
     (root / "pair.json").write_text("[1, 2]")
     (root / "empty.json").write_text("{}")
     (root / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
+    (root / "unfed.json").write_text(UNFED_JSON)
     (root / "dir").mkdir()
     names = ["odometer.json", "pair.json", "empty.json", "nested.json",
-             "dir", "missing.json"]
+             "unfed.json", "dir", "missing.json"]
     return [str(root / n) for n in names]
 
 
@@ -40,7 +42,7 @@ _INTS = st.one_of(
     st.lists(st.integers(-2, 6), max_size=4).map(
         lambda xs: ",".join(map(str, xs))),
     _STRINGS)
-_FILE = st.integers(0, 5)          # an index into the files fixture
+_FILE = st.integers(0, 6)          # an index into the files fixture
 _LEVELS = st.one_of(_ints(-3, 8), _STRINGS)
 
 # command -> [(flag or None for a positional, token strategy, required)]

@@ -17,6 +17,8 @@ def test_make_path_validates_composition():
     pt.make_path(d, [0, 0])
     with pytest.raises(dg.DiagramError):
         pt.make_path(d, [0, 1])   # edge 1 at level 2 starts at vertex 1
+    with pytest.raises(dg.DiagramError, match="path depth 4 exceeds 3"):
+        pt.make_path(gen.odometer(2, 3), [0, 0, 0, 0])
 
 
 def test_binary_increment():
@@ -257,6 +259,20 @@ def test_perfect_ordering_verdicts(suite):
     # extremal sets never stabilize, so the check stays inconclusive.
     res = pt.check_perfect_ordering(suite["fibonacci"], 6)
     assert res["verdict"] == "unknown"
+
+
+def test_perfect_ordering_unknown_on_property_failures():
+    # Both extremal sets are stabilized at depth 1, but the diagram fails
+    # the structural properties, so no pairing is certified.
+    rng = random.Random(11)
+    d = random_diagram(rng, rng.randint(2, 6), rng.randint(1, 4),
+                       rng.randint(0, 4))
+    assert d.vertex_counts == (1, 2, 2, 4, 2, 1)
+    assert all(pt.extremal_paths(d, 1, kind).stabilized
+               for kind in ("min", "max"))
+    assert {f.prop for f in dg.check_fem_properties(d)} >= {"c", "d"}
+    assert pt.check_perfect_ordering(d, 1) == {"verdict": "unknown",
+                                               "pairing": None}
 
 
 def _reference_extremal_paths(d, depth, kind):

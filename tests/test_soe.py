@@ -28,6 +28,8 @@ def test_make_intertwining_validates():
         soe.make_intertwining([[[1]]], [[[1]], [[1]]])
     with pytest.raises(dg.DiagramError):
         soe.make_intertwining([[[-1]]], [])
+    with pytest.raises(dg.DiagramError, match="ragged intertwining matrix"):
+        soe.make_intertwining([[[1, 1], [1]]], [])
 
 
 def test_validate_intertwining_reports_level_and_entry():
@@ -195,6 +197,8 @@ def test_pair_extremal_paths_singletons():
     assert pt.is_minimal(b1, p1) and pt.is_minimal(b2, p2)
     q1, q2 = pairing.max_pairs[0]
     assert pt.is_maximal(b1, q1) and pt.is_maximal(b2, q2)
+    with pytest.raises(dg.DiagramError, match="depth must be at least 2"):
+        soe.pair_extremal_paths(bp, 1)
 
 
 def test_union_pair_respects_fiber_permutation():
@@ -227,9 +231,9 @@ def test_orbit_map_bijective_on_cylinders():
     assert len(imgs2) == len(paths2) == len(pt.all_paths(bp.diagram, 8))
     # Round trips.
     for p in paths[:32]:
-        assert soe.f1_inverse_path(F, soe.f1_path(F, p)) == p
+        assert pt.telescope_path(F.f1, soe.f1_path(F, p), F.b1) == p
     for p in paths2[:32]:
-        assert soe.f2_inverse_path(F, soe.f2_path(F, p)) == p
+        assert pt.telescope_path(F.f2, soe.f2_path(F, p), F.b2) == p
 
 
 def test_orbit_map_preserves_extremal_prefixes():
@@ -554,7 +558,8 @@ def test_orbit_map_paths_match_checked_paths(make_map):
     for m in range(1, 5):
         for p in pt.all_paths(b1, m):
             img = soe.f1_path(F, p)
-            assert checked(d, img) and checked(b1, soe.f1_inverse_path(F, img))
+            assert checked(d, img) and checked(
+                b1, pt.telescope_path(F.f1, img, b1))
             assert checked(b2, soe.apply_orbit_map(F, p))
             for direction in ("forward", "backward"):
                 try:
@@ -564,7 +569,8 @@ def test_orbit_map_paths_match_checked_paths(make_map):
                 assert checked(b2, q) and checked(b2, q2), (p, direction)
         for p in pt.all_paths(b2, m):
             img = soe.f2_path(F, p)
-            assert checked(d, img) and checked(b2, soe.f2_inverse_path(F, img))
+            assert checked(d, img) and checked(
+                b2, pt.telescope_path(F.f2, img, b2))
     # An odd and an even interleaved depth take different prefix lengths.
     for depth in (d.num_levels - 1, d.num_levels):
         pairing = soe.pair_extremal_paths(F, depth)
@@ -635,10 +641,10 @@ def test_orbit_map_paths_match_level_lookups(name, data):
     assert soe.f2_path(F, q) == _reference_f(f2, d, q)
     k = data.draw(st.integers(1, len(F.f1.path_tables)))
     x = _drawn_path(data, d, 2 * k - 1)
-    assert soe.f1_inverse_path(F, x) == _reference_f1_inverse(F, x)
+    assert pt.telescope_path(F.f1, x, F.b1) == _reference_f1_inverse(F, x)
     m = data.draw(st.integers(0, len(F.f2.path_tables)))
     y = _drawn_path(data, d, 2 * m)
-    assert soe.f2_inverse_path(F, y) == _reference_f2_inverse(F, y)
+    assert pt.telescope_path(F.f2, y, F.b2) == _reference_f2_inverse(F, y)
 
 
 @pytest.mark.parametrize("name", list(_MAPS))
@@ -726,11 +732,14 @@ def test_inverse_maps_need_depth_past_the_tables():
     F = odometer_map()
     k, m = len(F.f1.path_tables), len(F.f2.path_tables)
     assert (k, m) == (5, 4)
-    # One-vertex levels, so all-zero edges compose at any depth.
-    with pytest.raises(soe.NeedsDepth):
-        soe.f1_inverse_path(F, pt.FinitePath(2 * k + 1, (0,) * (2 * k + 1), 0))
-    with pytest.raises(soe.NeedsDepth):
-        soe.f2_inverse_path(F, pt.FinitePath(2 * m + 2, (0,) * (2 * m + 2), 0))
+    # One-vertex levels, so all-zero edges compose at any depth.  Past the
+    # tables a depth is no cut point of F's sides.
+    with pytest.raises(dg.DiagramError, match="not a cut point"):
+        pt.telescope_path(
+            F.f1, pt.FinitePath(2 * k + 1, (0,) * (2 * k + 1), 0), F.b1)
+    with pytest.raises(dg.DiagramError, match="not a cut point"):
+        pt.telescope_path(
+            F.f2, pt.FinitePath(2 * m + 2, (0,) * (2 * m + 2), 0), F.b2)
 
 
 def _count_segment_tables(monkeypatch):
