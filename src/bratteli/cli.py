@@ -11,6 +11,14 @@ BRATTELI_MAX_DEPTH (default 16) caps every --depth argument; it is read
 on every call and capped values are reported in diagnostics.  The
 argument parser is built once per process and shared by every ``run``
 call; it holds no per-call state.
+
+The module imports only ``diagram`` and ``paths``, which the package loads
+anyway; each command imports the rest of what it runs, so a one-shot
+process compiles no module it never calls.  ``soe`` loads ``soe``; ``k0``,
+``k1`` and ``oracle`` load ``ktheory``; ``generate`` loads ``generators``
+and ``ktheory``.  ``validate``, ``telescope``, ``vershik``, ``rank``,
+``orbit-shift``, ``extremal``, ``perfect`` and ``export-dot`` load nothing
+more.
 """
 
 from __future__ import annotations
@@ -22,10 +30,7 @@ import os
 import sys
 
 from . import diagram as dg
-from . import generators as gen
-from . import ktheory as kt
 from . import paths as pt
-from . import soe
 
 
 def _max_depth() -> int:
@@ -130,6 +135,7 @@ def _cmd_perfect(args, diags):
 
 
 def _cmd_k0(args, diags):
+    from . import ktheory as kt
     d = _load_valid(args.diagram)
     heights = _parse_ints(args.heights) if args.heights else None
     pres = kt.k0_presentation(d, heights)
@@ -145,18 +151,21 @@ def _cmd_k0(args, diags):
 
 
 def _cmd_k1(args, diags):
+    from . import ktheory as kt
     d = _load_valid(args.diagram)
     depth = _cap_depth(args.depth, diags)
     return kt.k1_rank(d, depth)
 
 
 def _cmd_oracle(args, diags):
+    from . import ktheory as kt
     obj = dg.load_json(args.system)
     s = kt.permutation_system_from_json(obj)
     return kt.k_oracle_finite_system(s)
 
 
 def _cmd_soe(args, diags):
+    from . import soe
     b1 = _load_valid(args.b1)
     b2 = _load_valid(args.b2)
     if args.action == "check":
@@ -176,6 +185,8 @@ def _cmd_soe(args, diags):
 
 
 def _cmd_generate(args, diags):
+    from . import generators as gen
+    from . import ktheory as kt
     if args.family == "odometer":
         d = gen.odometer(args.base, args.levels)
     elif args.family == "stationary":

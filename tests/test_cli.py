@@ -88,6 +88,22 @@ def test_k0_compare_needs_both_elements(capsys, odo2):
     assert "--level1" in res["payload"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["perfect", "--diagram", "D", "--depth", "4"],
+    ["extremal", "--diagram", "D", "--depth", "4"],
+    ["k0", "D"],
+    ["k1", "D", "--depth", "4"],
+], ids=["perfect", "extremal", "k0", "k1"])
+def test_command_scans_the_axioms_once(capsys, monkeypatch, odo2, argv):
+    scans = []
+    scan = dg._scan_axioms
+    monkeypatch.setattr(dg, "_scan_axioms",
+                        lambda d: scans.append(d) or scan(d))
+    code, res = run_json(capsys, [odo2 if a == "D" else a for a in argv])
+    assert code == 0 and res["status"] == "ok"
+    assert len(scans) == 1
+
+
 def test_oracle(capsys, tmp_path):
     system, _ = gen.finite_cycle_system([2, 3])
     spath = tmp_path / "sys.json"
@@ -164,6 +180,19 @@ def test_telescope_payload(capsys, odo2):
     assert code == 0
     td, _ = dg.telescope(gen.odometer(2, 6), [2, 4, 6])
     assert res["payload"] == dg.diagram_to_json(td)
+
+
+def test_telescope_past_the_edge_cap_is_domain_error(capsys, tmp_path):
+    # The 2-odometer on 17 levels and a one-edge level 18, cut at 17 and
+    # 18: 2^17 + 1 edges, one past MAX_TELESCOPE_EDGES.
+    d = dg.make_diagram(18, [1] * 19, [[(0, 0), (0, 0)]] * 17 + [[(0, 0)]])
+    path = tmp_path / "tail.json"
+    dg.save_diagram(d, str(path))
+    code, res = run_json(capsys, ["telescope", "--diagram", str(path),
+                                  "--cuts", "17,18"])
+    assert code == 1
+    assert res["status"] == "error"
+    assert "MAX_TELESCOPE_EDGES = 131072" in res["payload"]["message"]
 
 
 def test_soe_search_without_match_lists_rejections(capsys, tmp_path, odo2):
@@ -517,3 +546,39 @@ def test_closed_stdout_exits_without_traceback():
         os.close(write_end)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
+
+
+def _imported(tmp_path, argv):
+    """The bratteli modules a fresh ``python -m bratteli.cli`` process
+    imports to run argv, read from its -X importtime log."""
+    src = os.path.dirname(os.path.dirname(bratteli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bratteli.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["status"] == "ok"
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_cold_soe_check_imports_no_ktheory_or_generators(tmp_path):
+    b1, _ = dg.telescope(gen.odometer(2, 9), [1, 3, 5, 7, 9])
+    dg.save_diagram(b1, str(tmp_path / "b1.json"))
+    dg.save_diagram(gen.odometer(4, 4), str(tmp_path / "b2.json"))
+    w = soe.stationary_intertwining([[2]], [[2]], 4, 4)
+    (tmp_path / "w.json").write_text(json.dumps(soe.intertwining_to_json(w)))
+    mods = _imported(tmp_path, ["soe", "check", "--b1", "b1.json",
+                                "--b2", "b2.json", "--intertwining",
+                                "w.json", "--depth", "4"])
+    assert "bratteli.soe" in mods
+    assert not mods & {"bratteli.ktheory", "bratteli.generators"}
+
+
+def test_cold_rank_imports_no_soe(tmp_path, odo2):
+    mods = _imported(tmp_path, ["rank", "--diagram", odo2,
+                                "--path", "1,1,0"])
+    assert "bratteli.paths" in mods
+    assert not mods & {"bratteli.soe", "bratteli.ktheory",
+                       "bratteli.generators"}

@@ -39,6 +39,24 @@ def test_validate_accepts_suite(suite):
         assert dg.validate_diagram(d) == []
 
 
+def test_validate_scans_once_and_returns_fresh_lists(monkeypatch):
+    scans = []
+    scan = dg._scan_axioms
+    monkeypatch.setattr(dg, "_scan_axioms",
+                        lambda d: scans.append(d) or scan(d))
+    d = dg.make_diagram(2, [1, 2, 1], [[(0, 0)], [(1, 0)]])
+    first = dg.validate_diagram(d)
+    want = list(first)
+    first.clear()
+    first_again = dg.validate_diagram(d)
+    assert first_again == want and first_again is not first
+    first_again.append("extra")
+    assert dg.validate_diagram(d) == want
+    with pytest.raises(dg.InvalidDiagram):
+        dg.check_valid(d)
+    assert len(scans) == 1
+
+
 def test_edge_order_and_extremal_edges():
     d = gen.odometer(3, 2)
     assert dg.min_edges(d, 1) == (0,)
@@ -75,6 +93,35 @@ def test_telescope_rejects_bad_cuts():
         dg.telescope(d, [2, 3])      # must end at num_levels
     with pytest.raises(dg.DiagramError):
         dg.telescope(d, [3, 2, 4])
+
+
+def _odometer_with_tail(levels):
+    """The 2-odometer on levels 1..levels, then one level of one edge."""
+    return dg.make_diagram(levels + 1, [1] * (levels + 2),
+                           [[(0, 0), (0, 0)]] * levels + [[(0, 0)]])
+
+
+def test_telescope_refuses_one_edge_over_the_cap(monkeypatch):
+    # Cut at 17 and 18, the 2-odometer with a one-edge tail telescopes to
+    # 2^17 + 1 edges: refused from path counts, before any segment.
+    assert dg.MAX_TELESCOPE_EDGES == 2 ** 17
+    d = _odometer_with_tail(17)
+    monkeypatch.setattr(dg, "telescope_segments", None)
+    with pytest.raises(dg.DiagramError, match="MAX_TELESCOPE_EDGES"):
+        dg.telescope(d, [17, 18])
+    with pytest.raises(dg.DiagramError, match="MAX_TELESCOPE_EDGES"):
+        dg.telescope(gen.odometer(5, 12), [12])      # 5^12 edges
+
+
+def test_telescope_builds_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(dg, "MAX_TELESCOPE_EDGES", 2 ** 4)
+    td, _ = dg.telescope(gen.odometer(2, 4), [4])
+    assert td.edges == (((0, 0),) * 2 ** 4,)
+    d = _odometer_with_tail(4)
+    td, _ = dg.telescope(d, [2, 4, 5])
+    assert list(map(len, td.edges)) == [4, 4, 1]
+    with pytest.raises(dg.DiagramError, match="MAX_TELESCOPE_EDGES"):
+        dg.telescope(d, [4, 5])
 
 
 def test_telescope_map_round_trip():
