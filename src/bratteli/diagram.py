@@ -64,16 +64,22 @@ class OrderedBratteliDiagram:
 
     # Derived tables: cached_property stores them in the instance __dict__,
     # past the frozen __setattr__, and equality and hashing never see them.
-    # The in-edge and position tables, which path queries read, come from
-    # _level_index: one scan per distinct (edges, range count) level, equal
-    # levels (all but the first of a stationary diagram) sharing its rows.
+    # _level_index scans each distinct level once, keyed by its edges and
+    # both vertex counts, so two levels share an entry exactly when they are
+    # equal (as all but the first of a stationary diagram are).  The
+    # in-edge, edge-position and out-edge tables and the axiom scan all read
+    # that shared entry.  Rank sums are built apart, since they depend on
+    # the level below as well, and so is incidence_matrix, on each call: a
+    # dense matrix in the index would cost rows x columns per level on every
+    # path query's first read.
 
     @cached_property
     def _level_index(self) -> tuple:
-        """Per level: (in-edge rows, edge positions), equal levels sharing
-        one entry."""
+        """Per level: (in-edge rows, edge positions, out-edge rows), equal
+        levels sharing one entry."""
         seen, index = {}, []
-        for key in zip(self.edges, self.vertex_counts[1:]):
+        vcs = self.vertex_counts
+        for key in zip(self.edges, vcs, vcs[1:]):
             entry = seen.get(key)
             if entry is None:
                 entry = seen[key] = _index_level(*key)
@@ -88,13 +94,7 @@ class OrderedBratteliDiagram:
     @cached_property
     def out_edge_table(self) -> tuple:
         """out_edge_table[n-1][v]: level-n edges leaving level-(n-1) v."""
-        table = []
-        for level, size in zip(self.edges, self.vertex_counts):
-            rows = [[] for _ in range(size)]
-            for i, (s, _) in enumerate(level):
-                rows[s].append(i)
-            table.append(tuple(map(tuple, rows)))
-        return tuple(table)
+        return tuple(entry[2] for entry in self._level_index)
 
     @cached_property
     def path_count_table(self) -> tuple:
@@ -135,15 +135,18 @@ class OrderedBratteliDiagram:
         return tuple(entry[1] for entry in self._level_index)
 
 
-def _index_level(level: tuple, num_ranges: int) -> tuple:
-    """One scan of a level: its in-edge rows and edge positions."""
+def _index_level(level: tuple, num_sources: int, num_ranges: int) -> tuple:
+    """One scan of a level: its in-edge rows, edge positions and out-edge
+    rows."""
     rows = [[] for _ in range(num_ranges)]
+    outs = [[] for _ in range(num_sources)]
     positions = []
-    for i, (_, r) in enumerate(level):
+    for i, (s, r) in enumerate(level):
         row = rows[r]
         positions.append(len(row))
         row.append(i)
-    return tuple(map(tuple, rows)), tuple(positions)
+        outs[s].append(i)
+    return tuple(map(tuple, rows)), tuple(positions), tuple(map(tuple, outs))
 
 
 def make_diagram(num_levels: int,
@@ -213,23 +216,17 @@ def validate_diagram(d: OrderedBratteliDiagram) -> list:
 
 def _scan_axioms(d: OrderedBratteliDiagram) -> list:
     report = []
-    for n in range(1, d.num_levels + 1):
-        level = d.level_edges(n)
-        if not level:
+    for n, (into, positions, outs) in enumerate(d._level_index, start=1):
+        if not positions:
             report.append(Violation("malformed", n, "empty edge level"))
             continue
-        ranges = {r for _, r in level}
-        for v in range(d.vertex_counts[n]):
-            if v not in ranges:
-                report.append(Violation(
-                    "range-surjectivity", n,
-                    f"vertex {v} at level {n} has no incoming edge"))
-        sources = {s for s, _ in level}
-        for v in range(d.vertex_counts[n - 1]):
-            if v not in sources:
-                report.append(Violation(
-                    "source-surjectivity", n - 1,
-                    f"vertex {v} at level {n - 1} has no outgoing edge"))
+        report += [Violation("range-surjectivity", n,
+                             f"vertex {v} at level {n} has no incoming edge")
+                   for v, row in enumerate(into) if not row]
+        report += [Violation("source-surjectivity", n - 1,
+                             f"vertex {v} at level {n - 1} has no outgoing "
+                             "edge")
+                   for v, row in enumerate(outs) if not row]
     return report
 
 
@@ -335,9 +332,10 @@ def incidence_matrix(d: OrderedBratteliDiagram, n: int) -> list:
 
     Entry (w, v) is the number of level-n edges from v to w.
     """
+    level = d.level_edges(n)    # range-checks n
     rows, cols = d.vertex_counts[n], d.vertex_counts[n - 1]
     m = [[0] * cols for _ in range(rows)]
-    for s, r in d.level_edges(n):
+    for s, r in level:
         m[r][s] += 1
     return m
 

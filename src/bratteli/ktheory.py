@@ -360,15 +360,6 @@ def element_equal(g1: DimGroupElement, g2: DimGroupElement,
     return "unknown"
 
 
-def _stationary_matrix(pres: DimensionGroupPresentation):
-    if not pres.maps:
-        return None
-    first = pres.maps[0]
-    if all(m == first for m in pres.maps):
-        return [list(r) for r in first]
-    return None
-
-
 def _keeps_nonpositive(matrix) -> bool:
     # Every column is >= 0 and nonzero, so the map sends each nonzero
     # vector <= 0 to a nonzero vector <= 0.
@@ -392,9 +383,8 @@ def element_positive(g: DimGroupElement,
     v = pres.push(g.level, g.vector, g.level)
     top = g.level + DEPTH_BUDGET
     maps = pres.maps
-    m = _stationary_matrix(pres)
-    if m is not None and len(m) == len(m[0]):
-        maps += (m,) * max(0, top - pres.num_levels)
+    if len(set(maps)) == 1 and len(maps[0]) == len(maps[0][0]):
+        maps += maps[:1] * max(0, top - pres.num_levels)
     certified_from = None     # first level from which every map keeps <= 0
     for level, v in _pushes(maps, g.level, v, min(top, len(maps) + 1)):
         if all(x >= 0 for x in v):

@@ -66,6 +66,12 @@ def table_suite(suite):
     assert unequal.edges[2] == unequal.edges[3]
     assert dg.validate_diagram(unequal)
     inputs["unequal-counts"] = unequal
+    # Levels 2 and 3 have the same edge tuple and 2 range vertices but 3
+    # and 2 sources; vertex 2 at level 1 has no out-edge.
+    unequal = dg.make_diagram(3, [1, 3, 2, 2],
+                              [[(0, 0), (0, 1), (0, 2)], same, same])
+    assert unequal.edges[1] == unequal.edges[2]
+    inputs["unequal-sources"] = unequal
     for name in ("union3", "fibonacci", "distinct"):
         d = inputs[name]
         inputs[name + "-telescoped"] = dg.telescope(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -68,6 +69,13 @@ def test_incidence_matrix_fibonacci():
     d = fib()
     assert dg.incidence_matrix(d, 1) == [[2], [1]]
     assert dg.incidence_matrix(d, 2) == [[1, 1], [1, 0]]
+
+
+def test_incidence_matrix_rejects_levels_out_of_range():
+    d = gen.odometer(2, 3)
+    for n in (0, -1, 4):
+        with pytest.raises(dg.DiagramError, match="out of range"):
+            dg.incidence_matrix(d, n)
 
 
 def test_telescope_incidence_is_matrix_product():
@@ -245,9 +253,74 @@ def test_edge_tables_by_level_reject_levels_out_of_range():
 
 def test_stationary_levels_share_rows():
     d = gen.stationary_adic([[2, 1, 0], [1, 1, 1], [0, 1, 2]], 40)
-    for rows in (d.in_edge_table, d.edge_position_table):
+    for rows in (d.in_edge_table, d.edge_position_table, d.out_edge_table):
         assert all(rows[n - 1] is rows[1] for n in range(2, 41))
         assert rows[0] is not rows[1]
+
+
+def test_levels_share_an_index_entry_exactly_when_equal(table_suite):
+    shared = 0
+    for name, d in table_suite.items():
+        vcs, index = d.vertex_counts, d._level_index
+        keys = list(zip(d.edges, vcs, vcs[1:]))
+        for i, j in itertools.combinations(range(d.num_levels), 2):
+            assert (index[i] is index[j]) == (keys[i] == keys[j]), (name, i, j)
+            shared += index[i] is index[j]
+    assert shared
+    # Equal edges, but the vertex counts differ.
+    for name, k in (("unequal-counts", 3), ("unequal-sources", 2)):
+        index = table_suite[name]._level_index
+        assert index[k - 1] is not index[k]
+
+
+# ---------------------------------------------------------------------------
+# The axiom scan against the per-level set scan it replaced
+
+
+def _reference_violations(d):
+    report = []
+    for n in range(1, d.num_levels + 1):
+        level = d.level_edges(n)
+        if not level:
+            report.append(dg.Violation("malformed", n, "empty edge level"))
+            continue
+        ranges = {r for _, r in level}
+        for v in range(d.vertex_counts[n]):
+            if v not in ranges:
+                report.append(dg.Violation(
+                    "range-surjectivity", n,
+                    f"vertex {v} at level {n} has no incoming edge"))
+        sources = {s for s, _ in level}
+        for v in range(d.vertex_counts[n - 1]):
+            if v not in sources:
+                report.append(dg.Violation(
+                    "source-surjectivity", n - 1,
+                    f"vertex {v} at level {n - 1} has no outgoing edge"))
+    return report
+
+
+def _thinned(rng, d):
+    """d with about a fifth of its edges dropped and about a tenth of its
+    levels emptied."""
+    edges = [[] if rng.random() < 0.1 else
+             [e for e in level if rng.random() < 0.8] for level in d.edges]
+    return dg.make_diagram(d.num_levels, d.vertex_counts, edges)
+
+
+def test_validate_matches_reference_scan(table_suite):
+    inputs = list(table_suite.values())
+    for seed in range(300):
+        rng = random.Random(seed)
+        inputs.append(_thinned(rng, random_diagram(
+            rng, rng.randint(1, 8), rng.randint(1, 6), rng.randint(0, 5))))
+    kinds, several = set(), 0
+    for d in inputs:
+        want = _reference_violations(d)
+        assert dg.validate_diagram(d) == want
+        kinds.update(v.kind for v in want)
+        several += len(want) > 1
+    assert kinds == {"malformed", "range-surjectivity", "source-surjectivity"}
+    assert several >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,10 @@ def test_element_positive_fixed_cases():
     # Past the last level the Fibonacci matrix pushes (-1, 1) to (0, -1).
     fib = kt.k0_presentation(gen.stationary_adic([[1, 1], [1, 0]], 10))
     assert verdict(fib, 10, (-1, 1)) == "not_positive"
+    # Maps that differ are not continued: nothing past level 3 counts.
+    mixed = kt.DimensionGroupPresentation(
+        (2, 2, 2), (fib.maps[0], ((1, 0), (0, 1))), (1, 1))
+    assert verdict(mixed, 3, (-1, 1)) == "unknown"
 
 
 def test_element_positive_without_numpy():
