@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from typing import List, Optional
+from itertools import chain, compress
+from typing import Dict, List, Optional
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       check_valid, incidence_matrix, is_int_list, mat_vec)
@@ -24,8 +24,9 @@ from .paths import extremal_paths
 @dataclass
 class SNFResult:
     diagonal: List[int]          # elementary divisors d1 | d2 | ..., then 0s
-    left: List[List[int]]        # U with U A V = diag
-    right: List[List[int]]       # V
+    left: List[Dict[int, int]]   # U with U A V = diag, as rows of
+    #                              {column: nonzero}
+    right: List[Dict[int, int]]  # V, as rows of {column: nonzero}
 
     @property
     def rank(self) -> int:
@@ -47,35 +48,35 @@ def _sparse_rows(a):
     return [{j: row[j] for j in compress(range(len(row)), row)} for row in a]
 
 
-def _dense(rows, n):
-    """Dense rows of length n from sparse rows."""
-    out = [[0] * n for _ in rows]
-    for dense, row in zip(out, rows):
-        for j, x in row.items():
-            dense[j] = x
-    return out
-
-
 def smith_normal_form(a: List[List[int]]) -> SNFResult:
     """U A V = diag(d1,...,dr,0,...) with di | d(i+1) and U, V unimodular.
 
-    The working matrix and U are held as rows of {column: nonzero} dicts
-    and V by columns, so every row operation, column operation and swap
-    costs O(nonzeros), and sparse inputs such as I - P^T cost far less
-    than n^3.  Once step t is done, row t and column t are zero off the
-    diagonal, so the rows >= t hold every entry still to be eliminated and
-    a column swap touches only them.
+    A is read once into rows of {column: nonzero} dicts, and U and V are
+    kept and returned as such rows (V is held by columns while its columns
+    are combined), so every row operation, column operation and swap costs
+    O(nonzeros), and sparse inputs such as I - P^T cost far less than n^3.
+    A column index (for each column, a superset of the rows holding it;
+    rows are checked on read) finds the rows below the pivot that hold
+    column t and the rows a column swap touches without rescanning the
+    rows below t.  Once step t is done, row t and column t are zero off
+    the diagonal, so the rows >= t hold every entry still to be
+    eliminated.
 
     Elimination pivots on the first minimum-absolute-value nonzero entry
     of the rows >= t in row-major order, which keeps intermediate entries
     small.  Multipliers are floor quotients; a remainder left in the pivot
     row or column redoes the step, and a later entry that the pivot does
-    not divide has its row folded into the pivot row first.  U and V are
-    made dense once, at return.
+    not divide has its row folded into the pivot row first.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [{j: int(x) for j, x in row.items()} for row in _sparse_rows(a)]
+    if any(len(row) != n for row in a):
+        raise DiagramError("matrix dimension mismatch")
+    d = [{j: int(row[j]) for j in compress(range(n), row)} for row in a]
+    holders = [set() for _ in range(n)]   # column -> rows that may hold it
+    for i, row in enumerate(d):
+        for j in row:
+            holders[j].add(i)
     u = [{i: 1} for i in range(m)]
     v = [{j: 1} for j in range(n)]    # columns of V
 
@@ -95,16 +96,28 @@ def smith_normal_form(a: List[List[int]]) -> SNFResult:
         if best is None:
             break
         _, pi, pj = best
-        d[t], d[pi] = d[pi], d[t]
-        u[t], u[pi] = u[pi], u[t]
+        if pi != t:
+            for j in d[pi]:
+                holders[j].add(t)
+            for j in d[t]:
+                holders[j].add(pi)
+            d[t], d[pi] = d[pi], d[t]
+            u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in [r for r in d[t:] if t in r or pj in r]:
+            # Rows above t hold neither column; the two index entries are
+            # rebuilt exactly from the rows the swap touches.
+            now_t, now_pj = set(), set()
+            for i in holders[t] | holders[pj]:
+                row = d[i]
                 x = row.pop(t, 0)
                 y = row.pop(pj, 0)
                 if y:
                     row[t] = y
+                    now_t.add(i)
                 if x:
                     row[pj] = x
+                    now_pj.add(i)
+            holders[t], holders[pj] = now_t, now_pj
             v[t], v[pj] = v[pj], v[t]
         if d[t][t] < 0:
             d[t] = {j: -x for j, x in d[t].items()}
@@ -113,21 +126,28 @@ def smith_normal_form(a: List[List[int]]) -> SNFResult:
         p = row_t[t]
         # Clear column t below the pivot, then row t right of it; each
         # multiplier is the floor quotient, so the remainders stay behind.
-        below = [i for i in range(t + 1, m) if t in d[i]]
+        below = [i for i in holders[t] if i > t and t in d[i]]
         for i in below:
             c = d[i][t] // p
             if c:
                 _add_to(d[i], row_t, -c)
                 _add_to(u[i], u[t], -c)
-        right = {j: -(x // p) for j, x in row_t.items() if j != t}
-        if right:
-            for row in [row_t] + [d[i] for i in below]:
-                x = row.get(t)
+                for j in row_t:
+                    holders[j].add(i)
+        if len(row_t) > 1:
+            # Column j -= (x // p) * column t leaves x % p in row t.
+            right = {j: -(x // p) for j, x in row_t.items() if j != t}
+            for i in below:
+                x = d[i].get(t)
                 if x:
-                    _add_to(row, right, x)
+                    _add_to(d[i], right, x)
+                    for j in right:
+                        holders[j].add(i)
             for j, c in right.items():
                 _add_to(v[j], v[t], c)
-        if len(row_t) > 1 or any(t in d[i] for i in below):
+            d[t] = row_t = {j: x % p for j, x in row_t.items() if x % p}
+            row_t[t] = p
+        if len(row_t) > 1 or p != 1 and any(t in d[i] for i in below):
             continue  # remainders were introduced; redo this pivot
         # Enforce divisibility of later entries by folding an offender in.
         if p != 1:
@@ -136,11 +156,19 @@ def smith_normal_form(a: List[List[int]]) -> SNFResult:
             if offender is not None:
                 _add_to(row_t, d[offender], 1)
                 _add_to(u[t], u[offender], 1)
+                for j in d[offender]:
+                    holders[j].add(t)
                 continue
+        holders[t] = None     # column t is done and never read again
         t += 1
     diag = [d[i].get(i, 0) for i in range(min(m, n))]
-    return SNFResult(diag, _dense(u, m),
-                     [list(col) for col in zip(*_dense(v, n))])
+    # V by rows; popping its columns keeps one copy of V alive at a time.
+    right_rows = [{} for _ in range(n)]
+    v.reverse()
+    for j in range(n):
+        for i, x in v.pop().items():
+            right_rows[i][j] = x
+    return SNFResult(diag, u, right_rows)
 
 
 def _det(a):
@@ -159,12 +187,15 @@ def _sparse_det(rows):
     its last update, and scaled by prev / that prev when next used.  A
     pivot row with a single entry therefore only drops column k from the
     others.  The last pivot, times the sign of the order in which rows
-    were taken, is the determinant; that of the 0 x 0 matrix is 1.
+    were taken, is the determinant; that of the 0 x 0 matrix is 1.  The
+    given rows are not changed: a row is copied before its first change in
+    place.
     """
     n = len(rows)
-    rows = [dict(r) for r in rows]
     if not all(rows):
         return 0
+    rows = list(rows)
+    copied = [False] * n
     filed = [[] for _ in range(n)]
     for i, row in enumerate(rows):
         filed[min(row)].append(i)
@@ -174,17 +205,22 @@ def _sparse_det(rows):
     for k in range(n):
         if not filed[k]:
             return 0
-        p = min(filed[k], key=lambda i: len(rows[i]))
+        here = filed[k]
+        p = here[0] if len(here) == 1 else min(here,
+                                               key=lambda i: len(rows[i]))
         order.append(p)
         pivot_row = rows[p]
         if since[p] != prev:
             pivot_row = {j: x * prev // since[p] for j, x in pivot_row.items()}
         pk = pivot_row[k]
-        for i in filed[k]:
+        for i in here:
             if i == p:
                 continue
             row = rows[i]
             if len(pivot_row) == 1:
+                if not copied[i]:
+                    row = rows[i] = dict(row)
+                    copied[i] = True
                 del row[k]
             else:
                 if since[i] != prev:
@@ -195,6 +231,7 @@ def _sparse_det(rows):
                     acc[j] = acc.get(j, 0) - c * y
                 row = rows[i] = {j: z // prev for j, z in acc.items() if z}
                 since[i] = pk
+                copied[i] = True
             if not row:
                 return 0
             filed[min(row)].append(i)
@@ -222,20 +259,34 @@ def _sparse_mul(x, y):
     return out
 
 
+def _is_sparse_square(rows, size):
+    """Whether rows are `size` rows of {column: nonzero int} dicts whose
+    columns are ints in range(size); type checks run at C speed."""
+    if len(rows) != size or set(map(type, rows)) - {dict}:
+        return False
+    if set(map(type, chain.from_iterable(rows))) - {int} or \
+            set(map(type, chain.from_iterable(map(dict.values, rows)))) - {int}:
+        return False
+    keys = set(chain.from_iterable(rows))
+    return (not keys or min(keys) >= 0 and max(keys) < size) and \
+        all(chain.from_iterable(map(dict.values, rows)))
+
+
 def verify_snf(a, res: SNFResult) -> bool:
     """Check an SNF result exactly: U A V = diag, d1 | d2 | ... with the
-    zeros last, and |det U| = |det V| = 1 for square U (m x m) and V (n x n).
+    zeros last, and |det U| = |det V| = 1 for square U (m x m) and V (n x n)
+    given as rows of {column: nonzero int} dicts.
 
-    A, U and V are read into rows of {column: nonzero} dicts once; U A V
-    is multiplied out on those rows, so it costs O(nonzeros) instead of
-    O(n^3), and the determinants are taken on the same rows.
+    A is read into such rows once; U A V is multiplied out on the rows, so
+    it costs O(nonzeros) instead of O(n^3), and the determinants are taken
+    on U's and V's own rows.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     diag = res.diagonal
-    if len(diag) != min(m, n) or \
-            len(res.left) != m or any(len(r) != m for r in res.left) or \
-            len(res.right) != n or any(len(r) != n for r in res.right):
+    u, v = res.left, res.right
+    if len(diag) != min(m, n) or not _is_sparse_square(u, m) or \
+            not _is_sparse_square(v, n):
         return False
     for d1, d2 in zip(diag, diag[1:]):
         if d1 == 0 and d2 != 0:
@@ -244,7 +295,6 @@ def verify_snf(a, res: SNFResult) -> bool:
             return False
     if any(len(row) != n for row in a):
         raise DiagramError("matrix dimension mismatch")
-    u, v = _sparse_rows(res.left), _sparse_rows(res.right)
     prod = _sparse_mul(_sparse_mul(u, _sparse_rows(a)), v)
     for i, row in enumerate(prod):
         if row != ({i: diag[i]} if i < len(diag) and diag[i] else {}):
@@ -415,10 +465,13 @@ def k1_rank(d: OrderedBratteliDiagram, depth: Optional[int] = None) -> dict:
 # ---------------------------------------------------------------------------
 # Finite permutation systems and the exact-sequence oracle
 
-# Largest system the oracle accepts.  Its dense n x n input, U and V make
-# cost and memory grow faster than n^2: on a 2-vCPU host with Python 3.11
-# a single cycle of 512 points takes about 0.15 s and 25 MB, and of 1024
-# points about 0.65 s and 100 MB.
+# Largest system the oracle accepts.  The SNF holds A, U and V as sparse
+# rows and reaches the rows a pivot step works on through a column index,
+# so a step costs O(nonzeros); but V fills in (for a single cycle it is
+# upper triangular, n^2 / 2 entries), so cost and memory still grow like
+# n^2 or faster.  On a 2-vCPU host with Python 3.11 a single cycle of 512
+# points takes about 0.07 s and 11 MB, and the SNF and its check on 1024
+# points about 0.28 s and 41 MB.
 MAX_ORACLE_POINTS = 512
 
 
@@ -485,8 +538,7 @@ def k_oracle_finite_system(s: FinitePermutationSystem) -> dict:
     k0_rank = n - res.rank
     # kernel rank of I - P^T equals n - rank as well (square matrix).
     k1 = n - res.rank
-    fibers = sorted(set(s.fiber_of))
-    unit = sorted(sum(1 for f in s.fiber_of if f == z) for z in fibers)
+    unit = sorted(Counter(s.fiber_of).values())
     return {"k0_rank": k0_rank, "k0_torsion": torsion,
             "k1_rank": k1, "unit_image": unit}
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -30,6 +31,12 @@ def test_snf_rectangular_and_zero():
     res = kt.smith_normal_form(b)
     assert res.diagonal == [1]
     assert kt.verify_snf(b, res)
+
+
+def test_snf_rejects_ragged_rows():
+    for a in ([[2, 4], [6]], [[2], [6, 8]]):
+        with pytest.raises(dg.DiagramError, match="matrix dimension mismatch"):
+            kt.smith_normal_form(a)
 
 
 def test_snf_torsion_example():
@@ -66,6 +73,11 @@ def _permutation_matrices(draw):
              for j in range(n)] for i in range(n)]   # I - P^T
 
 
+def _dense(rows):
+    """A square matrix given as rows of {column: nonzero}, made dense."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_dense_matrices(), _permutation_matrices()))
 def test_snf_and_det_match_sympy(a):
@@ -77,7 +89,7 @@ def test_snf_and_det_match_sympy(a):
             invariant_factors(sympy.Matrix(a), domain=sympy.ZZ) if x != 0]
     assert [abs(x) for x in res.diagonal if x != 0] == want
     square = [a] if len(a) == len(a[0]) <= 6 else []
-    for mat in square + [res.left, res.right]:
+    for mat in square + [_dense(res.left), _dense(res.right)]:
         assert kt._det(mat) == sympy.Matrix(mat).det()
 
 
@@ -97,17 +109,67 @@ def test_verify_snf_rejects_bad_results():
     assert not kt.verify_snf(a, kt.SNFResult([2, 6, 24], res.left,
                                               res.right))
     # A U that breaks U A V = diag (still unimodular).
-    bad_u = [row[:] for row in res.left]
-    bad_u[0] = [x + y for x, y in zip(bad_u[0], bad_u[1])]
-    assert abs(kt._det(bad_u)) == 1
+    bad_u = [dict(row) for row in res.left]
+    for j, y in res.left[1].items():
+        bad_u[0][j] = bad_u[0].get(j, 0) + y
+    bad_u[0] = {j: x for j, x in bad_u[0].items() if x}
+    assert abs(kt._det(_dense(bad_u))) == 1
     assert not kt.verify_snf(a, kt.SNFResult(res.diagonal, bad_u,
                                               res.right))
     # U A V = diag holds, but 2 does not divide 3.
-    eye = [[1, 0], [0, 1]]
+    eye = [{0: 1}, {1: 1}]
     assert not kt.verify_snf([[2, 0], [0, 3]],
                              kt.SNFResult([2, 3], eye, eye))
     # U A V = diag holds, but U is not unimodular.
-    assert not kt.verify_snf([[1]], kt.SNFResult([2], [[2]], [[1]]))
+    assert not kt.verify_snf([[1]], kt.SNFResult([2], [{0: 2}], [{0: 1}]))
+
+
+def _malformed(rows, kind):
+    """A copy of sparse rows broken in one way; the matrix it stands for
+    is unchanged where the break allows it (a list row, a bool key, an
+    explicit zero, a float value)."""
+    rows = [dict(row) for row in rows]
+    size = len(rows)
+    i = next(i for i, row in enumerate(rows) if 0 in row)
+    if kind == "missing row":
+        return rows[:-1]
+    if kind == "extra row":
+        return rows + [{}]
+    if kind == "list row":
+        rows[i] = [rows[i].get(j, 0) for j in range(size)]
+    elif kind == "key out of range":
+        rows[i][size] = 1
+    elif kind == "negative key":
+        rows[i][-1] = 1
+    elif kind == "bool key":
+        rows[i] = {(False if j == 0 else j): x for j, x in rows[i].items()}
+    elif kind == "zero value":
+        i, j = next((i, j) for i, row in enumerate(rows)
+                    for j in range(size) if j not in row)
+        rows[i][j] = 0
+    elif kind == "float value":
+        rows[i][0] = float(rows[i][0])
+    elif kind == "bool value":
+        rows[i][0] = rows[i][0] == 1
+    return rows
+
+
+@pytest.mark.parametrize("kind", [
+    "missing row", "extra row", "list row", "key out of range",
+    "negative key", "bool key", "zero value", "float value", "bool value"])
+@pytest.mark.parametrize("which", ["U", "V"])
+def test_verify_snf_rejects_malformed_certificates(which, kind):
+    for a in ([[2, 0, 0], [0, 6, 0], [0, 0, 0]],
+              [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]):
+        res = kt.smith_normal_form(a)
+        assert kt.verify_snf(a, res)
+        left, right = res.left, res.right
+        if which == "U":
+            left = _malformed(left, kind)
+        else:
+            right = _malformed(right, kind)
+        assert kt.verify_snf(a, kt.SNFResult(res.diagonal, left,
+                                             right)) is False
 
 
 def _dense_mul(x, y):
@@ -125,21 +187,27 @@ def _reference_verify(a, res):
     divisibility chain, and sympy's determinants of U and V."""
     sympy = pytest.importorskip("sympy")
     diag = res.diagonal
+    left, right = _dense(res.left), _dense(res.right)
     for d1, d2 in zip(diag, diag[1:]):
         if (d2 != 0) if d1 == 0 else (d2 % d1 != 0):
             return False
-    prod = _dense_mul(_dense_mul(res.left, a), res.right)
+    prod = _dense_mul(_dense_mul(left, a), right)
     want = [[diag[i] if i == j else 0 for j in range(len(a[0]))]
             for i in range(len(a))]
-    return (prod == want and abs(sympy.Matrix(res.left).det()) == 1
-            and abs(sympy.Matrix(res.right).det()) == 1)
+    return (prod == want and abs(sympy.Matrix(left).det()) == 1
+            and abs(sympy.Matrix(right).det()) == 1)
 
 
 def _edited(res, which, i, j, delta):
-    left = [row[:] for row in res.left]
-    right = [row[:] for row in res.right]
+    left = [dict(row) for row in res.left]
+    right = [dict(row) for row in res.right]
     mat = left if which == "U" else right
-    mat[i % len(mat)][j % len(mat)] += delta
+    row, j = mat[i % len(mat)], j % len(mat)
+    x = row.get(j, 0) + delta
+    if x:
+        row[j] = x
+    else:
+        del row[j]
     return kt.SNFResult(list(res.diagonal), left, right)
 
 
@@ -417,6 +485,66 @@ def test_oracle_three_cycles_of_32():
     out = kt.k_oracle_finite_system(s)
     assert out == {"k0_rank": 3, "k0_torsion": [], "k1_rank": 3,
                    "unit_image": [32, 32, 32]}
+
+
+def test_oracle_unit_image_many_fibers():
+    # 251 fibers of mixed sizes on 474 points, in no order, under scattered
+    # labels: unit_image is the sorted list of fiber sizes.
+    sizes = [1] * 150 + [2] * 60 + [3] * 30 + [5] * 10 + [64]
+    rng = random.Random(7)
+    rng.shuffle(sizes)
+    points = list(range(sum(sizes)))
+    rng.shuffle(points)
+    labels = rng.sample(range(-1000, 1000), len(sizes))
+    perm, fiber = [0] * len(points), [0] * len(points)
+    start = 0
+    for size, label in zip(sizes, labels):
+        cycle = points[start:start + size]
+        for k, x in enumerate(cycle):
+            perm[x] = cycle[(k + 1) % size]
+            fiber[x] = label
+        start += size
+    s = kt.make_permutation_system(perm, fiber)
+    assert kt.k_oracle_finite_system(s) == {
+        "k0_rank": 251, "k0_torsion": [], "k1_rank": 251,
+        "unit_image": sorted(sizes)}
+
+
+def test_oracle_memory_at_the_cap():
+    # One cycle of MAX_ORACLE_POINTS points: V is dense upper triangular,
+    # about n^2 / 2 entries, so this is the cap's worst memory case.  The
+    # child reports its peak RSS growth across the call.  On Linux a child's
+    # ru_maxrss starts at the RSS its parent had when it forked, so under a
+    # large test runner it would show no growth; VmHWM, the peak of the
+    # child's own address space, starts afresh at exec.
+    resource = pytest.importorskip("resource")
+    code = """
+import resource, sys
+from bratteli import ktheory as kt
+
+def peak_mb():
+    try:
+        with open("/proc/self/status") as f:
+            return next(int(line.split()[1]) for line in f
+                        if line.startswith("VmHWM:")) / 2 ** 10
+    except (OSError, StopIteration):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+n = kt.MAX_ORACLE_POINTS
+s = kt.make_permutation_system([(i + 1) % n for i in range(n)], [0] * n)
+before = peak_mb()
+out = kt.k_oracle_finite_system(s)
+print(peak_mb() - before, out)
+"""
+    src = os.path.dirname(os.path.dirname(bratteli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    grown_mb, result = out.split(" ", 1)
+    assert result.strip() == str({"k0_rank": 1, "k0_torsion": [],
+                                  "k1_rank": 1, "unit_image": [512]})
+    assert float(grown_mb) <= 20, f"peak RSS grew by {grown_mb} MB"
 
 
 def test_system_json_round_trip():
