@@ -422,22 +422,28 @@ def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
     return segs
 
 
-# Largest telescoped diagram, in edges, that telescope() builds.  Each new
-# edge keeps its segment as a tuple of original edges, so memory grows with
-# segment length too.  At the cap, on a 2-vCPU host with Python 3.11,
-# telescoping the 17-level 2-odometer into one level takes about 0.3 s and
-# 51 MB, and `bratteli telescope`, which also writes every edge as indented
-# JSON, about 3 s and 74 MB peak.
+# Largest diagram, in edges, that telescope() or a generator builds.  Each
+# telescoped edge keeps its segment as a tuple of original edges, so
+# telescope() also caps the edge indices those tuples hold at
+# MAX_TELESCOPE_INDICES.  At the cap, on a 2-vCPU host with Python 3.11,
+# telescoping the 17-level 2-odometer into one level (2,228,224 indices)
+# takes about 0.3 s and 51 MB, and `bratteli telescope`, which also writes
+# every edge as indented JSON, about 3 s and 74 MB peak.  4,096 edges of
+# 1,024-level segments, 2^22 indices, take about 32 MB.
 MAX_TELESCOPE_EDGES = 2 ** 17
+MAX_TELESCOPE_INDICES = 2 ** 22
 
 
-def _telescope_too_big(d: OrderedBratteliDiagram, cuts: tuple) -> bool:
-    """Whether d telescoped at cuts has more than MAX_TELESCOPE_EDGES
-    edges, from path counts: per segment, the paths from any vertex at its
-    bottom level to any at its top level.  Counts are clamped one past
-    the cap, so deep diagrams never grow big integers."""
+def _telescope_too_big(d: OrderedBratteliDiagram,
+                       cuts: tuple) -> Optional[str]:
+    """The cap d telescoped at cuts exceeds, or None: MAX_TELESCOPE_EDGES
+    edges, else MAX_TELESCOPE_INDICES edge indices in all its edges'
+    segments.  Edges are counted from path counts: per segment, the paths
+    from any vertex at its bottom level to any at its top level, each
+    holding one index per level of the segment.  Counts are clamped one
+    past the edge cap, so deep diagrams never grow big integers."""
     over = MAX_TELESCOPE_EDGES + 1
-    total = 0
+    total = indices = 0
     for lo, hi in zip((0,) + cuts, cuts):
         counts = [1] * d.vertex_counts[lo]
         for level, size in zip(d.edges[lo:hi], d.vertex_counts[lo + 1:]):
@@ -447,8 +453,11 @@ def _telescope_too_big(d: OrderedBratteliDiagram, cuts: tuple) -> bool:
             counts = [min(c, over) for c in row]
         total += sum(counts)
         if total >= over:
-            return True
-    return False
+            return f"MAX_TELESCOPE_EDGES = {MAX_TELESCOPE_EDGES} edges"
+        indices += sum(counts) * (hi - lo)
+    if indices > MAX_TELESCOPE_INDICES:
+        return f"MAX_TELESCOPE_INDICES = {MAX_TELESCOPE_INDICES} edge indices"
+    return None
 
 
 def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
@@ -458,7 +467,8 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
     Returns (telescoped diagram, TelescopeMap).  New edges into a vertex are
     ordered by the deepest-edge-first comparison of their constituent paths,
     which makes the successor map commute with the path bijection.  A
-    telescoping of more than MAX_TELESCOPE_EDGES edges is refused with
+    telescoping of more than MAX_TELESCOPE_EDGES edges, or whose segments
+    hold more than MAX_TELESCOPE_INDICES edge indices, is refused with
     DiagramError before any segment is listed.
     """
     cuts = tuple(int(c) for c in cuts)
@@ -468,10 +478,11 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
         raise DiagramError(
             f"cut points must lie in 1..{d.num_levels} and end at "
             f"{d.num_levels}")
-    if _telescope_too_big(d, cuts):
+    too_big = _telescope_too_big(d, cuts)
+    if too_big:
         raise DiagramError(
             f"telescoping at cuts {','.join(map(str, cuts))} gives more "
-            f"than MAX_TELESCOPE_EDGES = {MAX_TELESCOPE_EDGES} edges")
+            f"than {too_big}")
     segs = [telescope_segments(d, lo + 1, hi)
             for lo, hi in zip((0,) + cuts, cuts)]
     new_edges = [[(s, r) for s, r, _ in level] for level in segs]

@@ -8,9 +8,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from .diagram import (DiagramError, OrderedBratteliDiagram, _edges_from_matrix,
-                      make_diagram)
+from .diagram import (MAX_TELESCOPE_EDGES, DiagramError, OrderedBratteliDiagram,
+                      _edges_from_matrix, make_diagram)
 from .ktheory import FinitePermutationSystem, make_permutation_system
+
+
+def _check_edge_count(count: int) -> None:
+    """Refuse a diagram of more than MAX_TELESCOPE_EDGES edges, counted
+    from a generator's arguments before anything is built."""
+    if count > MAX_TELESCOPE_EDGES:
+        raise DiagramError(
+            f"the diagram would have {count} edges, more than "
+            f"MAX_TELESCOPE_EDGES = {MAX_TELESCOPE_EDGES}")
 
 
 def odometer(base: int, levels: int) -> OrderedBratteliDiagram:
@@ -19,6 +28,7 @@ def odometer(base: int, levels: int) -> OrderedBratteliDiagram:
         raise DiagramError(f"odometer base must be >= 2, got {base}")
     if levels < 1:
         raise DiagramError("levels must be >= 1")
+    _check_edge_count(base * levels)
     edges = [[(0, 0)] * base for _ in range(levels)]
     labels = [[0]] * levels
     return make_diagram(levels, [1] * (levels + 1), edges, labels)
@@ -33,6 +43,8 @@ def stationary_adic(matrix: Sequence[Sequence[int]],
     many root edges, so a 1x1 matrix [d] reproduces the d-odometer exactly.
     """
     k = len(matrix)
+    if not k:
+        raise DiagramError("matrix must have at least one row")
     m = [[int(x) for x in row] for row in matrix]
     if any(len(row) != k for row in m):
         raise DiagramError("matrix must be square")
@@ -44,6 +56,7 @@ def stationary_adic(matrix: Sequence[Sequence[int]],
         raise DiagramError("matrix has a zero column")
     if levels < 1:
         raise DiagramError("levels must be >= 1")
+    _check_edge_count(levels * sum(map(sum, m)))
     root = [[sum(row)] for row in m]
     edges = ([_edges_from_matrix(root)]
              + [_edges_from_matrix(m)] * (levels - 1))
@@ -88,6 +101,9 @@ def finite_cycle_system(lengths: Sequence[int], levels: int = 6
     lengths = [int(x) for x in lengths]
     if not lengths or any(x < 1 for x in lengths):
         raise DiagramError("cycle lengths must be positive")
+    if levels < 1:
+        raise DiagramError("levels must be >= 1")
+    _check_edge_count(sum(lengths) + (levels - 1) * len(lengths))
     perm = []
     fiber = []
     base = 0

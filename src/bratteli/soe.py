@@ -82,6 +82,16 @@ def _first_mismatch(a, b):
     return None, None, None
 
 
+def _check_product(level, a, b, d, n, message):
+    """Raise IntertwiningInvalid unless a b is d's level-n incidence;
+    message is formatted with the first differing entry and both values."""
+    got = mat_mul(a, b)
+    want = incidence_matrix(d, n)
+    if got != want:
+        entry, x, y = _first_mismatch(got, want)
+        raise IntertwiningInvalid(level, entry, message.format(entry, x, y))
+
+
 def validate_intertwining(b1: OrderedBratteliDiagram,
                           b2: OrderedBratteliDiagram,
                           w: Intertwining) -> None:
@@ -92,7 +102,8 @@ def validate_intertwining(b1: OrderedBratteliDiagram,
     reproduces B2's root column (the height compatibility of the two unit
     vectors; without it the interleaved diagram has no consistent root).
     """
-    lp, lq = len(w.p_matrices), len(w.q_matrices)
+    ps, qs = w.p_matrices, w.q_matrices
+    lp, lq = len(ps), len(qs)
     if lq + 1 > b1.num_levels:
         raise IntertwiningInvalid(
             lq, None, f"intertwining needs {lq + 1} levels of B1, "
@@ -101,45 +112,25 @@ def validate_intertwining(b1: OrderedBratteliDiagram,
         raise IntertwiningInvalid(
             lp, None, f"intertwining needs {lp} levels of B2, "
             f"which has {b2.num_levels}")
-    for n in range(lp):
-        rows = b2.vertex_counts[n + 1]
-        cols = b1.vertex_counts[n + 1]
-        m = w.p_matrices[n]
-        if len(m) != rows or len(m[0]) != cols:
-            raise IntertwiningInvalid(
-                n + 1, None, f"P_{n + 1} must be {rows}x{cols}")
-    for n in range(lq):
-        rows = b1.vertex_counts[n + 2]
-        cols = b2.vertex_counts[n + 1]
-        m = w.q_matrices[n]
-        if len(m) != rows or len(m[0]) != cols:
-            raise IntertwiningInvalid(
-                n + 1, None, f"Q_{n + 1} must be {rows}x{cols}")
-    got = mat_mul(w.p_matrices[0], incidence_matrix(b1, 1))
-    want = incidence_matrix(b2, 1)
-    if got != want:
-        entry, x, y = _first_mismatch(got, want)
-        raise IntertwiningInvalid(
-            1, entry, f"root columns differ at entry {entry}: "
-            f"P_1 gives {x}, B2 has {y}")
-    for n in range(lq):
-        got = mat_mul(w.q_matrices[n], w.p_matrices[n])
-        want = incidence_matrix(b1, n + 2)
-        if got != want:
-            entry, x, y = _first_mismatch(got, want)
-            raise IntertwiningInvalid(
-                n + 1, entry,
-                f"Q_{n + 1} P_{n + 1} differs from B1 incidence at level "
-                f"{n + 2}, entry {entry}: {x} vs {y}")
-        if n + 1 < lp:
-            got = mat_mul(w.p_matrices[n + 1], w.q_matrices[n])
-            want = incidence_matrix(b2, n + 2)
-            if got != want:
-                entry, x, y = _first_mismatch(got, want)
+    # P_n maps B1 level n to B2 level n, Q_n B2 level n to B1 level n+1.
+    for name, ms, rows_d, cols_d, up in (("P", ps, b2, b1, 0),
+                                         ("Q", qs, b1, b2, 1)):
+        for n, m in enumerate(ms, 1):
+            rows, cols = rows_d.vertex_counts[n + up], cols_d.vertex_counts[n]
+            if len(m) != rows or len(m[0]) != cols:
                 raise IntertwiningInvalid(
-                    n + 1, entry,
-                    f"P_{n + 2} Q_{n + 1} differs from B2 incidence at "
-                    f"level {n + 2}, entry {entry}: {x} vs {y}")
+                    n, None, f"{name}_{n} must be {rows}x{cols}")
+    _check_product(1, ps[0], incidence_matrix(b1, 1), b2, 1,
+                   "root columns differ at entry {}: P_1 gives {}, "
+                   "B2 has {}")
+    for n, q in enumerate(qs, 1):
+        _check_product(n, q, ps[n - 1], b1, n + 1,
+                       f"Q_{n} P_{n} differs from B1 incidence at level "
+                       f"{n + 1}, entry {{}}: {{}} vs {{}}")
+        if n < lp:
+            _check_product(n, ps[n], q, b2, n + 1,
+                           f"P_{n + 1} Q_{n} differs from B2 incidence at "
+                           f"level {n + 1}, entry {{}}: {{}} vs {{}}")
 
 
 @dataclass(frozen=True)
@@ -606,26 +597,17 @@ def search_stationary_intertwining(b1: OrderedBratteliDiagram,
     qs = [[list(f[i * k2:(i + 1) * k2]) for i in range(k1)]
           for f in itertools.product(entries, repeat=k1 * k2)]
     rejections = []
-    match = None
     for p, q in itertools.product(ps, qs):
-        qp = mat_mul(q, p)
-        if qp != m1:
-            rejections.append(
-                {"P": p, "Q": q, "reason": f"QP = {qp} != {m1}"})
-            continue
-        pq = mat_mul(p, q)
-        if pq != m2:
-            rejections.append(
-                {"P": p, "Q": q, "reason": f"PQ = {pq} != {m2}"})
-            continue
-        if mat_mul(p, r1) != r2:
-            rejections.append(
-                {"P": p, "Q": q,
-                 "reason": f"P root column {mat_mul(p, r1)} != {r2}"})
-            continue
-        match = (p, q)
-        break
-    return match, rejections
+        for label, a, b, want in (("QP =", q, p, m1), ("PQ =", p, q, m2),
+                                  ("P root column", p, r1, r2)):
+            got = mat_mul(a, b)
+            if got != want:
+                rejections.append(
+                    {"P": p, "Q": q, "reason": f"{label} {got} != {want}"})
+                break
+        else:
+            return (p, q), rejections
+    return None, rejections
 
 
 def stationary_intertwining(p, q, num_p: int, num_q: int) -> Intertwining:

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import bratteli
 from bratteli import diagram as dg
 from bratteli import generators as gen
 
@@ -31,6 +35,42 @@ def suite():
 # has no in-edge.
 UNFED_JSON = ('{"num_levels": 2, "vertex_counts": [1, 2, 1], "edges":'
               ' [[{"s": 0, "r": 0}], [{"s": 0, "r": 0}, {"s": 1, "r": 0}]]}')
+
+
+# The child reports its peak RSS growth across one expression.  On Linux a
+# child's ru_maxrss starts at the RSS its parent had when it forked, so under
+# a large test runner it would show no growth; VmHWM, the peak of the
+# child's own address space, starts afresh at exec.
+_PEAK_GROWTH = """
+import resource, sys
+
+def peak_mb():
+    try:
+        with open("/proc/self/status") as f:
+            return next(int(line.split()[1]) for line in f
+                        if line.startswith("VmHWM:")) / 2 ** 10
+    except (OSError, StopIteration):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+{setup}
+before = peak_mb()
+out = {expr}
+print(peak_mb() - before, out)
+"""
+
+
+def peak_growth(setup, expr):
+    """(peak RSS growth in MB, str of the value) of a fresh interpreter
+    evaluating expr after running setup."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(bratteli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_GROWTH.format(setup=setup, expr=expr)],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True).stdout
+    grown_mb, value = out.split(" ", 1)
+    return float(grown_mb), value.strip()
 
 
 def random_diagram(rng, levels, max_vertices, max_extra):

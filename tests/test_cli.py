@@ -88,6 +88,30 @@ def test_k0_compare_needs_both_elements(capsys, odo2):
     assert "--level1" in res["payload"]["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["soe", "check", "--b1", "D", "--b2", "D"],
+     "soe check needs --intertwining"),
+    (["rank", "--diagram", "D"],
+     "rank needs either --path, or --rank with --level and --vertex"),
+], ids=["soe-check", "rank"])
+def test_missing_option_is_domain_error(capsys, odo2, argv, message):
+    code, res = run_json(capsys, [odo2 if a == "D" else a for a in argv])
+    assert code == 1
+    assert res["status"] == "error"
+    assert res["payload"]["message"] == message
+
+
+def test_unreadable_depth_cap_falls_back_to_16(capsys, tmp_path,
+                                               monkeypatch):
+    monkeypatch.setenv("BRATTELI_MAX_DEPTH", "x")
+    odo = tmp_path / "odo.json"
+    dg.save_diagram(gen.odometer(2, 20), str(odo))
+    code, res = run_json(capsys, ["extremal", "--diagram", str(odo),
+                                  "--depth", "20"])
+    assert code == 0 and res["payload"]["depth"] == 16
+    assert res["diagnostics"] == ["depth 20 capped to BRATTELI_MAX_DEPTH=16"]
+
+
 @pytest.mark.parametrize("argv", [
     ["perfect", "--diagram", "D", "--depth", "4"],
     ["extremal", "--diagram", "D", "--depth", "4"],

@@ -7,7 +7,7 @@ import pytest
 from bratteli import diagram as dg
 from bratteli import generators as gen
 from bratteli import paths as pt
-from conftest import random_diagram
+from conftest import peak_growth, random_diagram
 
 
 def fib(levels=6):
@@ -86,6 +86,8 @@ def test_telescope_incidence_is_matrix_product():
     assert dg.incidence_matrix(td, 2) == want
     assert td.num_levels == 3
     assert td.vertex_counts == (1, 2, 2, 2)
+    with pytest.raises(dg.DiagramError, match="dimension mismatch"):
+        dg.mat_mul([[1, 1]], [[1, 1]])
 
 
 def test_telescope_of_odometer_by_pairs():
@@ -103,10 +105,10 @@ def test_telescope_rejects_bad_cuts():
         dg.telescope(d, [3, 2, 4])
 
 
-def _odometer_with_tail(levels):
-    """The 2-odometer on levels 1..levels, then one level of one edge."""
-    return dg.make_diagram(levels + 1, [1] * (levels + 2),
-                           [[(0, 0), (0, 0)]] * levels + [[(0, 0)]])
+def _odometer_with_tail(levels, tail=1):
+    """The 2-odometer on levels 1..levels, then tail levels of one edge."""
+    return dg.make_diagram(levels + tail, [1] * (levels + tail + 1),
+                           [[(0, 0), (0, 0)]] * levels + [[(0, 0)]] * tail)
 
 
 def test_telescope_refuses_one_edge_over_the_cap(monkeypatch):
@@ -130,6 +132,26 @@ def test_telescope_builds_up_to_the_cap(monkeypatch):
     assert list(map(len, td.edges)) == [4, 4, 1]
     with pytest.raises(dg.DiagramError, match="MAX_TELESCOPE_EDGES"):
         dg.telescope(d, [4, 5])
+
+
+def test_telescope_refuses_one_index_over_the_cap(monkeypatch):
+    # 2^12 edges of 1,025 levels each: 2^22 + 2^12 stored edge indices.
+    assert dg.MAX_TELESCOPE_INDICES == 2 ** 22
+    d = _odometer_with_tail(12, 1013)
+    monkeypatch.setattr(dg, "telescope_segments", None)
+    with pytest.raises(dg.DiagramError, match="MAX_TELESCOPE_INDICES"):
+        dg.telescope(d, [1025])
+
+
+def test_telescope_stores_up_to_the_index_cap():
+    # 2^12 edges of 1,024 levels each: exactly 2^22 stored edge indices.
+    grown_mb, indices = peak_growth(
+        "from bratteli import diagram as dg\n"
+        "d = dg.make_diagram(1024, [1] * 1025,"
+        " [[(0, 0), (0, 0)]] * 12 + [[(0, 0)]] * 1012)",
+        "sum(map(len, dg.telescope(d, [1024])[1].orig_paths[0]))")
+    assert indices == str(2 ** 22)
+    assert grown_mb <= 48, f"peak RSS grew by {grown_mb} MB"
 
 
 def test_telescope_map_round_trip():

@@ -3,6 +3,7 @@ import pytest
 from bratteli import diagram as dg
 from bratteli import generators as gen
 from bratteli import paths as pt
+from conftest import peak_growth
 
 
 def test_odometer_shape_and_heights():
@@ -12,6 +13,8 @@ def test_odometer_shape_and_heights():
     assert pt.path_counts(d, 4) == (81,)
     with pytest.raises(dg.DiagramError):
         gen.odometer(1, 4)
+    with pytest.raises(dg.DiagramError, match="levels must be >= 1"):
+        gen.odometer(2, 0)
 
 
 def test_odometer_telescope_by_pairs_is_square_base():
@@ -27,6 +30,39 @@ def test_stationary_adic_rejects_degenerate_matrices():
         gen.stationary_adic([[0, 0], [1, 1]], 3)   # zero row
     with pytest.raises(dg.DiagramError):
         gen.stationary_adic([[1, 1]], 3)
+    with pytest.raises(dg.DiagramError, match="at least one row"):
+        gen.stationary_adic([], 3)
+    with pytest.raises(dg.DiagramError, match="non-negative"):
+        gen.stationary_adic([[2, -1], [1, 1]], 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen.odometer(3, 43691),                          # 3 * 43691
+    lambda: gen.stationary_adic([[1, 1], [1, 0]], 43691),    # 43691 * 3
+    lambda: gen.finite_cycle_system([2 ** 17 - 4], 6),       # + 5 * 1
+], ids=["odometer", "stationary", "cycles"])
+def test_generators_refuse_one_edge_over_the_cap(monkeypatch, build):
+    # Each call asks for 2^17 + 1 edges: refused from the arguments, before
+    # any level or permutation is built.
+    assert dg.MAX_TELESCOPE_EDGES == 2 ** 17
+    for name in ("make_diagram", "_edges_from_matrix",
+                 "make_permutation_system"):
+        monkeypatch.setattr(gen, name, None)
+    with pytest.raises(dg.DiagramError,
+                       match="would have 131073 edges, more than "
+                             "MAX_TELESCOPE_EDGES = 131072"):
+        build()
+
+
+def test_generators_build_at_the_cap():
+    assert sum(map(len, gen.odometer(2, 2 ** 16).edges)) == 2 ** 17
+    d = gen.stationary_adic([[1, 1], [1, 0]], 43690)
+    assert sum(map(len, d.edges)) == 2 ** 17 - 2
+    grown_mb, edges = peak_growth(
+        "from bratteli import generators as gen",
+        "sum(map(len, gen.finite_cycle_system([2 ** 17 - 5], 6)[1].edges))")
+    assert edges == str(2 ** 17)
+    assert grown_mb <= 64, f"peak RSS grew by {grown_mb} MB"
 
 
 def test_stationary_adic_single_entry_is_odometer():
@@ -43,6 +79,8 @@ def test_disjoint_union_structure():
     assert dg.incidence_matrix(d, 2) == [[2, 0], [0, 3]]
     with pytest.raises(dg.DiagramError):
         gen.disjoint_union([gen.odometer(2, 3), gen.odometer(3, 4)])
+    with pytest.raises(dg.DiagramError, match="at least one component"):
+        gen.disjoint_union([])
 
 
 def test_union_extremal_counts(suite):
@@ -80,6 +118,12 @@ def test_tower_system_validation():
         gen.make_tower_system([[0]], [[0]])          # zero height
     with pytest.raises(dg.DiagramError):
         gen.make_tower_system([[2], [3]], [[0], [0]])  # tops unbalanced
+    with pytest.raises(dg.DiagramError, match="shapes differ"):
+        gen.make_tower_system([[2], [3]], [[1]])
+    with pytest.raises(dg.DiagramError, match="at least one tower"):
+        gen.make_tower_system([[2], []], [[1], []])
+    with pytest.raises(dg.DiagramError, match="out of range"):
+        gen.make_tower_system([[2]], [[1]])
     s = gen.make_tower_system([[2], [3]], [[1], [0]])
     assert s.towers() == [(0, 0), (1, 0)]
 
@@ -94,6 +138,14 @@ def test_refinement_conclusion_letters():
     with pytest.raises(gen.RefinementError) as err:
         gen.make_refinement(coarse, fine, {})
     assert err.value.conclusion == "d"
+    for records in ([], [(0, 1)]):     # empty, and an unknown coarse tower
+        with pytest.raises(gen.RefinementError) as err:
+            gen.make_refinement(coarse, fine, {(0, 0): records})
+        assert err.value.conclusion == "d"
+    two = gen.make_tower_system([[2], [2]], [[0], [1]])
+    with pytest.raises(gen.RefinementError) as err:
+        gen.make_refinement(two, fine, {(0, 0): [(0, 0)] * 3})
+    assert err.value.conclusion == "c"    # group counts differ
     wide = gen.make_tower_system([[2], [2]], [[1], [0]])
     fine2 = gen.make_tower_system([[4], [4]], [[1], [0]])
     with pytest.raises(gen.RefinementError) as err:

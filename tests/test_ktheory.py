@@ -11,6 +11,7 @@ import bratteli
 from bratteli import diagram as dg
 from bratteli import generators as gen
 from bratteli import ktheory as kt
+from conftest import peak_growth
 
 
 # --- Smith normal form -----------------------------------------------------
@@ -95,6 +96,7 @@ def test_snf_and_det_match_sympy(a):
 
 def test_verify_snf_on_empty_shapes():
     assert kt._det([]) == 1
+    assert kt._det([[0, 1], [0, 1]]) == 0     # no row starts at column 0
     for a in ([], [[], []]):
         res = kt.smith_normal_form(a)
         assert res.diagonal == []
@@ -120,6 +122,9 @@ def test_verify_snf_rejects_bad_results():
     eye = [{0: 1}, {1: 1}]
     assert not kt.verify_snf([[2, 0], [0, 3]],
                              kt.SNFResult([2, 3], eye, eye))
+    # U A V = diag holds, but the zero comes first.
+    assert not kt.verify_snf([[0, 0], [0, 1]],
+                             kt.SNFResult([0, 1], eye, eye))
     # U A V = diag holds, but U is not unimodular.
     assert not kt.verify_snf([[1]], kt.SNFResult([2], [{0: 2}], [{0: 1}]))
 
@@ -512,39 +517,16 @@ def test_oracle_unit_image_many_fibers():
 
 def test_oracle_memory_at_the_cap():
     # One cycle of MAX_ORACLE_POINTS points: V is dense upper triangular,
-    # about n^2 / 2 entries, so this is the cap's worst memory case.  The
-    # child reports its peak RSS growth across the call.  On Linux a child's
-    # ru_maxrss starts at the RSS its parent had when it forked, so under a
-    # large test runner it would show no growth; VmHWM, the peak of the
-    # child's own address space, starts afresh at exec.
-    resource = pytest.importorskip("resource")
-    code = """
-import resource, sys
-from bratteli import ktheory as kt
-
-def peak_mb():
-    try:
-        with open("/proc/self/status") as f:
-            return next(int(line.split()[1]) for line in f
-                        if line.startswith("VmHWM:")) / 2 ** 10
-    except (OSError, StopIteration):
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
-
-n = kt.MAX_ORACLE_POINTS
-s = kt.make_permutation_system([(i + 1) % n for i in range(n)], [0] * n)
-before = peak_mb()
-out = kt.k_oracle_finite_system(s)
-print(peak_mb() - before, out)
-"""
-    src = os.path.dirname(os.path.dirname(bratteli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    grown_mb, result = out.split(" ", 1)
-    assert result.strip() == str({"k0_rank": 1, "k0_torsion": [],
-                                  "k1_rank": 1, "unit_image": [512]})
-    assert float(grown_mb) <= 20, f"peak RSS grew by {grown_mb} MB"
+    # about n^2 / 2 entries, so this is the cap's worst memory case.
+    grown_mb, result = peak_growth(
+        "from bratteli import ktheory as kt\n"
+        "n = kt.MAX_ORACLE_POINTS\n"
+        "s = kt.make_permutation_system([(i + 1) % n for i in range(n)],"
+        " [0] * n)",
+        "kt.k_oracle_finite_system(s)")
+    assert result == str({"k0_rank": 1, "k0_torsion": [],
+                          "k1_rank": 1, "unit_image": [512]})
+    assert grown_mb <= 20, f"peak RSS grew by {grown_mb} MB"
 
 
 def test_system_json_round_trip():

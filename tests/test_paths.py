@@ -208,6 +208,8 @@ def test_orbit_shift_needs_same_vertex():
     f = pt.min_path_to(d, 3, 1)
     with pytest.raises(dg.DiagramError):
         pt.orbit_shift(d, e, f)
+    with pytest.raises(dg.DiagramError, match="depth mismatch: 3 vs 2"):
+        pt.orbit_shift(d, e, pt.min_path_to(d, 2, 0))
 
 
 def test_extremal_paths_odometer():
@@ -218,6 +220,10 @@ def test_extremal_paths_odometer():
     assert mins.stabilized and maxs.stabilized
     assert mins.paths[0].edge_indices == (0,) * 4
     assert maxs.paths[0].edge_indices == (1,) * 4
+    with pytest.raises(dg.DiagramError, match="kind must be min or max"):
+        pt.extremal_paths(d, 4, "mid")
+    with pytest.raises(dg.DiagramError, match="depth 7 out of range"):
+        pt.extremal_paths(d, 7, "min")
 
 
 def test_extremal_paths_union_counts(suite):
@@ -244,6 +250,8 @@ def test_full_vershik_wraps_through_pairing():
     assert pt.full_vershik(d, top, pairing) == pt.min_path_to(d, 4, 0)
     with pytest.raises(pt.MaximalPathError):
         pt.full_vershik(d, top, None)
+    with pytest.raises(pt.MaximalPathError, match="no pairing entry"):
+        pt.full_vershik(d, top, {})
     # Off the boundary it is the plain successor and needs no pairing.
     p = pt.make_path(d, (0, 1, 1))
     assert pt.full_vershik(d, p) == pt.vershik_successor(d, p)

@@ -54,28 +54,37 @@ def test_validate_intertwining_checks_root_column():
     assert "root" in str(err.value)
 
 
-@pytest.mark.parametrize("levels1, levels2, change, level, entry, message", [
-    (2, 3, None, 2, None, "needs 3 levels of B1, which has 2"),
-    (3, 2, None, 3, None, "needs 3 levels of B2, which has 2"),
-    (3, 3, ("P", 1, [[1, 1]]), 2, None, "P_2 must be 1x1"),
-    (3, 3, ("Q", 0, [[2, 2]]), 1, None, "Q_1 must be 1x1"),
-    (3, 3, ("P", 1, [[2]]), 1, (0, 0),
+@pytest.mark.parametrize("levels1, levels2, changes, level, entry, message", [
+    (2, 3, [], 2, None, "intertwining needs 3 levels of B1, which has 2"),
+    (3, 2, [], 3, None, "intertwining needs 3 levels of B2, which has 2"),
+    (3, 3, [("P", 1, [[1, 1]])], 2, None, "P_2 must be 1x1"),
+    (3, 3, [("Q", 0, [[2, 2]])], 1, None, "Q_1 must be 1x1"),
+    (3, 3, [("P", 1, [[2]])], 1, (0, 0),
      "P_2 Q_1 differs from B2 incidence at level 2, entry (0, 0): 4 vs 2"),
-], ids=["b1-levels", "b2-levels", "p-shape", "q-shape", "pq-product"])
-def test_validate_intertwining_failures(levels1, levels2, change, level,
+    (3, 3, [("Q", 0, [[3]])], 1, (0, 0),
+     "Q_1 P_1 differs from B1 incidence at level 2, entry (0, 0): 3 vs 2"),
+    (3, 3, [("P", 0, [[2]])], 1, (0, 0),
+     "root columns differ at entry (0, 0): P_1 gives 4, B2 has 2"),
+    # Every shape is checked before any product, all P's before the Q's.
+    (3, 3, [("P", 1, [[1, 1]]), ("Q", 0, [[2, 2]])], 2, None,
+     "P_2 must be 1x1"),
+    (3, 3, [("P", 2, [[1, 1]]), ("Q", 0, [[3]])], 3, None,
+     "P_3 must be 1x1"),
+], ids=["b1-levels", "b2-levels", "p-shape", "q-shape", "pq-product",
+        "qp-product", "root", "p-before-q", "shape-before-product"])
+def test_validate_intertwining_failures(levels1, levels2, changes, level,
                                         entry, message):
     # 2-odometers with P = [1] and Q = [2] pass; each case changes one
-    # level count or one matrix.
+    # level count or one or two matrices.
     mats = {"P": [[[1]]] * 3, "Q": [[[2]]] * 2}
-    if change is not None:
-        key, i, m = change
+    for key, i, m in changes:
         mats[key][i] = m
     w = soe.make_intertwining(mats["P"], mats["Q"])
     with pytest.raises(soe.IntertwiningInvalid) as err:
         soe.validate_intertwining(gen.odometer(2, levels1),
                                   gen.odometer(2, levels2), w)
     assert (err.value.level, err.value.entry) == (level, entry)
-    assert message in str(err.value)
+    assert str(err.value) == message
 
 
 def test_build_interleaved_odometer_pair():
@@ -273,6 +282,14 @@ def test_cocycle_verified_by_iteration():
             assert soe.verify_cocycle(F, p, "forward")
         if not pt.is_minimal(b1, pre):
             assert soe.verify_cocycle(F, p, "backward")
+
+
+def test_verify_cocycle_refuses_past_its_limit(monkeypatch):
+    F = criterion6_map()
+    monkeypatch.setattr(soe, "VERIFY_LIMIT", 0)
+    with pytest.raises(dg.DiagramError,
+                       match="^cocycle value 1 exceeds iteration limit$"):
+        soe.verify_cocycle(F, pt.make_path(F.b1, (0, 0)), "forward")
 
 
 def test_cocycle_needs_depth_on_extremal_prefix():
@@ -787,6 +804,31 @@ def test_search_order_is_fixed():
     assert match == ([[2]], [[2]])
     assert [(r["P"], r["Q"]) for r in rejections] == [
         ([[p]], [[q]]) for p in range(3) for q in range(5)][:12]
+
+
+def test_search_records_each_reason():
+    # One candidate per identity a rejection can name: QP first, then PQ,
+    # then the root column.
+    b = gen.odometer(2, 3)
+    match, rejections = soe.search_stationary_intertwining(b, b, 2)
+    assert match == ([[1]], [[2]])
+    assert len(rejections) == 5
+    assert rejections[0] == {"P": [[0]], "Q": [[0]],
+                             "reason": "QP = [[0]] != [[2]]"}
+    d = gen.stationary_adic([[1, 1], [1, 0]], 4)
+    match, rejections = soe.search_stationary_intertwining(d, d, 1)
+    assert match == ([[1, 0], [0, 1]], [[1, 1], [1, 0]])
+    assert len(rejections) == 158
+    assert {"P": [[0, 1], [1, 0]], "Q": [[1, 1], [0, 1]],
+            "reason": "PQ = [[0, 1], [1, 1]] != [[1, 1], [1, 0]]"
+            } in rejections
+    b2, _ = dg.telescope(gen.odometer(2, 7), [1, 3, 5, 7])
+    match, rejections = soe.search_stationary_intertwining(
+        gen.odometer(4, 4), b2, 4)
+    assert match is None
+    assert len(rejections) == 25
+    assert {"P": [[1]], "Q": [[4]],
+            "reason": "P root column [[4]] != [[2]]"} in rejections
 
 
 def test_search_refuses_candidates_past_the_cap():
