@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 
@@ -67,16 +69,16 @@ class OrderedBratteliDiagram:
     # _level_index scans each distinct level once, keyed by its edges and
     # both vertex counts, so two levels share an entry exactly when they are
     # equal (as all but the first of a stationary diagram are).  The
-    # in-edge, edge-position and out-edge tables and the axiom scan all read
-    # that shared entry.  Rank sums are built apart, since they depend on
-    # the level below as well, and so is incidence_matrix, on each call: a
-    # dense matrix in the index would cost rows x columns per level on every
-    # path query's first read.
+    # in-edge, edge-position, out-edge and neighbour tables and the axiom
+    # scan all read that shared entry.  Rank sums are built apart, since
+    # they depend on the level below as well, and so is incidence_matrix,
+    # on each call: a dense matrix in the index would cost rows x columns
+    # per level on every path query's first read.
 
     @cached_property
     def _level_index(self) -> tuple:
-        """Per level: (in-edge rows, edge positions, out-edge rows), equal
-        levels sharing one entry."""
+        """Per level: (in-edge rows, edge positions, out-edge rows, next
+        edges, previous edges), equal levels sharing one entry."""
         seen, index = {}, []
         vcs = self.vertex_counts
         for key in zip(self.edges, vcs, vcs[1:]):
@@ -95,6 +97,15 @@ class OrderedBratteliDiagram:
     def out_edge_table(self) -> tuple:
         """out_edge_table[n-1][v]: level-n edges leaving level-(n-1) v."""
         return tuple(entry[2] for entry in self._level_index)
+
+    @cached_property
+    def _neighbour_table(self) -> dict:
+        """_neighbour_table[shift][n-1][e]: the level-n edge after (shift 1)
+        or before (shift -1) edge e into its range vertex, None at that
+        end of the order.  The Vershik step reads it."""
+        index = self._level_index
+        return {1: tuple(entry[3] for entry in index),
+                -1: tuple(entry[4] for entry in index)}
 
     @cached_property
     def path_count_table(self) -> tuple:
@@ -136,17 +147,22 @@ class OrderedBratteliDiagram:
 
 
 def _index_level(level: tuple, num_sources: int, num_ranges: int) -> tuple:
-    """One scan of a level: its in-edge rows, edge positions and out-edge
-    rows."""
+    """One scan of a level: its in-edge rows, edge positions, out-edge
+    rows, and each edge's next and previous edge into its range vertex
+    (None at either end)."""
     rows = [[] for _ in range(num_ranges)]
     outs = [[] for _ in range(num_sources)]
-    positions = []
+    positions, nexts, prevs = [], [None] * len(level), []
     for i, (s, r) in enumerate(level):
         row = rows[r]
+        if row:
+            nexts[row[-1]] = i
+        prevs.append(row[-1] if row else None)
         positions.append(len(row))
         row.append(i)
         outs[s].append(i)
-    return tuple(map(tuple, rows)), tuple(positions), tuple(map(tuple, outs))
+    return (tuple(map(tuple, rows)), tuple(positions),
+            tuple(map(tuple, outs)), tuple(nexts), tuple(prevs))
 
 
 def make_diagram(num_levels: int,
@@ -174,20 +190,16 @@ def make_diagram(num_levels: int,
     if len(edges) != num_levels:
         raise MalformedDiagram(
             f"edges must have {num_levels} levels, got {len(edges)}")
-    canon = []
+    # Equal levels under equal vertex counts are canonicalized once and
+    # share one tuple, as the levels of a stationary diagram do.  The key
+    # holds each edge as a tuple, so edges given as lists hash too.
+    canon, seen = [], {}
     for n, level in enumerate(edges, start=1):
-        pairs = []
-        for e in level:
-            s, r = int(e[0]), int(e[1])
-            if not 0 <= s < vcs[n - 1]:
-                raise MalformedDiagram(
-                    f"level {n}: source {s} out of range 0..{vcs[n - 1] - 1}")
-            if not 0 <= r < vcs[n]:
-                raise MalformedDiagram(
-                    f"level {n}: range {r} out of range 0..{vcs[n] - 1}")
-            pairs.append((s, r))
-        pairs.sort(key=lambda e: e[1])  # stable: keeps same-range order
-        canon.append(tuple(pairs))
+        key = (tuple(map(tuple, level)), vcs[n - 1], vcs[n])
+        pairs = seen.get(key)
+        if pairs is None:
+            pairs = seen[key] = _canonical_level(n, level, vcs[n - 1], vcs[n])
+        canon.append(pairs)
     labels = None
     if group_labels is not None:
         if len(group_labels) != num_levels:
@@ -203,6 +215,27 @@ def make_diagram(num_levels: int,
     return OrderedBratteliDiagram(num_levels, vcs, tuple(canon), labels)
 
 
+_RANGE = itemgetter(1)
+
+
+def _canonical_level(n: int, level, num_sources: int,
+                     num_ranges: int) -> tuple:
+    """Level n's edges as int pairs, range-checked in order and stably
+    sorted by range, which keeps the order of same-range edges."""
+    pairs = []
+    for e in level:
+        s, r = int(e[0]), int(e[1])
+        if not 0 <= s < num_sources:
+            raise MalformedDiagram(
+                f"level {n}: source {s} out of range 0..{num_sources - 1}")
+        if not 0 <= r < num_ranges:
+            raise MalformedDiagram(
+                f"level {n}: range {r} out of range 0..{num_ranges - 1}")
+        pairs.append((s, r))
+    pairs.sort(key=_RANGE)
+    return tuple(pairs)
+
+
 def validate_diagram(d: OrderedBratteliDiagram) -> list:
     """Return a list of Violation records; empty iff all axioms hold.
 
@@ -216,7 +249,8 @@ def validate_diagram(d: OrderedBratteliDiagram) -> list:
 
 def _scan_axioms(d: OrderedBratteliDiagram) -> list:
     report = []
-    for n, (into, positions, outs) in enumerate(d._level_index, start=1):
+    for n, (into, positions, outs, _, _) in enumerate(d._level_index,
+                                                      start=1):
         if not positions:
             report.append(Violation("malformed", n, "empty edge level"))
             continue
@@ -584,12 +618,11 @@ def diagram_from_json(obj: dict) -> OrderedBratteliDiagram:
                                    and all(map(is_int_list, labels))):
         raise MalformedDiagram(
             "group_labels must be null or a list of integer lists")
-    if not (type(obj["edges"]) is list and all(
-            type(level) is list and all(map(_is_edge, level))
-            for level in obj["edges"])):
+    levels = obj["edges"]
+    edges = list(map(_edge_pairs, levels)) if type(levels) is list else None
+    if edges is None or None in edges:
         raise MalformedDiagram(
             'edges must be a list of levels of {"s": int, "r": int} records')
-    edges = [[(e["s"], e["r"]) for e in level] for level in obj["edges"]]
     return make_diagram(obj["num_levels"], obj["vertex_counts"], edges,
                         labels)
 
@@ -601,9 +634,24 @@ def is_int_list(x) -> bool:
     return type(x) is list and all(type(v) is int for v in x)
 
 
-def _is_edge(e) -> bool:
-    return (type(e) is dict and e.keys() == {"s", "r"}
-            and type(e["s"]) is int and type(e["r"]) is int)
+_S_AND_R = itemgetter("s", "r")
+
+
+def _edge_pairs(level) -> Optional[list]:
+    """A JSON edge level's (s, r) pairs, or None unless it is a list of
+    dicts with exactly the keys s and r and int values.  Each test is one
+    C-level pass over the level; a dict of length 2 in which s and r both
+    look up has no other key."""
+    if not (type(level) is list and set(map(type, level)) <= {dict}
+            and set(map(len, level)) <= {2}):
+        return None
+    try:
+        pairs = list(map(_S_AND_R, level))
+    except KeyError:
+        return None
+    if set(map(type, chain.from_iterable(pairs))) <= {int}:
+        return pairs
+    return None
 
 
 def load_json(path: str):

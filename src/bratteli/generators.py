@@ -247,9 +247,14 @@ def towers_to_diagram(systems: Sequence[TowerSystem],
     Edges from a coarse tower to a finer one correspond to the traversal
     occurrences, ordered by entry offset; vertex labels carry the group
     index.  Level 1 attaches each tower to the root by one edge per floor.
+    More than MAX_TELESCOPE_EDGES edges, counted from the tower heights and
+    traversal records, are refused before any list is built.
     """
     if len(refinements) != len(systems) - 1:
         raise DiagramError("need exactly one refinement between systems")
+    _check_edge_count(
+        sum(map(sum, systems[0].heights))
+        + sum(len(recs) for ref in refinements for _, recs in ref.traversals))
     vcs = [1] + [len(s.towers()) for s in systems]
     index = [{tk: i for i, tk in enumerate(s.towers())} for s in systems]
     edges = []

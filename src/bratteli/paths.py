@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from operator import getitem
 from typing import NamedTuple, Optional
 
@@ -52,6 +53,12 @@ class FinitePath(NamedTuple):
     terminal_vertex: int
 
 
+# The library builds its paths with _path((depth, edge_indices,
+# terminal_vertex)): tuple.__new__ makes the same FinitePath without the
+# NamedTuple constructor's Python-level frame.
+_path = partial(tuple.__new__, FinitePath)
+
+
 def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
     """Validate edge composition and build a FinitePath."""
     idx = tuple(int(e) for e in edge_indices)
@@ -66,7 +73,7 @@ def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
             raise DiagramError(
                 f"edge {e} at level {n} has source {s}, expected {v}")
         v = r
-    return FinitePath(len(idx), idx, v)
+    return _path((len(idx), idx, v))
 
 
 def path_prefix(d: OrderedBratteliDiagram, p: FinitePath, n: int) -> FinitePath:
@@ -77,7 +84,7 @@ def path_prefix(d: OrderedBratteliDiagram, p: FinitePath, n: int) -> FinitePath:
                            f"0..{min(p.depth, d.num_levels)}")
     idx = p.edge_indices[:n]
     v = d.edges[n - 1][idx[-1]][1] if n else 0
-    return FinitePath(n, idx, v)
+    return _path((n, idx, v))
 
 
 def min_path_to(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePath:
@@ -94,7 +101,7 @@ def _extremal_path_to(d, level, vertex, which):
     if not 0 <= level <= d.num_levels:
         raise DiagramError(f"level {level} out of range")
     _check_vertex(d, level, vertex)
-    return FinitePath(level, _extremal_edges(d, level, vertex, which), vertex)
+    return _path((level, _extremal_edges(d, level, vertex, which), vertex))
 
 
 def _extremal_edges(d, level, vertex, which):
@@ -180,19 +187,16 @@ def vershik_predecessor(d: OrderedBratteliDiagram, p: FinitePath) -> FinitePath:
 def _step(d, p, shift):
     # Forward (shift=1) or back (-1): move the shallowest edge that has a
     # next (previous) edge into its range vertex, and replace the edges
-    # before it by the all-minimal (all-maximal) path into its new source.
-    into, pos, edges = d.in_edge_table, d.edge_position_table, d.edges
-    if p.depth > len(edges):
-        raise DiagramError(f"path depth {p.depth} exceeds {d.num_levels}")
-    idx = p.edge_indices
-    for n, e in enumerate(idx):
-        order = into[n][edges[n][e][1]]
-        i = pos[n][e] + shift
-        if 0 <= i < len(order):
-            y = order[i]
-            head = _extremal_edges(d, n, edges[n][y][0], min(shift, 0))
-            return FinitePath(p.depth, head + (y,) + idx[n + 1:],
-                              p.terminal_vertex)
+    # before it by the all-minimal (all-maximal) path into its new source;
+    # at level 0 there are no edges before it.
+    depth, idx, v = p
+    if depth > d.num_levels:
+        raise DiagramError(f"path depth {depth} exceeds {d.num_levels}")
+    for n, y in enumerate(map(getitem, d._neighbour_table[shift], idx)):
+        if y is not None:
+            head = (_extremal_edges(d, n, d.edges[n][y][0], min(shift, 0))
+                    if n else ())
+            return _path((depth, head + (y,) + idx[n + 1:], v))
     return None
 
 
@@ -257,7 +261,7 @@ def extremal_paths(d: OrderedBratteliDiagram, depth: int,
     stabilized = (depth >= 1 and top >= 2 and len(reached) == final
                   and len(_extremal_sources(d, top - 1, top, end)) == final)
     paths = tuple(sorted(
-        (FinitePath(depth, _extremal_edges(d, depth, v, end), v)
+        (_path((depth, _extremal_edges(d, depth, v, end), v))
          for v in reached), key=lambda p: p.edge_indices))
     return ExtremalPathSet(kind, depth, paths, stabilized)
 
@@ -351,7 +355,7 @@ def telescope_path(tmap, p: FinitePath, telescoped: OrderedBratteliDiagram):
     e = p.edge_indices
     segments = map(e.__getitem__, map(slice, cuts, cuts[1:m + 1]))
     idx = tuple(map(getitem, tmap.path_tables, segments))
-    return FinitePath(m, idx, p.terminal_vertex)
+    return _path((m, idx, p.terminal_vertex))
 
 
 def untelescope_path(tmap, p: FinitePath, original: OrderedBratteliDiagram):
@@ -359,7 +363,7 @@ def untelescope_path(tmap, p: FinitePath, original: OrderedBratteliDiagram):
     turn."""
     idx = tuple(itertools.chain.from_iterable(
         map(getitem, tmap.orig_paths, p.edge_indices)))
-    return FinitePath(len(idx), idx, p.terminal_vertex)
+    return _path((len(idx), idx, p.terminal_vertex))
 
 
 def all_paths(d: OrderedBratteliDiagram, depth: int):
@@ -373,9 +377,9 @@ def _lex_paths(d, depth):
     """all_paths(d, depth) one path at a time, for a reader that stops
     early; depth is trusted."""
     if not depth:
-        yield FinitePath(0, (), 0)
+        yield _path((0, (), 0))
         return
     level, outs = d.edges[depth - 1], d.out_edge_table[depth - 1]
     for pre in _lex_paths(d, depth - 1):
         for e in outs[pre.terminal_vertex]:
-            yield FinitePath(depth, pre.edge_indices + (e,), level[e][1])
+            yield _path((depth, pre.edge_indices + (e,), level[e][1]))

@@ -20,8 +20,8 @@ from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       _iterate_r, _iterate_s, check_valid, incidence_matrix,
                       is_int_list, make_diagram, mat_mul, telescope_segments)
 from .paths import (FinitePath, MaximalPathError, MinimalPathError,
-                    _lex_paths, extremal_paths, is_maximal, path_prefix,
-                    path_rank, telescope_path, untelescope_path,
+                    _lex_paths, _path, extremal_paths, is_maximal,
+                    path_prefix, path_rank, telescope_path, untelescope_path,
                     vershik_predecessor, vershik_successor)
 
 
@@ -329,7 +329,7 @@ def apply_orbit_map(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
                     zip(map(getitem, F.f1_tails, e),
                         map(getitem, F.f1_heads[1:], e[1:]))))
     v = F.b2.edges[len(idx) - 1][idx[-1]][1] if idx else 0
-    return FinitePath(len(idx), idx, v)
+    return _path((len(idx), idx, v))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +414,7 @@ def cocycle_images(F: InterleavedDiagram, p: FinitePath,
     # Both end in p's last edge: q is F(x), q2 is F(T1x) (T1^-1 x backward).
     q = apply_orbit_map(F, p)
     moved = other.edge_indices + p.edge_indices[-1:]
-    q2 = apply_orbit_map(F, FinitePath(p.depth, moved, p.terminal_vertex))
+    q2 = apply_orbit_map(F, _path((p.depth, moved, p.terminal_vertex)))
     if q.terminal_vertex != q2.terminal_vertex:
         raise DiagramError("cocycle images disagree on vertices: "
                            "internal error")

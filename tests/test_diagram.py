@@ -3,7 +3,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import loader_reference
 from bratteli import diagram as dg
 from bratteli import generators as gen
 from bratteli import paths as pt
@@ -192,6 +194,22 @@ def test_edge_tables_match_edge_scan(table_suite):
                 assert dg.vertex_sources(d, n, w) == want
 
 
+def test_neighbour_tables_match_in_edge_rows(table_suite):
+    # Each edge's next (previous) edge is the one after (before) it in its
+    # in-edge row; None at the row's ends.
+    for d in table_suite.values():
+        after, before = d._neighbour_table[1], d._neighbour_table[-1]
+        assert len(after) == len(before) == d.num_levels
+        for n, rows in enumerate(d.in_edge_table):
+            nexts = [None] * len(d.edges[n])
+            prevs = [None] * len(d.edges[n])
+            for row in rows:
+                for a, b in zip(row, row[1:]):
+                    nexts[a], prevs[b] = b, a
+            assert after[n] == tuple(nexts)
+            assert before[n] == tuple(prevs)
+
+
 def test_vertex_queries_reject_vertices_out_of_range():
     d = gen.odometer(2, 3)
     for query, n in ((dg.vertex_ranges, 0), (dg.vertex_sources, 1)):
@@ -245,6 +263,193 @@ def test_json_rejects_unknown_keys():
         dg.diagram_from_json(obj)
 
 
+# ---------------------------------------------------------------------------
+# The loader's contract: every MalformedDiagram message, and which of two
+# faults is reported first
+
+
+def _base_json():
+    return {"num_levels": 2, "vertex_counts": [1, 2, 1],
+            "group_labels": [[0, 0], [0]],
+            "edges": [[{"s": 0, "r": 0}, {"s": 0, "r": 1}],
+                      [{"s": 0, "r": 0}, {"s": 1, "r": 0}]]}
+
+
+_DROP = object()
+
+
+def _with(**fields):
+    """_base_json() with fields set, or dropped where the value is _DROP."""
+    obj = _base_json()
+    for key, value in fields.items():
+        if value is _DROP:
+            del obj[key]
+        else:
+            obj[key] = value
+    return obj
+
+
+_EDGES_MESSAGE = 'edges must be a list of levels of {"s": int, "r": int} records'
+
+
+def _edges(*levels):
+    return [[{"s": s, "r": r} for s, r in level] for level in levels]
+
+
+LOADER_MESSAGES = [
+    ([1, 2], "diagram JSON must be an object"),
+    (_with(extra=1, edges=_DROP), "unknown keys: ['extra']"),
+    (_with(edges=_DROP, vertex_counts=_DROP),
+     "missing keys: ['edges', 'vertex_counts']"),
+    (_with(num_levels=True, vertex_counts="x"),
+     "num_levels must be an integer"),
+    (_with(num_levels=2.0), "num_levels must be an integer"),
+    (_with(vertex_counts=[1, True, 1], group_labels="x"),
+     "vertex_counts must be a list of integers"),
+    (_with(group_labels=[[0, 0], "x"], edges="x"),
+     "group_labels must be null or a list of integer lists"),
+    (_with(group_labels={"0": [0]}),
+     "group_labels must be null or a list of integer lists"),
+    # Record checks come before every make_diagram check.
+    (_with(num_levels=0, edges=[[{"s": True, "r": 0}]]), _EDGES_MESSAGE),
+    (_with(edges=[[{"s": 0}]]), _EDGES_MESSAGE),
+    (_with(edges=[[{"s": 0, "r": 0, "x": 0}]]), _EDGES_MESSAGE),
+    (_with(edges=[[{"s": 0, "x": 0}]]), _EDGES_MESSAGE),
+    (_with(edges=[[[0, 0]]]), _EDGES_MESSAGE),
+    (_with(edges=[{"s": 0, "r": 0}]), _EDGES_MESSAGE),
+    (_with(edges={"s": 0, "r": 0}), _EDGES_MESSAGE),
+    (_with(edges=[[{"s": 0, "r": 1.0}]]), _EDGES_MESSAGE),
+    (_with(edges=[[{"s": "0", "r": 0}]]), _EDGES_MESSAGE),
+    (_with(edges=[[{"s": 0, "r": None}]]), _EDGES_MESSAGE),
+    (_with(edges=[[], [{"s": 0, "r": False}]]), _EDGES_MESSAGE),
+    # make_diagram, in the order it checks.
+    (_with(num_levels=0, vertex_counts=[2]), "num_levels must be >= 1"),
+    (_with(vertex_counts=[2, 1]), "vertex_counts must have length 3, got 2"),
+    (_with(vertex_counts=[2, 0, 1]),
+     "level 0 must contain exactly the root vertex"),
+    (_with(vertex_counts=[1, 0, 1], edges=[]),
+     "vertex counts must be positive"),
+    (_with(edges=_edges([(0, 0)])), "edges must have 2 levels, got 1"),
+    (_with(edges=_edges([(1, 5)], [(0, 0)])),
+     "level 1: source 1 out of range 0..0"),
+    (_with(edges=_edges([(0, 2), (3, 0)], [(0, 0)])),
+     "level 1: range 2 out of range 0..1"),
+    (_with(edges=_edges([(0, 0), (0, -1)], [(0, 0)])),
+     "level 1: range -1 out of range 0..1"),
+    (_with(edges=_edges([(0, 0)], [(2, 0)]), group_labels=[[0]]),
+     "level 2: source 2 out of range 0..1"),
+    (_with(group_labels=[[0, 0]]), "group_labels must cover levels 1..2"),
+    (_with(group_labels=[[0], [0]]),
+     "group_labels at level 1 must have 2 entries"),
+    # Equal edge levels under different vertex counts are checked apart.
+    ({"num_levels": 3, "vertex_counts": [1, 2, 2, 1],
+      "edges": _edges([(0, 0), (0, 1)], [(0, 0), (1, 1)],
+                      [(0, 0), (1, 1)])},
+     "level 3: range 1 out of range 0..0"),
+    ({"num_levels": 3, "vertex_counts": [1, 2, 1, 1],
+      "edges": _edges([(0, 0), (0, 1)], [(0, 0), (1, 0)],
+                      [(0, 0), (1, 0)])},
+     "level 3: source 1 out of range 0..0"),
+]
+
+
+@pytest.mark.parametrize("obj, message", LOADER_MESSAGES)
+def test_loader_messages_and_precedence(obj, message):
+    for load in (dg.diagram_from_json, loader_reference.diagram_from_json):
+        with pytest.raises(dg.MalformedDiagram) as info:
+            load(obj)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, [1], []), "num_levels must be >= 1"),
+    ((1, [1], []), "vertex_counts must have length 2, got 1"),
+    ((1, [1, 0], [[(0, 0)]]), "vertex counts must be positive"),
+    ((2, [1, 1, 1], [[(0, 0)]]), "edges must have 2 levels, got 1"),
+    ((1, [1, 2], [[("0", "1"), ("1", "9")]]),
+     "level 1: source 1 out of range 0..0"),
+    ((2, [1, 2, 2], [[(0, 0), (0, 1)], [(0, 0), (1, 2)]]),
+     "level 2: range 2 out of range 0..1"),
+    ((2, [1, 2, 1], [[(0, 0), (0, 1)], [(0, 0), (1, 0)]], [[0, 0]]),
+     "group_labels must cover levels 1..2"),
+    ((2, [1, 2, 1], [[(0, 0), (0, 1)], [(0, 0), (1, 0)]], [[0, 0], [0, 0]]),
+     "group_labels at level 2 must have 1 entries"),
+])
+def test_make_diagram_messages(args, message):
+    for make in (dg.make_diagram, loader_reference.make_diagram):
+        with pytest.raises(dg.MalformedDiagram) as info:
+            make(*args)
+        assert str(info.value) == message
+
+
+def test_make_diagram_reads_pairs_as_its_reference_does():
+    # Any indexable pair of int-convertible values is an edge; equal
+    # levels may come as different containers.
+    args = (3, [1, 2, 2, 2],
+            [[[0, 1], (0, 0)], [(1, 0, "x"), ("0", 1)], [[1, 0], (0, 1)]],
+            [[0, 1], (0, 0), [True, 1]])
+    d = dg.make_diagram(*args)
+    assert d == loader_reference.make_diagram(*args)
+    assert d.edges[1] == d.edges[2] == ((1, 0), (0, 1))
+
+
+def _mutate(obj, data):
+    """One fault, drawn by hypothesis, in a copy of diagram JSON obj."""
+    obj = json.loads(json.dumps(obj))
+    edges, vcs = obj["edges"], obj["vertex_counts"]
+    n = data.draw(st.integers(0, len(edges) - 1), label="level")
+    level = edges[n]
+    i = data.draw(st.integers(0, len(level) - 1), label="record")
+    key = data.draw(st.sampled_from("sr"), label="key")
+    kind = data.draw(st.sampled_from(
+        ["value", "add-key", "drop-key", "list-record", "dict-level",
+         "empty-level", "out-of-range", "shrink-count"]), label="kind")
+    if kind == "value":
+        level[i][key] = data.draw(st.sampled_from([True, 1.0, "1", None]))
+    elif kind == "add-key":
+        level[i][data.draw(st.sampled_from(["x", "S", "t"]))] = 0
+    elif kind == "drop-key":
+        del level[i][key]
+    elif kind == "list-record":
+        level[i] = [level[i]["s"], level[i]["r"]]
+    elif kind == "dict-level":
+        edges[n] = level[i]
+    elif kind == "empty-level":
+        level.clear()
+    else:
+        # Pick a level that follows levels equal to it where there is one,
+        # so a per-level cache that forgot the vertex counts would show.
+        later = [m for m in range(1, len(edges))
+                 if any(edges[k] == edges[m] for k in range(m))]
+        if later:
+            n = data.draw(st.sampled_from(later), label="repeated level")
+            level = edges[n]
+            i = data.draw(st.integers(0, len(level) - 1), label="record")
+        if kind == "out-of-range":
+            top = vcs[n + (key == "r")]
+            level[i][key] = data.draw(st.sampled_from([top, top + 7, -1]))
+        else:
+            step = data.draw(st.sampled_from([0, 1]), label="which count")
+            vcs[n + step] = max(1, vcs[n + step] - 1)
+    return obj
+
+
+def _load_outcome(load, obj):
+    try:
+        return load(obj)
+    except Exception as exc:    # the reference's exception is the answer
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_loader_matches_reference_on_mutated_json(table_suite, data):
+    name = data.draw(st.sampled_from(sorted(table_suite)), label="diagram")
+    obj = _mutate(dg.diagram_to_json(table_suite[name]), data)
+    want = _load_outcome(loader_reference.diagram_from_json, obj)
+    assert _load_outcome(dg.diagram_from_json, obj) == want
+
+
 def test_save_and_load(tmp_path):
     d = fib(3)
     path = tmp_path / "fib.json"
@@ -275,7 +480,8 @@ def test_edge_tables_by_level_reject_levels_out_of_range():
 
 def test_stationary_levels_share_rows():
     d = gen.stationary_adic([[2, 1, 0], [1, 1, 1], [0, 1, 2]], 40)
-    for rows in (d.in_edge_table, d.edge_position_table, d.out_edge_table):
+    for rows in (d.in_edge_table, d.edge_position_table, d.out_edge_table,
+                 d._neighbour_table[1], d._neighbour_table[-1], d.edges):
         assert all(rows[n - 1] is rows[1] for n in range(2, 41))
         assert rows[0] is not rows[1]
 

@@ -188,6 +188,27 @@ def test_towers_to_diagram_two_groups_is_union():
     assert d.group_labels == u.group_labels
 
 
+def test_towers_to_diagram_refuses_more_edges_than_the_cap(monkeypatch):
+    # Level 1 has one edge per floor of the first system, each later level
+    # one per traversal record: counted before any list is built.
+    big = [gen.make_tower_system([[2 ** 18]], [[0]])]
+    systems, refinements = gen.odometer_towers(2, 3)
+    monkeypatch.setattr(gen, "make_diagram", None)
+    with pytest.raises(dg.DiagramError) as err:
+        gen.towers_to_diagram(big, [])
+    assert str(err.value) == ("the diagram would have 262144 edges, more "
+                              "than MAX_TELESCOPE_EDGES = 131072")
+    monkeypatch.setattr(gen, "MAX_TELESCOPE_EDGES", 5)
+    with pytest.raises(dg.DiagramError,
+                       match="would have 6 edges, more than "
+                             "MAX_TELESCOPE_EDGES = 5"):
+        gen.towers_to_diagram(systems, refinements)
+    monkeypatch.undo()
+    monkeypatch.setattr(gen, "MAX_TELESCOPE_EDGES", 6)
+    d = gen.towers_to_diagram(systems, refinements)
+    assert sum(map(len, d.edges)) == 6
+
+
 def test_tower_heights_additive():
     systems, refinements = gen.odometer_towers(3, 5)
     d = gen.towers_to_diagram(systems, refinements)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bratteli import diagram as dg
 from bratteli import generators as gen
 from bratteli import paths as pt
+from bratteli import soe
 from conftest import random_diagram
 
 
@@ -400,10 +401,12 @@ def test_telescope_conjugates_successor():
 
 
 def test_derived_paths_match_checked_paths(suite):
-    # Enumerations, prefixes, extremal walks and telescoping build their
-    # paths from the tables; each must equal the path make_path checks.
+    # Enumerations, prefixes, steps, extremal walks, telescoping and soe's
+    # orbit map build their paths from the tables; each must equal the path
+    # make_path checks, and be a FinitePath, not a plain tuple.
     def checked(d, p):
-        return p == pt.make_path(d, p.edge_indices)
+        return (type(p) is pt.FinitePath
+                and p == pt.make_path(d, p.edge_indices))
 
     for name, d in suite.items():
         for depth in range(5):
@@ -411,16 +414,34 @@ def test_derived_paths_match_checked_paths(suite):
                 assert checked(d, p), (name, p)
                 assert all(checked(d, pt.path_prefix(d, p, n))
                            for n in range(depth + 1)), (name, p)
+                for step, last in ((pt.vershik_successor, pt.is_maximal),
+                                   (pt.vershik_predecessor, pt.is_minimal)):
+                    if not last(d, p):
+                        assert checked(d, step(d, p)), (name, step, p)
         for depth in range(d.num_levels + 1):
             for kind in ("min", "max"):
                 for p in pt.extremal_paths(d, depth, kind).paths:
                     assert checked(d, p), (name, kind, p)
+            for v in range(d.vertex_counts[depth]):
+                assert checked(d, pt.min_path_to(d, depth, v))
+                assert checked(d, pt.max_path_to(d, depth, v))
+                assert checked(d, pt.path_unrank(d, depth, v, 0))
         td, tmap = dg.telescope(d, list(range(2, d.num_levels + 1, 2)))
         for p in pt.all_paths(d, 4):
             q = pt.telescope_path(tmap, p, td)
             assert checked(td, q), (name, p)
             back = pt.untelescope_path(tmap, q, d)
             assert checked(d, back) and back == p, (name, p)
+    b = gen.odometer(2, 6)
+    F = soe.realize_orbit_map(soe.build_interleaved(
+        b, b, soe.stationary_intertwining([[1]], [[2]], 6, 5)))
+    for depth in range(1, 5):
+        for p in pt.all_paths(b, depth):
+            assert checked(F.b2, soe.apply_orbit_map(F, p)), p
+            if depth > 1 and not pt.is_maximal(b, pt.path_prefix(b, p,
+                                                                 depth - 1)):
+                for q in soe.cocycle_images(F, p):
+                    assert checked(F.b2, q), p
 
 
 @settings(max_examples=60, deadline=None)
