@@ -60,6 +60,12 @@ class OrderedBratteliDiagram:
         return self.edges[n - 1]
 
     def label_of(self, level: int, vertex: int) -> Optional[int]:
+        """The fiber label of a vertex at level 0..N; None at the root or
+        without labels."""
+        if not 0 <= level <= self.num_levels:
+            raise DiagramError(
+                f"level {level} out of range 0..{self.num_levels}")
+        _check_vertex(self, level, vertex)
         if self.group_labels is None or level == 0:
             return None
         return self.group_labels[level - 1][vertex]
@@ -195,8 +201,11 @@ def make_diagram(num_levels: int,
     # holds each edge as a tuple, so edges given as lists hash too.
     canon, seen = [], {}
     for n, level in enumerate(edges, start=1):
-        key = (tuple(map(tuple, level)), vcs[n - 1], vcs[n])
-        pairs = seen.get(key)
+        try:
+            key = (tuple(map(tuple, level)), vcs[n - 1], vcs[n])
+            pairs = seen.get(key)
+        except TypeError:       # not a level of int pairs: refused below
+            key = pairs = None
         if pairs is None:
             pairs = seen[key] = _canonical_level(n, level, vcs[n - 1], vcs[n])
         canon.append(pairs)
@@ -216,15 +225,20 @@ def make_diagram(num_levels: int,
 
 
 _RANGE = itemgetter(1)
+_PAIR_TYPES = (tuple, list)
 
 
 def _canonical_level(n: int, level, num_sources: int,
                      num_ranges: int) -> tuple:
-    """Level n's edges as int pairs, range-checked in order and stably
+    """Level n's edges, each a tuple or list of two ints (bools and other
+    int-like values are refused), range-checked in order and stably
     sorted by range, which keeps the order of same-range edges."""
     pairs = []
-    for e in level:
-        s, r = int(e[0]), int(e[1])
+    for i, e in enumerate(level):
+        if not (type(e) in _PAIR_TYPES and len(e) == 2
+                and type(e[0]) is type(e[1]) is int):
+            raise MalformedDiagram(f"level {n}: edge {i} is not a pair of ints")
+        s, r = e
         if not 0 <= s < num_sources:
             raise MalformedDiagram(
                 f"level {n}: source {s} out of range 0..{num_sources - 1}")

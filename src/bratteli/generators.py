@@ -65,7 +65,12 @@ def stationary_adic(matrix: Sequence[Sequence[int]],
 
 def disjoint_union(ds: Sequence[OrderedBratteliDiagram]
                    ) -> OrderedBratteliDiagram:
-    """Block union of diagrams sharing one root; labels = component index."""
+    """Block union of diagrams sharing one root.
+
+    Each part keeps its fiber labels, shifted at every level by one offset
+    past the labels of the parts before it, so no two parts share a label;
+    a part without labels is one fiber.
+    """
     if not ds:
         raise DiagramError("need at least one component")
     n = ds[0].num_levels
@@ -73,6 +78,15 @@ def disjoint_union(ds: Sequence[OrderedBratteliDiagram]
         raise DiagramError("components must have equal num_levels")
     vcs = [1] + [sum(d.vertex_counts[lvl] for d in ds)
                  for lvl in range(1, n + 1)]
+    parts = []          # each part's labels, level by level, shifted
+    shift = 0
+    for d in ds:
+        own = d.group_labels or tuple((0,) * c for c in d.vertex_counts[1:])
+        distinct = set(own)     # equal levels are shifted once
+        lo, hi = min(map(min, distinct)), max(map(max, distinct))
+        moved = {lab: [t + shift - lo for t in lab] for lab in distinct}
+        parts.append(list(map(moved.__getitem__, own)))
+        shift += hi - lo + 1
     edges = []
     labels = []
     for lvl in range(1, n + 1):
@@ -80,11 +94,11 @@ def disjoint_union(ds: Sequence[OrderedBratteliDiagram]
         lab = []
         off_prev = 0
         off = 0
-        for ci, d in enumerate(ds):
+        for d, part in zip(ds, parts):
             for s, r in d.level_edges(lvl):
                 src = 0 if lvl == 1 else s + off_prev
                 level.append((src, r + off))
-            lab.extend([ci] * d.vertex_counts[lvl])
+            lab.extend(part[lvl - 1])
             off_prev += d.vertex_counts[lvl - 1]
             off += d.vertex_counts[lvl]
         edges.append(level)

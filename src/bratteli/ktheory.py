@@ -185,11 +185,13 @@ def _sparse_det(rows):
     again.  A row without column k would only be scaled by pk / prev; the
     scalings telescope, so such a row is left as it is, with the prev at
     its last update, and scaled by prev / that prev when next used.  A
-    pivot row with a single entry therefore only drops column k from the
-    others.  The last pivot, times the sign of the order in which rows
-    were taken, is the determinant; that of the 0 x 0 matrix is 1.  The
-    given rows are not changed: a row is copied before its first change in
-    place.
+    pivot row with a single entry therefore only drops column k, the
+    first, from the others; a row's columns are sorted on its first such
+    drop and popped from then on, until an update rebuilds the row, so
+    no drop rescans a row for its next column.  The last pivot, times the
+    sign of the order in which rows were taken, is the determinant; that
+    of the 0 x 0 matrix is 1.  The given rows are not changed: a row is
+    copied before its first change in place.
     """
     n = len(rows)
     if not all(rows):
@@ -199,6 +201,8 @@ def _sparse_det(rows):
     filed = [[] for _ in range(n)]
     for i, row in enumerate(rows):
         filed[min(row)].append(i)
+    desc = [None] * n     # a row's columns, largest first, kept while
+                          # single-entry pivots only drop its first one
     since = [1] * n       # the prev at which each stored row is exact
     prev = 1
     order = []
@@ -222,6 +226,11 @@ def _sparse_det(rows):
                     row = rows[i] = dict(row)
                     copied[i] = True
                 del row[k]
+                cols = desc[i]
+                if cols is None:
+                    cols = desc[i] = sorted(row, reverse=True)
+                else:
+                    cols.pop()      # k, the row's first column
             else:
                 if since[i] != prev:
                     row = {j: x * prev // since[i] for j, x in row.items()}
@@ -232,9 +241,10 @@ def _sparse_det(rows):
                 row = rows[i] = {j: z // prev for j, z in acc.items() if z}
                 since[i] = pk
                 copied[i] = True
+                cols = desc[i] = None
             if not row:
                 return 0
-            filed[min(row)].append(i)
+            filed[cols[-1] if cols else min(row)].append(i)
         prev = pk
     sign = 1              # of the permutation k -> order[k]
     seen = [False] * n

@@ -118,7 +118,9 @@ def _extremal_edges(d, level, vertex, which):
 
 
 def path_counts(d: OrderedBratteliDiagram, level: int) -> tuple:
-    """Number of root paths to each vertex at the given level."""
+    """Number of root paths to each vertex at the given level, 0..N."""
+    if not 0 <= level <= d.num_levels:
+        raise DiagramError(f"level {level} out of range 0..{d.num_levels}")
     return d.path_count_table[level]
 
 

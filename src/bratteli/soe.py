@@ -191,13 +191,7 @@ def build_interleaved(b1: OrderedBratteliDiagram,
             mats.append(w.q_matrices[n])
     vcs = [1] + [len(m) for m in mats]
     edges = [_edges_from_matrix(m) for m in mats]
-    labels = None
-    if b1.group_labels is not None and b2.group_labels is not None:
-        # Odd level 2n-1 carries B1's level n, even level 2n B2's.
-        labels = [b1.group_labels[i // 2] if i % 2 else
-                  b2.group_labels[i // 2 - 1]
-                  for i in range(1, len(mats) + 1)]
-    d = make_diagram(len(mats), vcs, edges, labels)
+    d = make_diagram(len(mats), vcs, edges)
     check_valid(d)
     return InterleavedDiagram(d, b1, b2)
 
@@ -546,14 +540,15 @@ def check_cocycle_continuity(F: InterleavedDiagram, depth: int) -> dict:
 
 
 def _stationary_data(d):
-    root = incidence_matrix(d, 1)
+    """The root column and the one interior map of d's K0 presentation, as
+    the lists the search compares and prints."""
     if d.num_levels < 2:
         raise DiagramError("stationary search needs at least two levels")
-    interior = incidence_matrix(d, 2)
-    for n in range(3, d.num_levels + 1):
-        if incidence_matrix(d, n) != interior:
-            raise DiagramError("diagram is not stationary")
-    return root, interior
+    from .ktheory import k0_presentation
+    pres = k0_presentation(d)
+    if len(set(pres.maps)) != 1:
+        raise DiagramError("diagram is not stationary")
+    return [[h] for h in pres.unit], [list(row) for row in pres.maps[0]]
 
 
 # Largest search, in (P, Q) candidates, that the one-step search takes on.

@@ -606,3 +606,50 @@ def test_cold_rank_imports_no_soe(tmp_path, odo2):
     assert "bratteli.paths" in mods
     assert not mods & {"bratteli.soe", "bratteli.ktheory",
                        "bratteli.generators"}
+
+
+def test_generate_union_in_process_keeps_part_labels(capsys, tmp_path):
+    # Two union runs nest the 2-, 3- and 5-odometers: three fibers, one
+    # extremal pair each.
+    paths = {}
+    for name, d in (("u2", gen.odometer(2, 6)), ("u3", gen.odometer(3, 6)),
+                    ("u5", gen.odometer(5, 6))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        dg.save_diagram(d, paths[name])
+    for out, parts in (("inner", ["u2", "u3"]), ("nested", ["inner", "u5"])):
+        code, res = run_json(capsys, ["generate", "union",
+                                      *(paths[p] for p in parts)])
+        assert code == 0
+        paths[out] = str(tmp_path / f"{out}.json")
+        (tmp_path / f"{out}.json").write_text(json.dumps(res["payload"]))
+    assert res["payload"]["group_labels"] == [[0, 1, 2]] * 6
+    code, res = run_json(capsys, ["perfect", "--diagram", paths["nested"],
+                                  "--depth", "5"])
+    assert code == 0
+    assert res["payload"]["verdict"] == "pass"
+    assert len(res["payload"]["pairing"]) == 3
+
+
+def test_text_format_prints_lists(capsys, tmp_path):
+    path = tmp_path / "union.json"
+    dg.save_diagram(gen.disjoint_union([gen.odometer(2, 3),
+                                        gen.odometer(3, 3)]), str(path))
+    code = cli.run(["--format", "text", "extremal", "--diagram", str(path),
+                    "--depth", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "status: ok", "kind: min", "depth: 2", "stabilized: True", "paths:",
+        "  - 0,0", "  - 2,2"]
+    # A list of records: each record's fields, one level deeper, after
+    # the diagnostics.
+    unfed = tmp_path / "unfed.json"
+    unfed.write_text(UNFED_JSON)
+    code = cli.run(["--format", "text", "validate", "--diagram", str(unfed)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "status: ok",
+        "# [range-surjectivity] level 1: vertex 1 at level 1 has no "
+        "incoming edge",
+        "valid: False", "violations:",
+        "    kind: range-surjectivity", "    level: 1",
+        "    detail: vertex 1 at level 1 has no incoming edge"]

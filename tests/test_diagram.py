@@ -366,7 +366,7 @@ def test_loader_messages_and_precedence(obj, message):
     ((1, [1], []), "vertex_counts must have length 2, got 1"),
     ((1, [1, 0], [[(0, 0)]]), "vertex counts must be positive"),
     ((2, [1, 1, 1], [[(0, 0)]]), "edges must have 2 levels, got 1"),
-    ((1, [1, 2], [[("0", "1"), ("1", "9")]]),
+    ((1, [1, 2], [[(0, 1), [1, 9]]]),
      "level 1: source 1 out of range 0..0"),
     ((2, [1, 2, 2], [[(0, 0), (0, 1)], [(0, 0), (1, 2)]]),
      "level 2: range 2 out of range 0..1"),
@@ -383,14 +383,24 @@ def test_make_diagram_messages(args, message):
 
 
 def test_make_diagram_reads_pairs_as_its_reference_does():
-    # Any indexable pair of int-convertible values is an edge; equal
-    # levels may come as different containers.
+    # A tuple or list of two ints is an edge; equal levels may come as
+    # different containers.
     args = (3, [1, 2, 2, 2],
-            [[[0, 1], (0, 0)], [(1, 0, "x"), ("0", 1)], [[1, 0], (0, 1)]],
+            [[[0, 1], (0, 0)], [(1, 0), [0, 1]], [[1, 0], (0, 1)]],
             [[0, 1], (0, 0), [True, 1]])
     d = dg.make_diagram(*args)
     assert d == loader_reference.make_diagram(*args)
     assert d.edges[1] == d.edges[2] == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("edge", [
+    (0, 0, "x"), ("0", 0), (0.0, 0), (True, 0), (0,), 5, {0: 0, 1: 0},
+    ([0], [0])])
+def test_make_diagram_refuses_edges_that_are_not_int_pairs(edge):
+    # The edge is the second of its level, after a valid one.
+    with pytest.raises(dg.MalformedDiagram) as info:
+        dg.make_diagram(2, [1, 1, 1], [[(0, 0)], [[0, 0], edge]])
+    assert str(info.value) == "level 2: edge 1 is not a pair of ints"
 
 
 def _mutate(obj, data):
@@ -669,3 +679,35 @@ def test_telescope_segments_reject_levels_out_of_range():
     for lo, hi in ((3, 2), (0, 2), (1, 5)):
         with pytest.raises(dg.DiagramError, match="out of range"):
             dg.telescope_segments(d, lo, hi)
+
+
+def test_label_of_refuses_levels_and_vertices_out_of_range():
+    for d in (gen.disjoint_union([gen.odometer(2, 3), gen.odometer(3, 3)]),
+              dg.make_diagram(3, [1, 2, 2, 2],
+                              [[(0, 0), (0, 1)]] + [[(0, 0), (1, 1)]] * 2)):
+        labeled = d.group_labels is not None
+        assert d.label_of(0, 0) is None
+        assert d.label_of(3, 1) == (1 if labeled else None)
+        for level, vertex, message in (
+                (-1, 0, "level -1 out of range 0..3"),
+                (4, 0, "level 4 out of range 0..3"),
+                (0, 1, "vertex 1 out of range at level 0"),
+                (2, 2, "vertex 2 out of range at level 2"),
+                (1, -1, "vertex -1 out of range at level 1")):
+            with pytest.raises(dg.DiagramError) as err:
+                d.label_of(level, vertex)
+            assert str(err.value) == message
+
+
+def test_mat_vec_refuses_a_dimension_mismatch():
+    assert dg.mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
+    with pytest.raises(dg.DiagramError) as err:
+        dg.mat_vec([[1, 2], [3, 4]], [1, 1, 1])
+    assert str(err.value) == "matrix/vector dimension mismatch"
+
+
+def test_property_failure_names_m_only_when_given():
+    assert str(dg.PropertyFailure("c", "min", 2, 1)) == (
+        "property (c) fails for min vertex 1 at level 2")
+    assert str(dg.PropertyFailure("d", "max", 3, 0, 2)) == (
+        "property (d) fails for max vertex 0 at level 3, m=2")

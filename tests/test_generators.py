@@ -215,3 +215,57 @@ def test_tower_heights_additive():
     # Path counts into level n are the tower heights.
     for n in range(1, 6):
         assert pt.path_counts(d, n) == (3 ** n,)
+
+
+def test_union_keeps_its_parts_fiber_labels():
+    # A nested union labels its three odometers as the flat union does,
+    # and both pair one min and one max path per fiber.
+    parts = [gen.odometer(b, 6) for b in (2, 3, 5)]
+    flat = gen.disjoint_union(parts)
+    nested = gen.disjoint_union([gen.disjoint_union(parts[:2]), parts[2]])
+    assert nested.edges == flat.edges
+    assert nested.group_labels == flat.group_labels == ((0, 1, 2),) * 6
+    for d in (flat, nested):
+        res = pt.check_perfect_ordering(d, 5)
+        assert res["verdict"] == "pass"
+        assert len(res["pairing"]) == 3
+
+
+def test_union_shifts_each_part_past_the_labels_before_it():
+    # Labels may be negative or skip values; an unlabeled part is one
+    # fiber.
+    labeled = dg.make_diagram(2, [1, 2, 2], [[(0, 0), (0, 1)],
+                                             [(0, 0), (1, 1)]],
+                              [[-1, 3], [-1, 3]])
+    plain = dg.make_diagram(2, [1, 1, 1], [[(0, 0)], [(0, 0)]])
+    d = gen.disjoint_union([plain, labeled, plain])
+    assert d.group_labels == ((0, 1, 5, 6),) * 2
+
+
+def test_generators_refuse_zero_levels():
+    for build in (lambda: gen.stationary_adic([[2]], 0),
+                  lambda: gen.finite_cycle_system([2, 3], 0)):
+        with pytest.raises(dg.DiagramError) as err:
+            build()
+        assert str(err.value) == "levels must be >= 1"
+
+
+def test_refinement_names_unknown_towers_and_wrong_start_groups():
+    coarse = gen.make_tower_system([[2]], [[0]])
+    fine = gen.make_tower_system([[6]], [[0]])
+    with pytest.raises(gen.RefinementError) as err:
+        gen.make_refinement(coarse, fine, {(0, 0): [(0, 0), (0, 1)]})
+    assert str(err.value) == "conclusion (d): unknown coarse tower (0, 1)"
+    two = gen.make_tower_system([[2], [3]], [[0], [1]])
+    fine2 = gen.make_tower_system([[3], [2]], [[0], [1]])
+    with pytest.raises(gen.RefinementError) as err:
+        gen.make_refinement(two, fine2, {(0, 0): [(1, 0)], (1, 0): [(0, 0)]})
+    assert str(err.value) == "conclusion (d): tower (0, 0) starts in group 1"
+
+
+def test_towers_to_diagram_needs_one_refinement_per_step():
+    systems, refinements = gen.odometer_towers(2, 3)
+    for refs in (refinements[:1], refinements + refinements[:1]):
+        with pytest.raises(dg.DiagramError) as err:
+            gen.towers_to_diagram(systems, refs)
+        assert str(err.value) == "need exactly one refinement between systems"

@@ -538,3 +538,33 @@ def test_system_json_round_trip():
         kt.permutation_system_from_json(obj)
     with pytest.raises(dg.DiagramError):
         kt.permutation_system_from_json({"perm": [0], "fiber": [0]})
+
+
+def test_verify_snf_refuses_a_ragged_matrix():
+    a = [[1, 0], [0, 1]]
+    res = kt.smith_normal_form(a)
+    with pytest.raises(dg.DiagramError) as err:
+        kt.verify_snf([[1, 0], [0]], res)
+    assert str(err.value) == "matrix dimension mismatch"
+
+
+def test_push_refuses_levels_out_of_range():
+    pres = kt.k0_presentation(gen.odometer(2, 3))
+    for level, to_level in ((0, 1), (2, 1), (1, 4)):
+        with pytest.raises(dg.DiagramError) as err:
+            pres.push(level, [1], to_level)
+        assert str(err.value) == f"cannot push level {level} to {to_level}"
+
+
+def test_permutation_system_needs_a_fiber_for_every_point():
+    with pytest.raises(dg.DiagramError) as err:
+        kt.make_permutation_system([1, 2, 0], [0, 0])
+    assert str(err.value) == "fiber_of must assign a label to every point"
+
+
+def test_oracle_refuses_a_failed_snf_verification(monkeypatch):
+    s = kt.make_permutation_system([1, 0], [0, 0])
+    monkeypatch.setattr(kt, "verify_snf", lambda a, res: False)
+    with pytest.raises(dg.DiagramError) as err:
+        kt.k_oracle_finite_system(s)
+    assert str(err.value) == "Smith normal form verification failed"

@@ -568,3 +568,27 @@ def test_path_prefix_rejects_lengths_out_of_range():
     assert pt.path_prefix(d, deep, 3) == pt.FinitePath(3, (0, 0, 0), 0)
     with pytest.raises(dg.DiagramError, match="prefix length 4"):
         pt.path_prefix(d, deep, 4)
+
+
+def test_path_counts_and_unrank_refuse_out_of_range_input():
+    d = gen.odometer(2, 3)
+    for level in (-1, 4):
+        with pytest.raises(dg.DiagramError) as err:
+            pt.path_counts(d, level)
+        assert str(err.value) == f"level {level} out of range 0..3"
+    assert pt.path_counts(d, 0) == (1,)
+    assert pt.path_counts(d, 3) == (8,)
+    for rank in (-1, 8):
+        with pytest.raises(dg.DiagramError) as err:
+            pt.path_unrank(d, 3, 0, rank)
+        assert str(err.value) == (f"rank {rank} out of range 0..7 for "
+                                  "vertex 0 at level 3")
+
+
+@pytest.mark.parametrize("extremal", [pt.min_path_to, pt.max_path_to])
+def test_extremal_path_to_refuses_level_out_of_range(extremal):
+    d = gen.odometer(2, 3)
+    for level in (-1, 4):
+        with pytest.raises(dg.DiagramError) as err:
+            extremal(d, level, 0)
+        assert str(err.value) == f"level {level} out of range"

@@ -841,3 +841,21 @@ def test_search_refuses_candidates_past_the_cap():
         soe.search_stationary_intertwining(d, d, 10 ** 30)
     match, rejections = soe.search_stationary_intertwining(d, d, 1)
     assert match is not None
+
+
+def test_search_refuses_a_diagram_that_fails_the_axioms():
+    # Two levels, so the level check passes; level-1 vertex 1 has no
+    # in-edge, which k0_presentation refuses.
+    unfed = dg.make_diagram(2, [1, 2, 1], [[(0, 0)], [(0, 0), (1, 0)]])
+    with pytest.raises(dg.InvalidDiagram) as err:
+        soe.search_stationary_intertwining(unfed, gen.odometer(2, 3), 2)
+    assert str(err.value) == ("[range-surjectivity] level 1: vertex 1 at "
+                              "level 1 has no incoming edge")
+
+
+def test_interleaving_carries_no_fiber_labels():
+    # B1's and B2's labels name different fibers: the swap joins B1's
+    # fiber 0 to B2's fiber 1.
+    bp = union_swap_map()
+    assert bp.b1.group_labels == bp.b2.group_labels == ((0, 1),) * 5
+    assert bp.diagram.group_labels is None
