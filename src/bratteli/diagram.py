@@ -185,7 +185,9 @@ def make_diagram(num_levels: int,
     """
     if num_levels < 1:
         raise MalformedDiagram("num_levels must be >= 1")
-    vcs = tuple(int(c) for c in vertex_counts)
+    vcs = _sequence(vertex_counts, "vertex counts")
+    if not {int} >= set(map(type, vcs)):
+        raise MalformedDiagram("vertex counts must be ints")
     if len(vcs) != num_levels + 1:
         raise MalformedDiagram(
             f"vertex_counts must have length {num_levels + 1}, got {len(vcs)}")
@@ -193,14 +195,17 @@ def make_diagram(num_levels: int,
         raise MalformedDiagram("level 0 must contain exactly the root vertex")
     if any(c < 1 for c in vcs):
         raise MalformedDiagram("vertex counts must be positive")
+    edges = _sequence(edges, "edges")
     if len(edges) != num_levels:
         raise MalformedDiagram(
             f"edges must have {num_levels} levels, got {len(edges)}")
     # Equal levels under equal vertex counts are canonicalized once and
     # share one tuple, as the levels of a stationary diagram do.  The key
-    # holds each edge as a tuple, so edges given as lists hash too.
+    # holds each edge as a tuple, so edges given as lists hash too.  Each
+    # level is read once into a tuple, so an iterator works as a list does.
     canon, seen = [], {}
     for n, level in enumerate(edges, start=1):
+        level = _sequence(level, f"level {n}: edges")
         try:
             key = (tuple(map(tuple, level)), vcs[n - 1], vcs[n])
             pairs = seen.get(key)
@@ -211,17 +216,28 @@ def make_diagram(num_levels: int,
         canon.append(pairs)
     labels = None
     if group_labels is not None:
+        group_labels = _sequence(group_labels, "group_labels")
         if len(group_labels) != num_levels:
             raise MalformedDiagram(
                 f"group_labels must cover levels 1..{num_levels}")
         labels = []
         for n, level in enumerate(group_labels, start=1):
+            level = _sequence(level, f"group_labels at level {n}")
             if len(level) != vcs[n]:
                 raise MalformedDiagram(
                     f"group_labels at level {n} must have {vcs[n]} entries")
             labels.append(tuple(int(t) for t in level))
         labels = tuple(labels)
     return OrderedBratteliDiagram(num_levels, vcs, tuple(canon), labels)
+
+
+def _sequence(x, what: str) -> tuple:
+    """x read once into a tuple; MalformedDiagram names what it is when x
+    is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise MalformedDiagram(f"{what} are not iterable") from None
 
 
 _RANGE = itemgetter(1)
@@ -511,7 +527,8 @@ def _telescope_too_big(d: OrderedBratteliDiagram,
 def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
     """Collapse levels at the given cut points.
 
-    cuts must be strictly increasing, start at >= 1 and end at num_levels.
+    cuts must be ints, strictly increasing, start at >= 1 and end at
+    num_levels.
     Returns (telescoped diagram, TelescopeMap).  New edges into a vertex are
     ordered by the deepest-edge-first comparison of their constituent paths,
     which makes the successor map commute with the path bijection.  A
@@ -519,7 +536,9 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
     hold more than MAX_TELESCOPE_INDICES edge indices, is refused with
     DiagramError before any segment is listed.
     """
-    cuts = tuple(int(c) for c in cuts)
+    cuts = tuple(cuts)
+    if not {int} >= set(map(type, cuts)):
+        raise DiagramError("cut points must be ints")
     if not cuts or any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise DiagramError("cut points must be strictly increasing")
     if cuts[0] < 1 or cuts[-1] != d.num_levels:

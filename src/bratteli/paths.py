@@ -60,8 +60,11 @@ _path = partial(tuple.__new__, FinitePath)
 
 
 def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
-    """Validate edge composition and build a FinitePath."""
-    idx = tuple(int(e) for e in edge_indices)
+    """Validate edge composition and build a FinitePath; each edge index
+    must be an int (not a bool, float or string)."""
+    idx = tuple(edge_indices)
+    if not {int} >= set(map(type, idx)):
+        raise DiagramError("edge indices must be ints")
     if len(idx) > d.num_levels:
         raise DiagramError(f"path depth {len(idx)} exceeds {d.num_levels}")
     v = 0
@@ -268,67 +271,33 @@ def extremal_paths(d: OrderedBratteliDiagram, depth: int,
     return ExtremalPathSet(kind, depth, paths, stabilized)
 
 
-def _pair_extremal(d, mins: ExtremalPathSet,
-                   maxs: ExtremalPathSet) -> Optional[dict]:
-    key = _fiber_key(d)
-    min_by = {key(p): p for p in mins.paths}
-    max_by = {key(p): p for p in maxs.paths}
-    if not (len(min_by) == len(mins.paths) and len(max_by) == len(maxs.paths)
-            and min_by.keys() == max_by.keys()):
-        return None
-    return {p.edge_indices: min_by[k] for k, p in max_by.items()}
-
-
-def _fiber_key(d: OrderedBratteliDiagram):
-    if d.group_labels is not None:
-        return lambda p: d.label_of(d.num_levels, _extend_vertex(d, p))
-    comp = _last_level_components(d)
-    return lambda p: comp[_extend_vertex(d, p)]
-
-
-def _extend_vertex(d, p):
-    # Terminal vertex of the unique extremal extension to the last level.
-    # Extremal path sets are built from last-level paths, so following
-    # minimal out-edges is enough for fiber identification.
-    v = p.terminal_vertex
-    for n in range(p.depth, d.num_levels):
-        v = d.edges[n][d.out_edge_table[n][v][0]][1]
-    return v
-
-
-def _last_level_components(d):
-    """Weak-connectivity component id per last-level vertex, computed over
-    the deep half of the diagram (from num_levels//2 up).
-
-    In a valid diagram every vertex there reaches both ends of the half,
-    so a component's last-level vertices are a closure under S^m then
-    R^m across it; ids follow each component's smallest vertex."""
+def _own_fibers(d: OrderedBratteliDiagram) -> bool:
+    """No two last-level vertices share a fiber: their level-N labels are
+    distinct or, without labels, each vertex v closes to itself under the
+    reach walks across the deep half (levels N//2 up), R^m(S^m({v})) ==
+    {v}; in a valid diagram v is always in that set."""
     top = d.num_levels
+    if d.group_labels is not None:
+        labels = d.group_labels[-1]
+        return len(set(labels)) == len(labels)
     low = max(1, top // 2) - 1
-    comp, ids = {}, itertools.count()
-    for v in range(d.vertex_counts[top]):
-        if v in comp:
-            continue
-        members, grown = None, {v}
-        while grown != members:
-            members = grown
-            grown = _iterate_r(d, low, _iterate_s(d, top, members, top - low),
-                               top - low)
-        comp.update(dict.fromkeys(members, next(ids)))
-    return comp
+    m = top - low
+    return all(_iterate_r(d, low, _iterate_s(d, top, {v}, m), m) == {v}
+               for v in range(d.vertex_counts[top]))
 
 
 def check_perfect_ordering(d: OrderedBratteliDiagram, depth: int) -> dict:
     """Semi-decide whether the edge order pairs extremal paths uniquely.
 
     Returns {"verdict": "pass" | "fail" | "unknown", "pairing": ...}.
-    pass requires stabilized extremal sets, structural tower properties,
-    and a certified one-to-one fiber pairing.  fail means two stabilized
-    sets of different sizes, which rules out a bijection; extremal_paths
-    calls a set stabilized only when it has vertex_counts[N] paths, so
-    two stabilized sets have equal sizes and the verdict is pass or
-    unknown.  The fail branch is kept for a rule that compares the counts
-    across levels instead.
+    pass requires stabilized extremal sets, structural tower properties
+    and every last-level vertex its own fiber; the pairing then wraps the
+    max path into each last-level vertex, truncated to depth, to its min
+    path.  fail means two stabilized sets of different sizes, which rules
+    out a bijection; extremal_paths calls a set stabilized only when it
+    has vertex_counts[N] paths, so two stabilized sets have equal sizes
+    and the verdict is pass or unknown.  The fail branch is kept for a
+    rule that compares the counts across levels instead.
     """
     mins = extremal_paths(d, depth, "min")
     maxs = extremal_paths(d, depth, "max")
@@ -336,12 +305,15 @@ def check_perfect_ordering(d: OrderedBratteliDiagram, depth: int) -> dict:
         return {"verdict": "unknown", "pairing": None}
     if len(mins.paths) != len(maxs.paths):
         return {"verdict": "fail", "pairing": None}
-    if check_fem_properties(d):
+    if check_fem_properties(d) or not _own_fibers(d):
         return {"verdict": "unknown", "pairing": None}
-    pairing = _pair_extremal(d, mins, maxs)
-    if pairing is None:
-        return {"verdict": "unknown", "pairing": None}
-    return {"verdict": "pass", "pairing": pairing}
+    top, level = d.num_levels, d.edges[depth - 1]
+    pairs = []
+    for v in range(d.vertex_counts[top]):
+        head = _extremal_edges(d, top, v, 0)[:depth]
+        pairs.append((_extremal_edges(d, top, v, -1)[:depth],
+                      _path((depth, head, level[head[-1]][1]))))
+    return {"verdict": "pass", "pairing": dict(sorted(pairs))}
 
 
 def telescope_path(tmap, p: FinitePath, telescoped: OrderedBratteliDiagram):

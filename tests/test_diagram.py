@@ -107,6 +107,15 @@ def test_telescope_rejects_bad_cuts():
         dg.telescope(d, [3, 2, 4])
 
 
+def test_telescope_takes_int_cut_points_only():
+    d = gen.odometer(2, 4)
+    for cuts in ([1.5, 4], ["2", 4], [True, 4], [2.0, 4]):
+        with pytest.raises(dg.DiagramError) as info:
+            dg.telescope(d, cuts)
+        assert str(info.value) == "cut points must be ints"
+    assert dg.telescope(d, range(2, 5, 2)) == dg.telescope(d, [2, 4])
+
+
 def _odometer_with_tail(levels, tail=1):
     """The 2-odometer on levels 1..levels, then tail levels of one edge."""
     return dg.make_diagram(levels + tail, [1] * (levels + tail + 1),
@@ -401,6 +410,37 @@ def test_make_diagram_refuses_edges_that_are_not_int_pairs(edge):
     with pytest.raises(dg.MalformedDiagram) as info:
         dg.make_diagram(2, [1, 1, 1], [[(0, 0)], [[0, 0], edge]])
     assert str(info.value) == "level 2: edge 1 is not a pair of ints"
+
+
+def test_make_diagram_reads_iterators_once():
+    # Each level, the label lists and both outer lists are read once, so
+    # iterators give the same diagram as lists.
+    pairs = [[(0, 0), (0, 1)], [(0, 0), (1, 0), (1, 0)]]
+    labels = [[0, 1], [4]]
+    want = dg.make_diagram(2, [1, 2, 1], pairs, labels)
+    got = dg.make_diagram(2, iter([1, 2, 1]), iter(map(iter, pairs)),
+                          iter(map(iter, labels)))
+    assert got == want
+    d = dg.make_diagram(1, [1, 1], [iter([(0, 0), (0, 0)])])
+    assert d.edges == (((0, 0), (0, 0)),)
+    assert dg.validate_diagram(d) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, [1, 1], [5]), "level 1: edges are not iterable"),
+    ((2, [1, 1, 1], [[(0, 0)], None]), "level 2: edges are not iterable"),
+    ((1, [1, 1], 5), "edges are not iterable"),
+    ((1, 5, [[(0, 0)]]), "vertex counts are not iterable"),
+    ((1, [1, 1], [[(0, 0)]], 5), "group_labels are not iterable"),
+    ((1, [1, 1], [[(0, 0)]], [5]), "group_labels at level 1 are not iterable"),
+    ((1, [1, 1.7], [[(0, 0)]]), "vertex counts must be ints"),
+    ((1, [1, True], [[(0, 0)]]), "vertex counts must be ints"),
+    ((1, ["1", 1], [[(0, 0)]]), "vertex counts must be ints"),
+])
+def test_make_diagram_refuses_non_iterables_and_non_int_counts(args, message):
+    with pytest.raises(dg.MalformedDiagram) as info:
+        dg.make_diagram(*args)
+    assert str(info.value) == message
 
 
 def _mutate(obj, data):

@@ -263,6 +263,18 @@ def test_refinement_names_unknown_towers_and_wrong_start_groups():
     assert str(err.value) == "conclusion (d): tower (0, 0) starts in group 1"
 
 
+def test_refinement_names_a_coarse_top_feeding_the_wrong_group():
+    # Coarse tower (0, 0) feeds group 1, so a climb cannot go from it to
+    # group 0.
+    wide = gen.make_tower_system([[2], [2]], [[1], [0]])
+    fine = gen.make_tower_system([[4], [4]], [[1], [0]])
+    with pytest.raises(gen.RefinementError) as err:
+        gen.make_refinement(
+            wide, fine, {(0, 0): [(0, 0), (0, 0)], (1, 0): [(1, 0), (1, 0)]})
+    assert str(err.value) == \
+        "conclusion (e): coarse top of (0, 0) feeds group 1, not 0"
+
+
 def test_towers_to_diagram_needs_one_refinement_per_step():
     systems, refinements = gen.odometer_towers(2, 3)
     for refs in (refinements[:1], refinements + refinements[:1]):

@@ -22,6 +22,27 @@ def test_make_path_validates_composition():
         pt.make_path(gen.odometer(2, 3), [0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("idx, message", [
+    ([0, 2], "edge index 2 out of range at level 2"),
+    ([-1], "edge index -1 out of range at level 1"),
+    ([1.9, 0], "edge indices must be ints"),
+    ([True, 0], "edge indices must be ints"),
+    (["1", 0], "edge indices must be ints"),
+    ((e for e in [1.0]), "edge indices must be ints"),
+])
+def test_make_path_refuses_bad_edge_indices(idx, message):
+    with pytest.raises(dg.DiagramError) as info:
+        pt.make_path(gen.odometer(2, 3), idx)
+    assert str(info.value) == message
+
+
+def test_make_path_takes_any_iterable_of_ints():
+    d = gen.odometer(2, 3)
+    want = pt.make_path(d, (1, 0))
+    assert pt.make_path(d, [1, 0]) == pt.make_path(d, iter([1, 0])) == want
+    assert pt.make_path(d, []) == (0, (), 0)
+
+
 def test_binary_increment():
     d = gen.odometer(2, 3)
     p = pt.make_path(d, [1, 1, 0])
@@ -363,22 +384,65 @@ def _reference_components(d):
             for v in range(d.vertex_counts[d.num_levels])}
 
 
-def test_last_level_components_match_union_find():
+def test_own_fibers_match_union_find():
+    # Without labels, every last-level vertex is its own fiber exactly
+    # when the deep half's union-find gives each one its own component.
     rng = random.Random(5)
     inputs = [random_diagram(rng, rng.randint(1, 8), 5, 3)
               for _ in range(200)]
     # A union's fibers split only once the deep half leaves the root.
     for _ in range(100):
         levels = rng.randint(4, 7)
-        inputs.append(gen.disjoint_union(
+        inputs.append(_strip_labels(gen.disjoint_union(
             [random_diagram(rng, levels, 3, 2)
-             for _ in range(rng.randint(2, 4))]))
-    split = 0
+             for _ in range(rng.randint(2, 4))])))
+    own = 0
     for d in inputs:
-        want = _reference_components(d)
-        assert pt._last_level_components(d) == want, d
-        split += len(set(want.values())) > 1
-    assert split >= 100, split
+        comps = _reference_components(d)
+        want = len(set(comps.values())) == len(comps)
+        assert pt._own_fibers(d) is want, d
+        own += want
+    assert (own, len(inputs) - own) == (57, 243)
+
+
+def test_own_fibers_with_labels_reads_the_last_level():
+    d = gen.disjoint_union([gen.odometer(2, 4), gen.odometer(3, 4)])
+    assert pt._own_fibers(d)
+    for last in ([0, 0], [1, 1], [5, 5]):
+        merged = dg.make_diagram(d.num_levels, d.vertex_counts, d.edges,
+                                 d.group_labels[:-1] + (last,))
+        assert not pt._own_fibers(merged)
+    # Labels below level N do not matter.
+    split = dg.make_diagram(d.num_levels, d.vertex_counts, d.edges,
+                            [[0, 0]] * 3 + [[7, 2]])
+    assert pt._own_fibers(split)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=4),
+       st.integers(2, 8), st.booleans())
+def test_pairing_wraps_each_vertex_max_path_to_its_min_path(
+        bases, levels, labeled):
+    d = gen.disjoint_union([gen.odometer(b, levels) for b in bases])
+    if not labeled:
+        d = _strip_labels(d)
+    top = d.num_levels
+    for depth in range(1, top + 1):
+        res = pt.check_perfect_ordering(d, depth)
+        if res["verdict"] != "pass":
+            assert res == {"verdict": "unknown", "pairing": None}
+            continue
+        want = {}
+        for v in range(d.vertex_counts[top]):
+            mx = pt.path_prefix(d, pt.max_path_to(d, top, v), depth)
+            want[mx.edge_indices] = pt.path_prefix(
+                d, pt.min_path_to(d, top, v), depth)
+        assert res["pairing"] == want
+        assert list(res["pairing"]) == sorted(want)
+    # An odometer union's parts are its fibers: labels name them, and
+    # without labels the deep half (levels N//2 up) must leave the root.
+    if labeled or len(bases) == 1 or top >= 4:
+        assert res["verdict"] == "pass" and len(res["pairing"]) == len(bases)
 
 
 def test_telescope_path_round_trip():
