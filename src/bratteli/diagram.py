@@ -10,10 +10,9 @@ edges are comparable exactly when they have the same range.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 
@@ -29,7 +28,78 @@ class InvalidDiagram(DiagramError):
     """Diagram is well-formed but violates an ordered-diagram axiom."""
 
 
-@dataclass(frozen=True)
+def _record(cls=None, *, frozen=True):
+    """Make cls a value record of the fields it annotates, in that order.
+
+    As dataclasses.dataclass(frozen=frozen) would, but with shared methods
+    instead of code generated per class: construction by position or
+    keyword, a class attribute named like a field being its default; the
+    repr Name(field=value, ...); equality by fields between instances of
+    one class; and, when frozen, a hash by fields and AttributeError on
+    assignment or deletion, else no hash.  Fields live in the instance
+    __dict__, where cached_property stores its tables too.
+    """
+    if cls is None:
+        return partial(_record, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names
+                if name in cls.__dict__}
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(cls.__name__, names, defaults, args, kwargs)
+        self.__dict__.update(zip(names, args))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(names, fields(self)))
+        return f"{self.__class__.__qualname__}({inner})"
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    if frozen:
+        cls.__hash__ = lambda self: hash(fields(self))
+        cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
+    else:
+        cls.__hash__ = None
+    return cls
+
+
+def _bind(name: str, names: tuple, defaults: dict, args: tuple,
+          kwargs: dict) -> list:
+    """The field values of a record call that is not all fields by
+    position, in field order; TypeError as for a call of a function."""
+    if len(args) > len(names):
+        raise TypeError(f"{name}() takes {len(names)} field arguments but "
+                        f"{len(args)} were given")
+    given = dict(zip(names, args))
+    for key in kwargs:
+        if key not in names or key in given:
+            raise TypeError(f"{name}() got an unexpected or repeated "
+                            f"argument {key!r}")
+    values = {**defaults, **given, **kwargs}
+    missing = [key for key in names if key not in values]
+    if missing:
+        raise TypeError(f"{name}() missing field arguments: "
+                        f"{', '.join(map(repr, missing))}")
+    return [values[key] for key in names]
+
+
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+@_record
 class Violation:
     kind: str        # "malformed", "range-surjectivity", "source-surjectivity"
     level: int
@@ -39,7 +109,7 @@ class Violation:
         return f"[{self.kind}] level {self.level}: {self.detail}"
 
 
-@dataclass(frozen=True)
+@_record
 class OrderedBratteliDiagram:
     """Immutable ordered Bratteli diagram truncated at num_levels edge levels.
 
@@ -183,6 +253,8 @@ def make_diagram(num_levels: int,
     Raises MalformedDiagram for broken field data; axiom violations are left
     to validate_diagram.
     """
+    if type(num_levels) is not int:
+        raise MalformedDiagram("num_levels must be an integer")
     if num_levels < 1:
         raise MalformedDiagram("num_levels must be >= 1")
     vcs = _sequence(vertex_counts, "vertex counts")
@@ -438,7 +510,7 @@ def mat_vec(a: list, v: list) -> list:
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
 
-@dataclass(frozen=True)
+@_record
 class TelescopeMap:
     """Bijection between the edges of a telescoped diagram and the paths
     they collapse, as telescope() and soe's orbit map F build it.
@@ -562,7 +634,7 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
     return td, TelescopeMap((0,) + cuts, paths)
 
 
-@dataclass(frozen=True)
+@_record
 class PropertyFailure:
     prop: str      # "b", "c" or "d"
     kind: str      # "min" or "max"

@@ -5,12 +5,18 @@ of explicit tower-refinement data into an ordered diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Sequence, Tuple
 
 from .diagram import (MAX_TELESCOPE_EDGES, DiagramError, OrderedBratteliDiagram,
-                      _edges_from_matrix, make_diagram)
+                      _edges_from_matrix, _record, make_diagram)
 from .ktheory import FinitePermutationSystem, make_permutation_system
+
+
+def _check_ints(values, what: str) -> None:
+    """Refuse values unless each is exactly an int (a bool is not)."""
+    if not {int} >= set(map(type, values)):
+        raise DiagramError(f"{what} must be ints")
 
 
 def _check_edge_count(count: int) -> None:
@@ -45,7 +51,8 @@ def stationary_adic(matrix: Sequence[Sequence[int]],
     k = len(matrix)
     if not k:
         raise DiagramError("matrix must have at least one row")
-    m = [[int(x) for x in row] for row in matrix]
+    m = [list(row) for row in matrix]
+    _check_ints(chain.from_iterable(m), "matrix entries")
     if any(len(row) != k for row in m):
         raise DiagramError("matrix must be square")
     if any(x < 0 for row in m for x in row):
@@ -112,7 +119,8 @@ def finite_cycle_system(lengths: Sequence[int], levels: int = 6
     """Disjoint cycles of the given lengths, plus the constant diagram whose
     towers have those heights (one tower per cycle, identity after level 1).
     """
-    lengths = [int(x) for x in lengths]
+    lengths = list(lengths)
+    _check_ints(lengths, "cycle lengths")
     if not lengths or any(x < 1 for x in lengths):
         raise DiagramError("cycle lengths must be positive")
     if levels < 1:
@@ -136,7 +144,7 @@ def finite_cycle_system(lengths: Sequence[int], levels: int = 6
 # Tower systems and refinements
 
 
-@dataclass(frozen=True)
+@_record
 class TowerSystem:
     """Combinatorial tower data: per group t, a list of tower heights and
     the group each tower top feeds back into.
@@ -158,8 +166,10 @@ class TowerSystem:
 
 
 def make_tower_system(heights, return_group) -> TowerSystem:
-    hs = tuple(tuple(int(j) for j in grp) for grp in heights)
-    rg = tuple(tuple(int(t) for t in grp) for grp in return_group)
+    hs = tuple(map(tuple, heights))
+    rg = tuple(map(tuple, return_group))
+    _check_ints(chain.from_iterable(hs), "tower heights")
+    _check_ints(chain.from_iterable(rg), "return groups")
     if len(hs) != len(rg) or any(len(a) != len(b) for a, b in zip(hs, rg)):
         raise DiagramError("heights and return_group shapes differ")
     if not hs or any(not grp for grp in hs):
@@ -182,7 +192,7 @@ def make_tower_system(heights, return_group) -> TowerSystem:
     return TowerSystem(hs, rg)
 
 
-@dataclass(frozen=True)
+@_record
 class TowerRefinement:
     """Traversal records from a coarse system to a finer one.
 
@@ -221,7 +231,8 @@ def make_refinement(coarse: TowerSystem, fine: TowerSystem,
     for (t2, k2) in fine.towers():
         if (t2, k2) not in traversals:
             raise RefinementError("d", f"no traversal for tower {(t2, k2)}")
-        recs = tuple((int(t), int(k)) for t, k in traversals[(t2, k2)])
+        recs = tuple((t, k) for t, k in traversals[(t2, k2)])
+        _check_ints(chain.from_iterable(recs), "traversal records")
         if not recs:
             raise RefinementError("d", f"empty traversal for {(t2, k2)}")
         for (t, k) in recs:

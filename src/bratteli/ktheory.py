@@ -8,12 +8,12 @@ All arithmetic is over Python integers, so nothing overflows.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Dict, List, Optional
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      check_valid, incidence_matrix, is_int_list, mat_vec)
+                      _record, check_valid, incidence_matrix, is_int_list,
+                      mat_vec)
 from .paths import extremal_paths
 
 
@@ -21,7 +21,7 @@ from .paths import extremal_paths
 # Exact integer linear algebra
 
 
-@dataclass
+@_record(frozen=False)
 class SNFResult:
     diagonal: List[int]          # elementary divisors d1 | d2 | ..., then 0s
     left: List[Dict[int, int]]   # U with U A V = diag, as rows of
@@ -316,7 +316,7 @@ def verify_snf(a, res: SNFResult) -> bool:
 # Dimension-group presentation
 
 
-@dataclass(frozen=True)
+@_record
 class DimensionGroupPresentation:
     """Sequence of free groups Z^sizes[i] joined by edge-count matrices.
 
@@ -346,7 +346,7 @@ class DimensionGroupPresentation:
         return v
 
 
-@dataclass(frozen=True)
+@_record
 class DimGroupElement:
     level: int
     vector: tuple
@@ -485,7 +485,7 @@ def k1_rank(d: OrderedBratteliDiagram, depth: Optional[int] = None) -> dict:
 MAX_ORACLE_POINTS = 512
 
 
-@dataclass(frozen=True)
+@_record
 class FinitePermutationSystem:
     n_points: int
     permutation: tuple

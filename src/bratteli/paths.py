@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from operator import getitem
 from typing import NamedTuple, Optional
 
 from .diagram import (DiagramError, OrderedBratteliDiagram, _check_vertex,
-                      _extremal_sources, _iterate_r, _iterate_s,
+                      _extremal_sources, _iterate_r, _iterate_s, _record,
                       check_fem_properties, check_valid)
 
 
@@ -236,7 +235,7 @@ def orbit_shift(d: OrderedBratteliDiagram, e: FinitePath, f: FinitePath) -> int:
     return path_rank(d, f) - path_rank(d, e)
 
 
-@dataclass(frozen=True)
+@_record
 class ExtremalPathSet:
     kind: str               # "min" or "max"
     depth: int

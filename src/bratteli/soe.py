@@ -11,14 +11,14 @@ orbit cocycles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       TelescopeMap, _edges_from_matrix, _extremal_sources,
-                      _iterate_r, _iterate_s, check_valid, incidence_matrix,
-                      is_int_list, make_diagram, mat_mul, telescope_segments)
+                      _iterate_r, _iterate_s, _record, check_valid,
+                      incidence_matrix, is_int_list, make_diagram, mat_mul,
+                      telescope_segments)
 from .paths import (FinitePath, MaximalPathError, MinimalPathError,
                     _lex_paths, _path, extremal_paths, is_maximal,
                     path_prefix, path_rank, telescope_path, untelescope_path,
@@ -42,7 +42,7 @@ class NeedsDepth(DiagramError):
     """Cocycle computation requires a deeper finite path."""
 
 
-@dataclass(frozen=True)
+@_record
 class Intertwining:
     """Alternating matrix sequence between two diagrams.
 
@@ -133,7 +133,7 @@ def validate_intertwining(b1: OrderedBratteliDiagram,
                            f"level {n + 1}, entry {{}}: {{}} vs {{}}")
 
 
-@dataclass(frozen=True)
+@_record
 class InterleavedDiagram:
     """Diagram whose odd vertex levels 2n-1 carry B1's level n and even
     levels 2n B2's level n, with edge multiplicities from the intertwining
@@ -330,7 +330,7 @@ def apply_orbit_map(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
 # Extremal path pairing
 
 
-@dataclass(frozen=True)
+@_record
 class ExtremalPairing:
     """Bijection between B1 and B2 extremal paths via the interleaving.
 

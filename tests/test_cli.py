@@ -587,6 +587,11 @@ def _imported(tmp_path, argv):
             if line.startswith("import time:")}
 
 
+# The records build their methods without generating code, so no cold
+# command loads the modules that generate it.
+CODE_GENERATION = {"dataclasses", "inspect"}
+
+
 def test_cold_soe_check_imports_no_ktheory_or_generators(tmp_path):
     b1, _ = dg.telescope(gen.odometer(2, 9), [1, 3, 5, 7, 9])
     dg.save_diagram(b1, str(tmp_path / "b1.json"))
@@ -598,6 +603,7 @@ def test_cold_soe_check_imports_no_ktheory_or_generators(tmp_path):
                                 "w.json", "--depth", "4"])
     assert "bratteli.soe" in mods
     assert not mods & {"bratteli.ktheory", "bratteli.generators"}
+    assert not mods & CODE_GENERATION
 
 
 def test_cold_rank_imports_no_soe(tmp_path, odo2):
@@ -606,6 +612,16 @@ def test_cold_rank_imports_no_soe(tmp_path, odo2):
     assert "bratteli.paths" in mods
     assert not mods & {"bratteli.soe", "bratteli.ktheory",
                        "bratteli.generators"}
+    assert not mods & CODE_GENERATION
+
+
+def test_cold_oracle_imports_no_code_generation(tmp_path):
+    system, _ = gen.finite_cycle_system([2, 3])
+    (tmp_path / "sys.json").write_text(
+        json.dumps(kt.permutation_system_to_json(system)))
+    mods = _imported(tmp_path, ["oracle", "sys.json"])
+    assert "bratteli.ktheory" in mods
+    assert not mods & CODE_GENERATION
 
 
 def test_generate_union_in_process_keeps_part_labels(capsys, tmp_path):

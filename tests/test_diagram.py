@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 import loader_reference
 from bratteli import diagram as dg
 from bratteli import generators as gen
+from bratteli import ktheory as kt
 from bratteli import paths as pt
+from bratteli import soe
 from conftest import peak_growth, random_diagram
 
 
@@ -391,6 +393,14 @@ def test_make_diagram_messages(args, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("num_levels", [2.0, True, "2"])
+def test_make_diagram_refuses_num_levels_that_is_not_an_int(num_levels):
+    # The JSON loader's message; a bool is not taken as 1.
+    with pytest.raises(dg.MalformedDiagram) as info:
+        dg.make_diagram(num_levels, [1, 1, 1], [[(0, 0), (0, 0)]] * 2)
+    assert str(info.value) == "num_levels must be an integer"
+
+
 def test_make_diagram_reads_pairs_as_its_reference_does():
     # A tuple or list of two ints is an edge; equal levels may come as
     # different containers.
@@ -751,3 +761,110 @@ def test_property_failure_names_m_only_when_given():
         "property (c) fails for min vertex 1 at level 2")
     assert str(dg.PropertyFailure("d", "max", 3, 0, 2)) == (
         "property (d) fails for max vertex 0 at level 3, m=2")
+
+
+# Every value record of the package: its fields in order, as
+# (name, value), and its exact repr.  The last field's value is the one a
+# "different" record changes.
+RECORDS = [
+    (dg.Violation, (("kind", "malformed"), ("level", 1), ("detail", "x")),
+     "Violation(kind='malformed', level=1, detail='x')"),
+    (dg.OrderedBratteliDiagram,
+     (("num_levels", 1), ("vertex_counts", (1, 1)),
+      ("edges", (((0, 0),),)), ("group_labels", None)),
+     "OrderedBratteliDiagram(num_levels=1, vertex_counts=(1, 1), "
+     "edges=(((0, 0),),), group_labels=None)"),
+    (dg.TelescopeMap, (("cut_points", (0, 1)), ("orig_paths", (((0,),),))),
+     "TelescopeMap(cut_points=(0, 1), orig_paths=(((0,),),))"),
+    (dg.PropertyFailure,
+     (("prop", "b"), ("kind", "min"), ("level", 1), ("vertex", 0),
+      ("m", None)),
+     "PropertyFailure(prop='b', kind='min', level=1, vertex=0, m=None)"),
+    (pt.ExtremalPathSet,
+     (("kind", "min"), ("depth", 1), ("paths", ()), ("stabilized", True)),
+     "ExtremalPathSet(kind='min', depth=1, paths=(), stabilized=True)"),
+    (soe.Intertwining, (("p_matrices", (((1,),),)), ("q_matrices", ())),
+     "Intertwining(p_matrices=(((1,),),), q_matrices=())"),
+    (soe.InterleavedDiagram, (("diagram", "d"), ("b1", "b1"), ("b2", "b2")),
+     "InterleavedDiagram(diagram='d', b1='b1', b2='b2')"),
+    (soe.ExtremalPairing, (("min_pairs", ()), ("max_pairs", ())),
+     "ExtremalPairing(min_pairs=(), max_pairs=())"),
+    (kt.SNFResult,
+     (("diagonal", [1]), ("left", [{0: 1}]), ("right", [{0: 1}])),
+     "SNFResult(diagonal=[1], left=[{0: 1}], right=[{0: 1}])"),
+    (kt.DimensionGroupPresentation,
+     (("sizes", (1,)), ("maps", ()), ("unit", (1,))),
+     "DimensionGroupPresentation(sizes=(1,), maps=(), unit=(1,))"),
+    (kt.DimGroupElement, (("level", 1), ("vector", (2,))),
+     "DimGroupElement(level=1, vector=(2,))"),
+    (kt.FinitePermutationSystem,
+     (("n_points", 1), ("permutation", (0,)), ("fiber_of", (0,))),
+     "FinitePermutationSystem(n_points=1, permutation=(0,), fiber_of=(0,))"),
+    (gen.TowerSystem, (("heights", ((1,),)), ("return_group", ((0,),))),
+     "TowerSystem(heights=((1,),), return_group=((0,),))"),
+    (gen.TowerRefinement, (("traversals", (((0, 0), ((0, 0),)),)),),
+     "TowerRefinement(traversals=(((0, 0), ((0, 0),)),))"),
+]
+
+# The cached tables a record fills on first read, with their values.
+RECORD_TABLES = {
+    dg.OrderedBratteliDiagram: {"in_edge_table": (((0,),),),
+                                "path_count_table": ((1,), (1,))},
+    dg.TelescopeMap: {"path_tables": ({(0,): 0},)},
+}
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_semantics(cls, fields, text):
+    names = [name for name, _ in fields]
+    values = [value for _, value in fields]
+    r = cls(*values)
+    assert [getattr(r, name) for name in names] == values
+    assert repr(r) == text
+    # Keyword, mixed and default construction.
+    assert cls(**dict(fields)) == r
+    assert cls(*values[:1], **dict(fields[1:])) == r
+    for name, default in (("group_labels", None), ("m", None)):
+        if names[-1] == name:
+            assert cls(*values[:-1]) == r
+            assert getattr(cls, name) is default
+    with pytest.raises(TypeError):
+        cls(*values, "extra")
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls()
+    # Equality by field, and only within one class.
+    other = cls(*values[:-1], "changed")
+    assert other != r and not other == r
+    assert r == cls(*values) and not r != cls(*values)
+    assert r != tuple(values)
+    sub = type("Sub", (cls,), {})(*values)
+    assert sub != r and r != sub
+    if cls is kt.SNFResult:
+        with pytest.raises(TypeError):
+            hash(r)
+        r.diagonal = [2]
+        assert r.diagonal == [2] and r != cls(*values)
+        return
+    assert hash(r) == hash(cls(*values))
+    assert {r, cls(*values), other} == {r, other}
+    with pytest.raises(AttributeError):
+        setattr(r, names[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(r, names[0])
+    with pytest.raises(AttributeError):
+        r.not_a_field = 1
+    assert [getattr(r, name) for name in names] == values
+    # Cached tables fill the instance once, past the frozen __setattr__,
+    # and equality, hashing and repr never see them.
+    tables = RECORD_TABLES.get(cls, {})
+    for name, want in tables.items():
+        assert name not in vars(r)
+        assert getattr(r, name) == want
+        assert getattr(r, name) is vars(r)[name]
+    assert r == cls(*values) and hash(r) == hash(cls(*values))
+    assert repr(r) == text

@@ -281,3 +281,29 @@ def test_towers_to_diagram_needs_one_refinement_per_step():
         with pytest.raises(dg.DiagramError) as err:
             gen.towers_to_diagram(systems, refs)
         assert str(err.value) == "need exactly one refinement between systems"
+
+
+_COARSE = gen.make_tower_system([[2]], [[0]])
+_FINE = gen.make_tower_system([[6]], [[0]])
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", True])
+@pytest.mark.parametrize("build, message", [
+    (lambda x: gen.stationary_adic([[x]], 3), "matrix entries must be ints"),
+    (lambda x: gen.stationary_adic([[1, 1], [1, x]], 3),
+     "matrix entries must be ints"),
+    (lambda x: gen.finite_cycle_system([2, x]), "cycle lengths must be ints"),
+    (lambda x: gen.make_tower_system([[x]], [[0]]),
+     "tower heights must be ints"),
+    (lambda x: gen.make_tower_system([[2]], [[x]]),
+     "return groups must be ints"),
+    (lambda x: gen.make_refinement(_COARSE, _FINE,
+                                   {(0, 0): [(0, 0), (0, 0), (x, 0)]}),
+     "traversal records must be ints"),
+], ids=["1x1-matrix", "2x2-matrix", "cycles", "heights", "return-groups",
+        "traversals"])
+def test_generators_refuse_values_that_are_not_ints(build, message, bad):
+    # A float, a string or a bool is refused, not converted with int().
+    with pytest.raises(dg.DiagramError) as info:
+        build(bad)
+    assert str(info.value) == message
