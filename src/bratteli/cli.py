@@ -343,6 +343,28 @@ def _emit_text(payload, diagnostics, out):
     walk(payload)
 
 
+# The JSON envelope goes out in writes of about this many characters:
+# json.dump writes each of the encoder's small chunks on its own, one
+# write(2) apiece under unbuffered stdout.
+WRITE_CHUNK = 1 << 16
+
+
+def _write_json(obj, out) -> None:
+    """Write obj as json.dump(obj, out, indent=2, sort_keys=True) and a
+    newline would, joining the encoder's chunks into writes of at least
+    WRITE_CHUNK characters but the last, so no more than one write's worth
+    of text is held at once."""
+    buf, size = [], 0
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj):
+        buf.append(chunk)
+        size += len(chunk)
+        if size >= WRITE_CHUNK:
+            out.write("".join(buf))
+            buf, size = [], 0
+    buf.append("\n")
+    out.write("".join(buf))
+
+
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -357,10 +379,8 @@ def run(argv) -> int:
         status = "error"
         code = 1
     if args.format == "json":
-        json.dump({"status": status, "payload": payload,
-                   "diagnostics": diagnostics}, sys.stdout, indent=2,
-                  sort_keys=True)
-        print()
+        _write_json({"status": status, "payload": payload,
+                     "diagnostics": diagnostics}, sys.stdout)
     else:
         print(f"status: {status}")
         _emit_text(payload, diagnostics, sys.stdout)

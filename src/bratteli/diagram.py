@@ -298,9 +298,18 @@ def make_diagram(num_levels: int,
             if len(level) != vcs[n]:
                 raise MalformedDiagram(
                     f"group_labels at level {n} must have {vcs[n]} entries")
-            labels.append(tuple(int(t) for t in level))
+            if not {int} >= set(map(type, level)):
+                raise MalformedDiagram(
+                    f"group_labels at level {n} must be ints")
+            labels.append(level)
         labels = tuple(labels)
     return OrderedBratteliDiagram(num_levels, vcs, tuple(canon), labels)
+
+
+def _check_ints(values, what: str) -> None:
+    """Refuse values unless each is exactly an int (a bool is not)."""
+    if not {int} >= set(map(type, values)):
+        raise DiagramError(f"{what} must be ints")
 
 
 def _sequence(x, what: str) -> tuple:

@@ -9,14 +9,14 @@ from itertools import chain
 from typing import Dict, Sequence, Tuple
 
 from .diagram import (MAX_TELESCOPE_EDGES, DiagramError, OrderedBratteliDiagram,
-                      _edges_from_matrix, _record, make_diagram)
+                      _check_ints, _edges_from_matrix, _record, make_diagram)
 from .ktheory import FinitePermutationSystem, make_permutation_system
 
 
-def _check_ints(values, what: str) -> None:
-    """Refuse values unless each is exactly an int (a bool is not)."""
-    if not {int} >= set(map(type, values)):
-        raise DiagramError(f"{what} must be ints")
+def _check_int(value, what: str) -> None:
+    """Refuse value unless it is exactly an int (a bool is not)."""
+    if type(value) is not int:
+        raise DiagramError(f"{what} must be an int")
 
 
 def _check_edge_count(count: int) -> None:
@@ -30,6 +30,8 @@ def _check_edge_count(count: int) -> None:
 
 def odometer(base: int, levels: int) -> OrderedBratteliDiagram:
     """One vertex per level, `base` parallel edges per level."""
+    _check_int(base, "odometer base")
+    _check_int(levels, "levels")
     if base < 2:
         raise DiagramError(f"odometer base must be >= 2, got {base}")
     if levels < 1:
@@ -61,6 +63,7 @@ def stationary_adic(matrix: Sequence[Sequence[int]],
         raise DiagramError("matrix has a zero row")
     if any(all(row[j] == 0 for row in m) for j in range(k)):
         raise DiagramError("matrix has a zero column")
+    _check_int(levels, "levels")
     if levels < 1:
         raise DiagramError("levels must be >= 1")
     _check_edge_count(levels * sum(map(sum, m)))
@@ -123,6 +126,7 @@ def finite_cycle_system(lengths: Sequence[int], levels: int = 6
     _check_ints(lengths, "cycle lengths")
     if not lengths or any(x < 1 for x in lengths):
         raise DiagramError("cycle lengths must be positive")
+    _check_int(levels, "levels")
     if levels < 1:
         raise DiagramError("levels must be >= 1")
     _check_edge_count(sum(lengths) + (levels - 1) * len(lengths))

@@ -12,8 +12,8 @@ from itertools import chain, compress
 from typing import Dict, List, Optional
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      _record, check_valid, incidence_matrix, is_int_list,
-                      mat_vec)
+                      _check_ints, _record, check_valid, incidence_matrix,
+                      is_int_list, mat_vec)
 from .paths import extremal_paths
 
 
@@ -362,7 +362,8 @@ def k0_presentation(d: OrderedBratteliDiagram,
     check_valid(d)
     if heights is None:
         heights = natural_heights(d)
-    hs = tuple(int(h) for h in heights)
+    hs = tuple(heights)
+    _check_ints(hs, "heights")
     if len(hs) != d.vertex_counts[1]:
         raise DiagramError(
             f"heights must have {d.vertex_counts[1]} entries, got {len(hs)}")
@@ -493,8 +494,9 @@ class FinitePermutationSystem:
 
 
 def make_permutation_system(perm, fiber) -> FinitePermutationSystem:
-    perm = tuple(int(p) for p in perm)
-    fiber = tuple(int(f) for f in fiber)
+    perm, fiber = tuple(perm), tuple(fiber)
+    _check_ints(perm, "perm entries")
+    _check_ints(fiber, "fiber entries")
     n = len(perm)
     if n == 0:
         raise DiagramError("permutation system needs at least one point")

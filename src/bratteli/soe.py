@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import getitem
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      TelescopeMap, _edges_from_matrix, _extremal_sources,
-                      _iterate_r, _iterate_s, _record, check_valid,
-                      incidence_matrix, is_int_list, make_diagram, mat_mul,
-                      telescope_segments)
-from .paths import (FinitePath, MaximalPathError, MinimalPathError,
-                    _lex_paths, _path, extremal_paths, is_maximal,
-                    path_prefix, path_rank, telescope_path, untelescope_path,
-                    vershik_predecessor, vershik_successor)
+                      TelescopeMap, _check_ints, _edges_from_matrix,
+                      _extremal_sources, _iterate_r, _iterate_s, _record,
+                      check_valid, incidence_matrix, is_int_list,
+                      make_diagram, mat_mul, telescope_segments)
+from .paths import (FinitePath, _lex_paths, _path, _step, extremal_paths,
+                    is_maximal, path_prefix, path_rank, telescope_path,
+                    untelescope_path, vershik_predecessor, vershik_successor)
 
 
 class IntertwiningInvalid(DiagramError):
@@ -55,11 +53,18 @@ class Intertwining:
     q_matrices: tuple
 
 
+def _int_matrices(matrices, what: str) -> tuple:
+    """matrices as tuples of row tuples; DiagramError names what unless
+    every entry is exactly an int (a bool is not)."""
+    ms = tuple(tuple(map(tuple, m)) for m in matrices)
+    _check_ints(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(ms)), f"{what} entries")
+    return ms
+
+
 def make_intertwining(p_matrices, q_matrices) -> Intertwining:
-    ps = tuple(tuple(tuple(int(x) for x in row) for row in m)
-               for m in p_matrices)
-    qs = tuple(tuple(tuple(int(x) for x in row) for row in m)
-               for m in q_matrices)
+    ps = _int_matrices(p_matrices, "p_matrices")
+    qs = _int_matrices(q_matrices, "q_matrices")
     if not ps:
         raise DiagramError("need at least one P matrix")
     if len(ps) - len(qs) not in (0, 1):
@@ -308,20 +313,28 @@ def f2_path(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
     return untelescope_path(F.f2, p, F.diagram)
 
 
+def _b2_edges(F: InterleavedDiagram, *edge_tuples) -> list:
+    """F's B2 edge tuple for each B1 edge tuple, F's tables read once for
+    all of them: consecutive B1 edges (a, b) at levels n and n+1 give B2's
+    level-n edge f2.path_tables[n-1][f1_tails[n-1][a], f1_heads[n][b]].
+    The depths are trusted to be realized."""
+    tables, tails, heads = F.f2.path_tables, F.f1_tails, F.f1_heads[1:]
+    return [tuple([pairs[tail[a], head[b]] for pairs, tail, head, a, b
+                   in zip(tables, tails, heads, e, e[1:])])
+            for e in edge_tuples]
+
+
 def apply_orbit_map(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
     """F on cylinders: a depth-k B1 path determines a depth-(k-1) B2 path.
 
     B2's level-n edge is the segment from B1 edge n's last interleaved edge
-    to B1 edge n+1's first, so each pair of consecutive B1 edges (a, b)
-    gives one B2 edge, f2.path_tables[n-1][f1_tails[n-1][a], f1_heads[n][b]],
-    the same rule cocycle_values sums rank offsets over.  The path ends at
-    its last B2 edge's range, or at the root for k = 1.
+    to B1 edge n+1's first, so each pair of consecutive B1 edges gives one
+    B2 edge (_b2_edges), the same rule cocycle_values sums rank offsets
+    over.  The path ends at its last B2 edge's range, or at the root for
+    k = 1.
     """
     _check_realized(F.f1, p.depth, "B1")
-    e = p.edge_indices
-    idx = tuple(map(getitem, F.f2.path_tables,
-                    zip(map(getitem, F.f1_tails, e),
-                        map(getitem, F.f1_heads[1:], e[1:]))))
+    idx, = _b2_edges(F, p.edge_indices)
     v = F.b2.edges[len(idx) - 1][idx[-1]][1] if idx else 0
     return _path((len(idx), idx, v))
 
@@ -392,27 +405,36 @@ def cocycle(F: InterleavedDiagram, p: FinitePath,
 
 def cocycle_images(F: InterleavedDiagram, p: FinitePath,
                    direction: str = "forward"):
-    """The two B2 paths whose rank difference is the cocycle value."""
-    if direction not in ("forward", "backward"):
+    """The two B2 paths whose rank difference is the cocycle value: the
+    images under F of p and of p with its prefix moved one Vershik step,
+    which share p's last edge and so end at one B2 vertex."""
+    if direction == "forward":
+        shift, end = 1, "maximal"
+    elif direction == "backward":
+        shift, end = -1, "minimal"
+    else:
         raise DiagramError("direction must be forward or backward")
-    if p.depth < 2:
+    depth, e, _ = p
+    if depth < 2:
         raise NeedsDepth("cocycle needs a path of depth at least 2")
-    pre = path_prefix(F.b1, p, p.depth - 1)
-    step, end = ((vershik_successor, "maximal") if direction == "forward"
-                 else (vershik_predecessor, "minimal"))
-    try:
-        other = step(F.b1, pre)
-    except (MaximalPathError, MinimalPathError):
+    k = depth - 1
+    # path_prefix's check and message, without building the prefix.
+    if k > F.b1.num_levels:
+        raise DiagramError(f"prefix length {k} out of range "
+                           f"0..{F.b1.num_levels}")
+    other = _step(F.b1, (k, e[:k], None), shift)
+    if other is None:
         raise NeedsDepth(f"prefix is {end}; extend the path past the {end} "
-                         "tail") from None
-    # Both end in p's last edge: q is F(x), q2 is F(T1x) (T1^-1 x backward).
-    q = apply_orbit_map(F, p)
-    moved = other.edge_indices + p.edge_indices[-1:]
-    q2 = apply_orbit_map(F, _path((p.depth, moved, p.terminal_vertex)))
-    if q.terminal_vertex != q2.terminal_vertex:
+                         "tail")
+    _check_realized(F.f1, depth, "B1")
+    # q is F(x), q2 is F(T1x) (T1^-1 x backward).
+    q, q2 = _b2_edges(F, e, other[1] + e[-1:])
+    level = F.b2.edges[k - 1]
+    v = level[q[-1]][1]
+    if level[q2[-1]][1] != v:
         raise DiagramError("cocycle images disagree on vertices: "
                            "internal error")
-    return q, q2
+    return _path((k, q, v)), _path((k, q2, v))
 
 
 # Most B2 Vershik steps verify_cocycle takes to confirm one value.
@@ -421,7 +443,14 @@ VERIFY_LIMIT = 10 ** 4
 
 def verify_cocycle(F: InterleavedDiagram, p: FinitePath,
                    direction: str = "forward") -> bool:
-    """Confirm the reported value by literal successor iteration in B2."""
+    """Confirm the reported value by literal successor iteration in B2.
+
+    q and q2 come from F's own tables, so this confirms the rank
+    difference, the number of B2 Vershik steps from q to q2, apart from
+    the rank tables.  It does not show that F is an orbit map: for a
+    wrong F built from tables, q and q2 still end at one vertex, and the
+    rank law carries q to q2.
+    """
     q, q2 = cocycle_images(F, p, direction)
     n = path_rank(F.b2, q2) - path_rank(F.b2, q)
     if abs(n) > VERIFY_LIMIT:

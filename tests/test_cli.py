@@ -206,6 +206,52 @@ def test_telescope_payload(capsys, odo2):
     assert res["payload"] == dg.diagram_to_json(td)
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--diagram", "D"],
+    ["telescope", "--diagram", "D", "--cuts", "2,4,6"],
+    ["k0", "D", "--compare", "--level1", "1", "--vec1", "1", "--level2",
+     "2", "--vec2", "2"],
+    ["rank", "--diagram", "D", "--path", "1,1,1,1,1,1,1"],     # error
+    ["generate", "cycles", "2,3"],
+])
+def test_envelope_is_json_dumps_text(capsys, odo2, argv):
+    # Written in bounded writes, the envelope is still the text of
+    # json.dumps with indent 2 and sorted keys, and one newline.
+    code = cli.run([odo2 if a == "D" else a for a in argv])
+    out = capsys.readouterr().out
+    env = json.loads(out)
+    assert (code, env["status"]) in ((0, "ok"), (1, "error"))
+    assert out == json.dumps(env, indent=2, sort_keys=True) + "\n"
+
+
+class _CountingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_envelope_goes_out_in_bounded_writes(monkeypatch, tmp_path):
+    # The 2-odometer on 12 levels cut at 12: one level of 4,096 edges,
+    # about 250 KB of JSON.
+    path = tmp_path / "odo12.json"
+    dg.save_diagram(gen.odometer(2, 12), str(path))
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.run(["telescope", "--diagram", str(path), "--cuts", "12"]) == 0
+    text = "".join(out.writes)
+    chunks = -(-len(text) // cli.WRITE_CHUNK)
+    assert chunks >= 3
+    assert len(out.writes) <= chunks + 1
+    env = json.loads(text)
+    assert text == json.dumps(env, indent=2, sort_keys=True) + "\n"
+
+
 def test_telescope_past_the_edge_cap_is_domain_error(capsys, tmp_path):
     # The 2-odometer on 17 levels and a one-edge level 18, cut at 17 and
     # 18: 2^17 + 1 edges, one past MAX_TELESCOPE_EDGES.

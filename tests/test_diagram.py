@@ -401,12 +401,22 @@ def test_make_diagram_refuses_num_levels_that_is_not_an_int(num_levels):
     assert str(info.value) == "num_levels must be an integer"
 
 
+@pytest.mark.parametrize("labels", [
+    [["1", 2.9]], [[1, 2.0]], [[True, 1]], [(0, None)]])
+def test_make_diagram_refuses_group_labels_that_are_not_ints(labels):
+    # A label is refused, not converted with int(): ["1", 2.9] used to
+    # give the labels (1, 2).
+    with pytest.raises(dg.MalformedDiagram) as info:
+        dg.make_diagram(1, [1, 2], [[(0, 0), (0, 1)]], labels)
+    assert str(info.value) == "group_labels at level 1 must be ints"
+
+
 def test_make_diagram_reads_pairs_as_its_reference_does():
     # A tuple or list of two ints is an edge; equal levels may come as
     # different containers.
     args = (3, [1, 2, 2, 2],
             [[[0, 1], (0, 0)], [(1, 0), [0, 1]], [[1, 0], (0, 1)]],
-            [[0, 1], (0, 0), [True, 1]])
+            [[0, 1], (0, 0), [1, 1]])
     d = dg.make_diagram(*args)
     assert d == loader_reference.make_diagram(*args)
     assert d.edges[1] == d.edges[2] == ((1, 0), (0, 1))

@@ -307,3 +307,20 @@ def test_generators_refuse_values_that_are_not_ints(build, message, bad):
     with pytest.raises(dg.DiagramError) as info:
         build(bad)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [3.0, "3", True, None])
+@pytest.mark.parametrize("build, message", [
+    (lambda x: gen.odometer(2, x), "levels must be an int"),
+    (lambda x: gen.odometer(x, 3), "odometer base must be an int"),
+    (lambda x: gen.stationary_adic([[1]], x), "levels must be an int"),
+    (lambda x: gen.finite_cycle_system([2], x), "levels must be an int"),
+], ids=["odometer-levels", "odometer-base", "stationary-levels",
+        "cycles-levels"])
+def test_generators_refuse_levels_and_base_that_are_not_ints(build, message,
+                                                              bad):
+    # odometer(2, 3.0), stationary_adic([[1]], 2.0) and
+    # finite_cycle_system([2], 2.0) used to raise a bare TypeError.
+    with pytest.raises(dg.DiagramError) as info:
+        build(bad)
+    assert str(info.value) == message

@@ -462,6 +462,28 @@ def test_make_permutation_system_validates():
         kt.make_permutation_system([1, 0, 3, 2], [0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("perm, fiber, message", [
+    ([1.0, "0"], [0, 0], "perm entries must be ints"),
+    ([1, True], [0, 0], "perm entries must be ints"),
+    ([1, 0], [True, 1], "fiber entries must be ints"),
+    ([1, 0], [0, 0.0], "fiber entries must be ints"),
+])
+def test_make_permutation_system_refuses_values_that_are_not_ints(
+        perm, fiber, message):
+    # [1.0, "0"] with [True, 1] used to build a 2-cycle.
+    with pytest.raises(dg.DiagramError) as info:
+        kt.make_permutation_system(perm, fiber)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("heights", [[1.5], ["2"], [True], [2.0]])
+def test_k0_presentation_refuses_heights_that_are_not_ints(heights):
+    # [1.5] used to give the unit (1,).
+    with pytest.raises(dg.DiagramError) as info:
+        kt.k0_presentation(gen.odometer(2, 3), heights)
+    assert str(info.value) == "heights must be ints"
+
+
 def test_oracle_single_cycle():
     s, _ = gen.finite_cycle_system([4])
     out = kt.k_oracle_finite_system(s)

@@ -859,3 +859,139 @@ def test_interleaving_carries_no_fiber_labels():
     bp = union_swap_map()
     assert bp.b1.group_labels == bp.b2.group_labels == ((0, 1),) * 5
     assert bp.diagram.group_labels is None
+
+
+# The cocycle images as cocycle_images composed them before it read F's
+# tables itself: path_prefix, the public Vershik step and apply_orbit_map.
+
+
+def _reference_images(F, p, direction):
+    if direction not in ("forward", "backward"):
+        raise dg.DiagramError("direction must be forward or backward")
+    if p.depth < 2:
+        raise soe.NeedsDepth("cocycle needs a path of depth at least 2")
+    pre = pt.path_prefix(F.b1, p, p.depth - 1)
+    step, end = ((pt.vershik_successor, "maximal") if direction == "forward"
+                 else (pt.vershik_predecessor, "minimal"))
+    try:
+        other = step(F.b1, pre)
+    except (pt.MaximalPathError, pt.MinimalPathError):
+        raise soe.NeedsDepth(f"prefix is {end}; extend the path past the "
+                             f"{end} tail") from None
+    q = soe.apply_orbit_map(F, p)
+    moved = other.edge_indices + p.edge_indices[-1:]
+    q2 = soe.apply_orbit_map(F, pt.FinitePath(p.depth, moved,
+                                              p.terminal_vertex))
+    assert q.terminal_vertex == q2.terminal_vertex
+    return q, q2
+
+
+def _reference_cocycle(F, p, direction):
+    q, q2 = _reference_images(F, p, direction)
+    return pt.path_rank(F.b2, q2) - pt.path_rank(F.b2, q)
+
+
+def _reference_verify(F, p, direction):
+    q, q2 = _reference_images(F, p, direction)
+    n = pt.path_rank(F.b2, q2) - pt.path_rank(F.b2, q)
+    if abs(n) > soe.VERIFY_LIMIT:
+        raise dg.DiagramError(f"cocycle value {n} exceeds iteration limit")
+    cur = q
+    for _ in range(abs(n)):
+        cur = (pt.vershik_successor(F.b2, cur) if n > 0
+               else pt.vershik_predecessor(F.b2, cur))
+    return cur == q2
+
+
+def _outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:        # the type and message are compared
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(F, p, direction):
+    for got, want in ((soe.cocycle_images, _reference_images),
+                      (soe.cocycle, _reference_cocycle),
+                      (soe.verify_cocycle, _reference_verify)):
+        assert _outcome(got, F, p, direction) == \
+            _outcome(want, F, p, direction), (got.__name__, direction, p)
+
+
+@pytest.mark.parametrize("name", ["criterion6", "union-swap",
+                                  "reversed-order"])
+def test_cocycle_images_match_their_composition(name):
+    # Every eligible cylinder from depth 2 to F's realized depth; for
+    # criterion 6, whose B1 has 4^k paths of depth k, every one up to depth
+    # 6 and 300 seeded draws at each depth past it.
+    F = _orbit_map(name)
+    b1, realized = F.b1, len(F.f1.orig_paths)
+    rng = random.Random(29)
+    checked = {"forward": 0, "backward": 0}
+    for depth in range(2, realized + 1):
+        paths = pt.all_paths(b1, depth)
+        if depth > 6:
+            paths = rng.sample(paths, 300)
+        for p in paths:
+            pre = pt.path_prefix(b1, p, depth - 1)
+            for direction, extremal in (("forward", pt.is_maximal),
+                                        ("backward", pt.is_minimal)):
+                if not extremal(b1, pre):
+                    checked[direction] += 1
+                    _assert_matches_reference(F, p, direction)
+    assert min(checked.values()) > 100
+
+
+def test_cocycle_errors_match_their_composition():
+    # Each error the composition raises, with its type and message, in the
+    # order it raised them.  F is realized to B1 depth 4 of 9 here.
+    b1, b2, _ = criterion6_pair()
+    F = soe.build_interleaved(
+        b1, b2, soe.stationary_intertwining([[2]], [[2]], 4, 3))
+    assert (len(F.f1.orig_paths), b1.num_levels) == (4, 9)
+    top = pt.max_path_to(b1, 5, 0)
+    bottom = pt.min_path_to(b1, 5, 0)
+    cases = [
+        (pt.make_path(b1, (1,)), "forward"),                # depth 1
+        (pt.make_path(b1, (1, 0, 2)), "sideways"),          # direction
+        (pt.make_path(b1, (1, 3, 3, 1)), "forward"),        # maximal
+        (pt.make_path(b1, (0, 0, 0, 1)), "backward"),       # minimal
+        (pt.make_path(b1, (0, 1, 0, 2, 1)), "forward"),     # past F
+        (pt.make_path(b1, (0, 1, 0, 2, 1)), "backward"),
+        (top, "forward"),       # past F with a maximal prefix
+        (bottom, "backward"),   # past F with a minimal prefix
+        (pt.FinitePath(11, (0,) * 11, 0), "forward"),       # past B1
+        (pt.FinitePath(11, (0,) * 11, 0), "sideways"),
+    ]
+    raised = set()
+    for p, direction in cases:
+        for got, want in ((soe.cocycle_images, _reference_images),
+                          (soe.cocycle, _reference_cocycle),
+                          (soe.verify_cocycle, _reference_verify)):
+            outcome = _outcome(got, F, p, direction)
+            assert outcome == _outcome(want, F, p, direction), \
+                (got.__name__, p, direction)
+            assert outcome[0] != "returned"
+            raised.add(outcome)
+    assert {message for _, message in raised} == {
+        "cocycle needs a path of depth at least 2",
+        "direction must be forward or backward",
+        "prefix is maximal; extend the path past the maximal tail",
+        "prefix is minimal; extend the path past the minimal tail",
+        "F is realized for B1 depths 1..4",
+        "prefix length 10 out of range 0..9",
+    }
+
+
+@pytest.mark.parametrize("p_matrices, q_matrices, message", [
+    ([[[1.5]]], [], "p_matrices entries must be ints"),
+    ([[[2.0]]], [], "p_matrices entries must be ints"),
+    ([[[True]]], [], "p_matrices entries must be ints"),
+    ([[[1]], [["2"]]], [[[2]]], "p_matrices entries must be ints"),
+    ([[[1]], [[2]]], [[[2.0]]], "q_matrices entries must be ints"),
+])
+def test_make_intertwining_refuses_entries_that_are_not_ints(
+        p_matrices, q_matrices, message):
+    with pytest.raises(dg.DiagramError) as err:
+        soe.make_intertwining(p_matrices, q_matrices)
+    assert str(err.value) == message
