@@ -28,6 +28,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from . import diagram as dg
 from . import paths as pt
@@ -131,7 +132,7 @@ def _cmd_perfect(args, diags):
     return {"verdict": res["verdict"],
             "pairing": (None if pairing is None else
                         {",".join(map(str, k)): _path_out(v)
-                         for k, v in sorted(pairing.items())})}
+                         for k, v in pairing.items()})}
 
 
 def _cmd_k0(args, diags):
@@ -317,51 +318,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_text(payload, diagnostics, out):
-    for line in diagnostics:
-        print(f"# {line}", file=out)
-    if isinstance(payload, dict) and set(payload) == {"dot"}:
-        print(payload["dot"], end="", file=out)
+def _text_lines(env):
+    """The --format text lines of an envelope: its status, each diagnostic,
+    then the payload's DOT text as it is or the payload indented."""
+    yield f"status: {env['status']}\n"
+    for line in env["diagnostics"]:
+        yield f"# {line}\n"
+    payload = env["payload"]
+    if set(payload) == {"dot"}:
+        yield payload["dot"]
         return
     def walk(obj, indent=""):
         if isinstance(obj, dict):
-            for k in obj:
-                v = obj[k]
+            for k, v in obj.items():
                 if isinstance(v, (dict, list)):
-                    print(f"{indent}{k}:", file=out)
-                    walk(v, indent + "  ")
+                    yield f"{indent}{k}:\n"
+                    yield from walk(v, indent + "  ")
                 else:
-                    print(f"{indent}{k}: {v}", file=out)
-        elif isinstance(obj, list):
+                    yield f"{indent}{k}: {v}\n"
+        else:
             for v in obj:
                 if isinstance(v, (dict, list)):
-                    walk(v, indent + "  ")
+                    yield from walk(v, indent + "  ")
                 else:
-                    print(f"{indent}- {v}", file=out)
-        else:
-            print(f"{indent}{obj}", file=out)
-    walk(payload)
+                    yield f"{indent}- {v}\n"
+    yield from walk(payload)
 
 
-# The JSON envelope goes out in writes of about this many characters:
-# json.dump writes each of the encoder's small chunks on its own, one
-# write(2) apiece under unbuffered stdout.
+# Output goes out in writes of about this many characters: under
+# unbuffered stdout each write is one write(2), and the JSON encoder's
+# chunks and the text rendering's lines are small.
 WRITE_CHUNK = 1 << 16
 
 
-def _write_json(obj, out) -> None:
-    """Write obj as json.dump(obj, out, indent=2, sort_keys=True) and a
-    newline would, joining the encoder's chunks into writes of at least
-    WRITE_CHUNK characters but the last, so no more than one write's worth
-    of text is held at once."""
+def _write(chunks, out) -> None:
+    """Write the strings chunks yields to out, joined into writes of at
+    least WRITE_CHUNK characters but the last, so no more than one
+    write's worth of text is held at once."""
     buf, size = [], 0
-    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj):
+    for chunk in chunks:
         buf.append(chunk)
         size += len(chunk)
         if size >= WRITE_CHUNK:
             out.write("".join(buf))
             buf, size = [], 0
-    buf.append("\n")
     out.write("".join(buf))
 
 
@@ -371,19 +371,18 @@ def run(argv) -> int:
     diagnostics = []
     try:
         payload = args.fn(args, diagnostics)
-        status = "ok"
-        code = 0
+        status, code = "ok", 0
     except (dg.DiagramError, OSError, ValueError) as exc:
         payload = {"message": str(exc)}
         diagnostics.append(str(exc))
-        status = "error"
-        code = 1
+        status, code = "error", 1
+    env = {"status": status, "payload": payload, "diagnostics": diagnostics}
     if args.format == "json":
-        _write_json({"status": status, "payload": payload,
-                     "diagnostics": diagnostics}, sys.stdout)
+        chunks = chain(json.JSONEncoder(indent=2, sort_keys=True)
+                       .iterencode(env), "\n")
     else:
-        print(f"status: {status}")
-        _emit_text(payload, diagnostics, sys.stdout)
+        chunks = _text_lines(env)
+    _write(chunks, sys.stdout)
     return code
 
 

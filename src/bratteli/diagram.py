@@ -250,8 +250,9 @@ def make_diagram(num_levels: int,
 
     The relative order of edges sharing a range vertex is preserved, so the
     caller's list position among same-range edges defines the edge order.
-    Raises MalformedDiagram for broken field data; axiom violations are left
-    to validate_diagram.
+    Raises MalformedDiagram for broken field data, and for more vertices
+    below the root than edges plus MAX_TELESCOPE_EDGES; axiom violations
+    are left to validate_diagram.
     """
     if type(num_levels) is not int:
         raise MalformedDiagram("num_levels must be an integer")
@@ -286,6 +287,16 @@ def make_diagram(num_levels: int,
         if pairs is None:
             pairs = seen[key] = _canonical_level(n, level, vcs[n - 1], vcs[n])
         canon.append(pairs)
+    # Every vertex below the root needs an in-edge of its own, so a valid
+    # diagram has no more of them than edges.  Far more would make the
+    # derived tables and the axiom scan's violations grow with vertices
+    # that no edge reaches.
+    vertices, num_edges = sum(vcs) - 1, sum(map(len, canon))
+    if vertices > num_edges + MAX_TELESCOPE_EDGES:
+        raise MalformedDiagram(
+            f"{vertices} vertices below the root exceed the edge count "
+            f"{num_edges} by more than MAX_TELESCOPE_EDGES = "
+            f"{MAX_TELESCOPE_EDGES}")
     labels = None
     if group_labels is not None:
         group_labels = _sequence(group_labels, "group_labels")
@@ -618,8 +629,7 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
     DiagramError before any segment is listed.
     """
     cuts = tuple(cuts)
-    if not {int} >= set(map(type, cuts)):
-        raise DiagramError("cut points must be ints")
+    _check_ints(cuts, "cut points")
     if not cuts or any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise DiagramError("cut points must be strictly increasing")
     if cuts[0] < 1 or cuts[-1] != d.num_levels:

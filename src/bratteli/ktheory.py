@@ -352,14 +352,28 @@ class DimGroupElement:
     vector: tuple
 
 
+# Most incidence-matrix entries, summed over levels 2..N, that
+# k0_presentation builds.  Its maps are dense, so a wide level costs rows x
+# columns however few edges it has.
+MAX_K0_ENTRIES = 2 ** 22
+
+
 def k0_presentation(d: OrderedBratteliDiagram,
                     heights=None) -> DimensionGroupPresentation:
     """Present the ordered K0 group of the diagram's transformation.
 
     maps are the incidence matrices from level 2 on; the unit is the given
-    level-1 height vector (tower sizes, default: root edge counts).
+    level-1 height vector (tower sizes, default: root edge counts).  A
+    diagram whose maps would hold more than MAX_K0_ENTRIES entries is
+    refused with DiagramError before any matrix is built.
     """
     check_valid(d)
+    vcs = d.vertex_counts
+    entries = sum(a * b for a, b in zip(vcs[1:], vcs[2:]))
+    if entries > MAX_K0_ENTRIES:
+        raise DiagramError(
+            f"the K0 maps would hold {entries} entries, more than "
+            f"MAX_K0_ENTRIES = {MAX_K0_ENTRIES}")
     if heights is None:
         heights = natural_heights(d)
     hs = tuple(heights)

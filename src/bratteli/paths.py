@@ -19,9 +19,9 @@ from functools import partial
 from operator import getitem
 from typing import NamedTuple, Optional
 
-from .diagram import (DiagramError, OrderedBratteliDiagram, _check_vertex,
-                      _extremal_sources, _iterate_r, _iterate_s, _record,
-                      check_fem_properties, check_valid)
+from .diagram import (DiagramError, OrderedBratteliDiagram, _check_ints,
+                      _check_vertex, _extremal_sources, _iterate_r,
+                      _iterate_s, _record, check_fem_properties, check_valid)
 
 
 class MaximalPathError(DiagramError):
@@ -62,8 +62,7 @@ def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
     """Validate edge composition and build a FinitePath; each edge index
     must be an int (not a bool, float or string)."""
     idx = tuple(edge_indices)
-    if not {int} >= set(map(type, idx)):
-        raise DiagramError("edge indices must be ints")
+    _check_ints(idx, "edge indices")
     if len(idx) > d.num_levels:
         raise DiagramError(f"path depth {len(idx)} exceeds {d.num_levels}")
     v = 0

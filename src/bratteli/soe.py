@@ -599,7 +599,8 @@ def search_stationary_intertwining(b1: OrderedBratteliDiagram,
     row, then Q's), and stops at the first match.  Returns (match or None,
     rejections) where each rejection names a candidate before the match
     and the first identity it breaks.  A search of more than
-    MAX_SEARCH_CANDIDATES candidates raises DiagramError.
+    MAX_SEARCH_CANDIDATES candidates, or one whose candidates would each
+    hold more than that many entries, raises DiagramError.
     """
     if bound < 0:
         raise DiagramError(f"bound must be non-negative, got {bound}")
@@ -607,12 +608,19 @@ def search_stationary_intertwining(b1: OrderedBratteliDiagram,
     r2, m2 = _stationary_data(b2)
     k1 = b1.vertex_counts[1]
     k2 = b2.vertex_counts[1]
-    # 2 * k1 * k2 >= 2 entries, so bound + 1 past the cap refuses at once.
+    cells = 2 * k1 * k2         # entries of one (P, Q) candidate
+    # Even one candidate is held and multiplied out entry by entry.
+    if cells > MAX_SEARCH_CANDIDATES:
+        raise DiagramError(
+            f"one candidate's {k2}x{k1} P and {k1}x{k2} Q hold {cells} "
+            f"entries, more than MAX_SEARCH_CANDIDATES = "
+            f"{MAX_SEARCH_CANDIDATES}")
+    # cells >= 2, so bound + 1 past the cap refuses at once.
     if (bound + 1 > MAX_SEARCH_CANDIDATES
-            or (bound + 1) ** (2 * k1 * k2) > MAX_SEARCH_CANDIDATES):
+            or (bound + 1) ** cells > MAX_SEARCH_CANDIDATES):
         raise DiagramError(
             f"a {k2}x{k1} P and {k1}x{k2} Q with entries up to {bound} give "
-            f"(bound + 1)^{2 * k1 * k2} candidates, more than the "
+            f"(bound + 1)^{cells} candidates, more than the "
             f"{MAX_SEARCH_CANDIDATES} a search may try")
     entries = range(bound + 1)
     # Each factor holds at most the cap's square root; the pairs stream.

@@ -252,6 +252,23 @@ def test_envelope_goes_out_in_bounded_writes(monkeypatch, tmp_path):
     assert text == json.dumps(env, indent=2, sort_keys=True) + "\n"
 
 
+def test_text_goes_out_in_bounded_writes(monkeypatch, tmp_path):
+    # The same telescoping as text: two lines per edge, about 90 KB, in
+    # the envelope's chunked writes rather than a write per line.
+    path = tmp_path / "odo12.json"
+    dg.save_diagram(gen.odometer(2, 12), str(path))
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.run(["--format", "text", "telescope", "--diagram", str(path),
+                    "--cuts", "12"]) == 0
+    text = "".join(out.writes)
+    chunks = -(-len(text) // cli.WRITE_CHUNK)
+    assert chunks >= 2
+    assert len(out.writes) <= chunks + 1
+    assert text.startswith("status: ok\nnum_levels: 1\n")
+    assert text.count("\n") == 2 * 4096 + 8
+
+
 def test_telescope_past_the_edge_cap_is_domain_error(capsys, tmp_path):
     # The 2-odometer on 17 levels and a one-edge level 18, cut at 17 and
     # 18: 2^17 + 1 edges, one past MAX_TELESCOPE_EDGES.
@@ -715,3 +732,137 @@ def test_text_format_prints_lists(capsys, tmp_path):
         "valid: False", "violations:",
         "    kind: range-surjectivity", "    level: 1",
         "    detail: vertex 1 at level 1 has no incoming edge"]
+
+
+def _reference_emit_text(payload, diagnostics, out):
+    """The print-based text rendering the CLI had before text went through
+    the envelope's chunked writer, kept as a reference for its lines."""
+    for line in diagnostics:
+        print(f"# {line}", file=out)
+    if isinstance(payload, dict) and set(payload) == {"dot"}:
+        print(payload["dot"], end="", file=out)
+        return
+    def walk(obj, indent=""):
+        if isinstance(obj, dict):
+            for k in obj:
+                v = obj[k]
+                if isinstance(v, (dict, list)):
+                    print(f"{indent}{k}:", file=out)
+                    walk(v, indent + "  ")
+                else:
+                    print(f"{indent}{k}: {v}", file=out)
+        elif isinstance(obj, list):
+            for v in obj:
+                if isinstance(v, (dict, list)):
+                    walk(v, indent + "  ")
+                else:
+                    print(f"{indent}- {v}", file=out)
+        else:
+            print(f"{indent}{obj}", file=out)
+    walk(payload)
+
+
+@pytest.fixture
+def text_inputs(tmp_path, odo2):
+    files = {"odo2": odo2}
+    for name, d in (("odo3", gen.odometer(3, 6)),
+                    ("union", gen.disjoint_union([gen.odometer(2, 6),
+                                                  gen.odometer(3, 6)])),
+                    ("b1", dg.telescope(gen.odometer(2, 9),
+                                        [1, 3, 5, 7, 9])[0]),
+                    ("b2", gen.odometer(4, 4))):
+        files[name] = str(tmp_path / f"{name}.json")
+        dg.save_diagram(d, files[name])
+    files["w"] = str(tmp_path / "w.json")
+    with open(files["w"], "w") as f:
+        json.dump(soe.intertwining_to_json(
+            soe.stationary_intertwining([[2]], [[2]], 4, 4)), f)
+    files["system"] = str(tmp_path / "system.json")
+    with open(files["system"], "w") as f:
+        json.dump(kt.permutation_system_to_json(
+            gen.finite_cycle_system([2, 3])[0]), f)
+    files["unfed"] = str(tmp_path / "unfed.json")
+    with open(files["unfed"], "w") as f:
+        f.write(UNFED_JSON)
+    return files
+
+
+@pytest.mark.parametrize("argv", [
+    # One of each command the cli-invariants benchmark runs.
+    ["validate", "--diagram", "{odo2}"],
+    ["rank", "--diagram", "{odo2}", "--path", "1,0,1"],
+    ["vershik", "--diagram", "{odo2}", "--path", "1,1,0"],
+    ["k0", "{odo2}", "--compare", "--level1", "1", "--vec1", "3",
+     "--level2", "2", "--vec2", "6"],
+    ["k1", "{union}", "--depth", "5"],
+    ["extremal", "--diagram", "{odo2}", "--depth", "4", "--kind", "max"],
+    ["perfect", "--diagram", "{union}", "--depth", "5"],
+    ["telescope", "--diagram", "{odo2}", "--cuts", "2,3,5,6"],
+    ["oracle", "{system}"],
+    ["soe", "check", "--b1", "{b1}", "--b2", "{b2}", "--intertwining", "{w}",
+     "--depth", "4"],
+    # No match: nested lists of rejection records.
+    ["soe", "search", "--b1", "{odo2}", "--b2", "{odo3}", "--bound", "2"],
+    # Diagnostics before an ok payload, and an error envelope.
+    ["validate", "--diagram", "{unfed}"],
+    ["rank", "--diagram", "{odo2}", "--path", "1,1,1,1,1,1,1"],
+    ["export-dot", "--diagram", "{odo2}"],
+])
+def test_text_lines_match_the_print_reference(capsys, monkeypatch,
+                                              text_inputs, argv):
+    envelopes = []
+    text_lines = cli._text_lines
+    monkeypatch.setattr(cli, "_text_lines",
+                        lambda env: envelopes.append(env) or text_lines(env))
+    cli.run(["--format", "text"] + [a.format(**text_inputs) for a in argv])
+    out = capsys.readouterr().out
+    [env] = envelopes
+    print(f"status: {env['status']}")
+    _reference_emit_text(env["payload"], env["diagnostics"], sys.stdout)
+    assert out == capsys.readouterr().out
+    assert out.count("\n") >= 2
+
+
+def _capped_cli(argv):
+    """Exit code and envelope of ``bratteli argv`` in a fresh process whose
+    address space is capped at 1 GiB, so a lost cap fails fast instead of
+    taking the host's memory."""
+    src = os.path.dirname(os.path.dirname(bratteli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource\n"
+         "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+         "from bratteli import cli\n"
+         "cli.main()", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_oversized_inputs_are_domain_errors(tmp_path):
+    pytest.importorskip("resource")
+    # 80 bytes: one edge and 2 * 10^7 vertices.
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"num_levels": 1, "vertex_counts": [1, 20000000], '
+                    '"edges": [[{"s": 0, "r": 0}]]}')
+    # 6,000 vertices on each of two levels joined one to one: 12,000 edges,
+    # but a dense K0 map of 36 million entries.
+    n = 6000
+    dense = tmp_path / "dense.json"
+    dg.save_diagram(dg.make_diagram(2, [1, n, n],
+                                    [[(0, i) for i in range(n)],
+                                     [(i, i) for i in range(n)]]), str(dense))
+    k0_message = ("the K0 maps would hold 36000000 entries, more than "
+                  "MAX_K0_ENTRIES = 4194304")
+    for argv, message in (
+            (["validate", "--diagram", str(wide)],
+             "20000000 vertices below the root exceed the edge count 1 by "
+             "more than MAX_TELESCOPE_EDGES = 131072"),
+            (["k0", str(dense)], k0_message),
+            (["soe", "search", "--b1", str(dense), "--b2", str(dense),
+              "--bound", "0"], k0_message)):
+        code, env = _capped_cli(argv)
+        assert code == 1
+        assert env == {"status": "error", "payload": {"message": message},
+                       "diagnostics": [message]}

@@ -32,6 +32,43 @@ def test_make_diagram_rejects_bad_indices():
         dg.make_diagram(2, [1, 1], [[(0, 0)]])
 
 
+def test_vertices_far_past_the_edges_are_refused_before_any_table():
+    # One edge and 2 * 10^7 vertices: an in-edge row and a violation per
+    # vertex would take gigabytes.  The child's address space is capped,
+    # so a lost cap fails fast.
+    grown_mb, message = peak_growth(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+        "from bratteli import diagram as dg\n"
+        "def refused(*args):\n"
+        "    try:\n"
+        "        dg.validate_diagram(dg.make_diagram(*args))\n"
+        "    except dg.MalformedDiagram as exc:\n"
+        "        return str(exc)",
+        "refused(1, [1, 20000000], [[(0, 0)]])")
+    assert message == ("20000000 vertices below the root exceed the edge "
+                       "count 1 by more than MAX_TELESCOPE_EDGES = 131072")
+    assert grown_mb <= 20, f"peak RSS grew by {grown_mb} MB"
+
+
+@pytest.mark.parametrize("vertex_counts, refused", [
+    ([1, 1 + dg.MAX_TELESCOPE_EDGES], False),
+    ([1, 2 + dg.MAX_TELESCOPE_EDGES], True),
+    # Vertices and edges are counted over all levels.
+    ([1, 65537, 65537], False),
+    ([1, 65537, 65538], True),
+])
+def test_vertex_cap_counts_vertices_against_edges(vertex_counts, refused):
+    levels = len(vertex_counts) - 1
+    edges = [[(0, 0)]] * levels
+    if refused:
+        with pytest.raises(dg.MalformedDiagram, match="MAX_TELESCOPE_EDGES"):
+            dg.make_diagram(levels, vertex_counts, edges)
+    else:
+        assert dg.make_diagram(levels, vertex_counts, edges).edges == \
+            tuple(map(tuple, edges))
+
+
 def test_validate_flags_isolated_vertices():
     # Vertex 1 at level 1 has no incoming edge; vertex 0 no outgoing.
     d = dg.make_diagram(2, [1, 2, 1], [[(0, 0)], [(1, 0)]])

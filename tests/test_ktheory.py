@@ -551,6 +551,43 @@ def test_oracle_memory_at_the_cap():
     assert grown_mb <= 20, f"peak RSS grew by {grown_mb} MB"
 
 
+def test_k0_presentation_refuses_dense_maps_before_building_them():
+    # 6,000 vertices on each of two levels joined one to one: 12,000 edges,
+    # but a dense level-2 map of 36 million entries, hundreds of MB.
+    grown_mb, message = peak_growth(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+        "from bratteli import diagram as dg, ktheory as kt\n"
+        "n = 6000\n"
+        "d = dg.make_diagram(2, [1, n, n], [[(0, i) for i in range(n)],"
+        " [(i, i) for i in range(n)]])\n"
+        "dg.check_valid(d)\n"
+        "def refused(d):\n"
+        "    try:\n"
+        "        kt.k0_presentation(d)\n"
+        "    except dg.DiagramError as exc:\n"
+        "        return str(exc)",
+        "refused(d)")
+    assert message == ("the K0 maps would hold 36000000 entries, more than "
+                       "MAX_K0_ENTRIES = 4194304")
+    assert grown_mb <= 20, f"peak RSS grew by {grown_mb} MB"
+
+
+def test_k0_entry_cap_counts_levels_two_on(monkeypatch):
+    # Vertex counts 1, 3, 2, 4: the maps are 2 x 3 and 4 x 2, 14 entries.
+    d = dg.make_diagram(3, [1, 3, 2, 4],
+                        [[(0, 0), (0, 1), (0, 2)],
+                         [(0, 0), (1, 1), (2, 1)],
+                         [(0, 0), (0, 1), (1, 2), (1, 3)]])
+    monkeypatch.setattr(kt, "MAX_K0_ENTRIES", 14)
+    assert kt.k0_presentation(d).sizes == (3, 2, 4)
+    monkeypatch.setattr(kt, "MAX_K0_ENTRIES", 13)
+    with pytest.raises(dg.DiagramError) as err:
+        kt.k0_presentation(d)
+    assert str(err.value) == ("the K0 maps would hold 14 entries, more "
+                              "than MAX_K0_ENTRIES = 13")
+
+
 def test_system_json_round_trip():
     s, _ = gen.finite_cycle_system([2, 2])
     obj = kt.permutation_system_to_json(s)

@@ -9,7 +9,7 @@ from bratteli import diagram as dg
 from bratteli import generators as gen
 from bratteli import paths as pt
 from bratteli import soe
-from conftest import random_diagram
+from conftest import peak_growth, random_diagram
 
 
 def odometer_pair(levels1=9, levels2=8):
@@ -841,6 +841,34 @@ def test_search_refuses_candidates_past_the_cap():
         soe.search_stationary_intertwining(d, d, 10 ** 30)
     match, rejections = soe.search_stationary_intertwining(d, d, 1)
     assert match is not None
+
+
+def test_search_refuses_a_candidate_of_more_entries_than_the_cap():
+    # 513 vertices on each of two levels: at bound 0 there is one
+    # candidate, but its P and Q hold 2 * 513^2 = 526,338 entries.
+    grown_mb, message = peak_growth(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+        "from bratteli import diagram as dg, soe\n"
+        "n = 513\n"
+        "d = dg.make_diagram(2, [1, n, n], [[(0, i) for i in range(n)],"
+        " [(i, i) for i in range(n)]])\n"
+        "dg.check_valid(d)\n"
+        "def refused(d):\n"
+        "    try:\n"
+        "        soe.search_stationary_intertwining(d, d, 0)\n"
+        "    except dg.DiagramError as exc:\n"
+        "        return str(exc)",
+        "refused(d)")
+    assert message == ("one candidate's 513x513 P and 513x513 Q hold 526338 "
+                       "entries, more than MAX_SEARCH_CANDIDATES = 524288")
+    assert grown_mb <= 20, f"peak RSS grew by {grown_mb} MB"
+    # 512 vertices: 2 * 512^2 entries, exactly the cap, are searched.
+    n = 512
+    d = dg.make_diagram(2, [1, n, n], [[(0, i) for i in range(n)],
+                                       [(i, i) for i in range(n)]])
+    match, rejections = soe.search_stationary_intertwining(d, d, 0)
+    assert match is None and len(rejections) == 1
 
 
 def test_search_refuses_a_diagram_that_fails_the_axioms():
