@@ -383,8 +383,13 @@ def k0_presentation(d: OrderedBratteliDiagram,
             f"heights must have {d.vertex_counts[1]} entries, got {len(hs)}")
     if any(h < 1 for h in hs):
         raise DiagramError("heights must be strictly positive")
-    maps = tuple(tuple(tuple(row) for row in incidence_matrix(d, n))
-                 for n in range(2, d.num_levels + 1))
+    maps = []
+    for n in range(2, d.num_levels + 1):
+        m = incidence_matrix(d, n)
+        for i, row in enumerate(m):    # in place: each map is held once
+            m[i] = tuple(row)
+        maps.append(tuple(m))
+    maps = tuple(maps)
     return DimensionGroupPresentation(tuple(d.vertex_counts[1:]), maps, hs)
 
 
@@ -492,11 +497,11 @@ def k1_rank(d: OrderedBratteliDiagram, depth: Optional[int] = None) -> dict:
 
 # Largest system the oracle accepts.  The SNF holds A, U and V as sparse
 # rows and reaches the rows a pivot step works on through a column index,
-# so a step costs O(nonzeros); but V fills in (for a single cycle it is
-# upper triangular, n^2 / 2 entries), so cost and memory still grow like
-# n^2 or faster.  On a 2-vCPU host with Python 3.11 a single cycle of 512
-# points takes about 0.07 s and 11 MB, and the SNF and its check on 1024
-# points about 0.28 s and 41 MB.
+# so a step costs O(nonzeros), and in the oracle's point order U and V
+# hold O(n log n) entries; the dense n x n input, built and read twice,
+# makes cost and memory grow like n^2.  On a 2-vCPU host with Python 3.11
+# a single cycle of 512 points takes about 0.02 s and 1 MB of peak RSS
+# growth, and one of 1024 points about 0.08 s and 8 MB.
 MAX_ORACLE_POINTS = 512
 
 
@@ -543,7 +548,12 @@ def make_permutation_system(perm, fiber) -> FinitePermutationSystem:
 
 def k_oracle_finite_system(s: FinitePermutationSystem) -> dict:
     """K-groups of the finite system via the six-term exact sequence:
-    cokernel and kernel of (I - P^T) on Z^n, computed with exact SNF.
+    cokernel and kernel of (I - P^T) on Z^n, computed with exact SNF and
+    checked with verify_snf.
+
+    Rows and columns are numbered so that elimination halves each cycle
+    (nested dissection), which keeps U and V at O(n log n) entries; the
+    diagonal, and so the answer, is that of the matrix in point order.
 
     unit_image is the sorted list of fiber totals of the all-ones vector,
     i.e. its evaluation against the canonical cycle-sum functionals that
@@ -553,10 +563,25 @@ def k_oracle_finite_system(s: FinitePermutationSystem) -> dict:
     if n > MAX_ORACLE_POINTS:
         raise DiagramError(f"oracle systems are capped at {MAX_ORACLE_POINTS} "
                            f"points, got {n}")
+    perm = s.permutation
+    # The k-th point along a cycle from its least point is keyed (trailing
+    # zeros of k, cycle start, k), k = 0 last: the pivot rule eliminates
+    # every other point of each cycle first, then recurses on the
+    # half-length cycle.  Rows and columns are permuted alike.
+    key = [None] * n
+    for start in range(n):
+        x, k = start, 0
+        while key[x] is None:
+            key[x] = ((k & -k).bit_length() - 1 if k else n, start, k)
+            x, k = perm[x], k + 1
+    pos = [0] * n
+    for i, x in enumerate(sorted(range(n), key=key.__getitem__)):
+        pos[x] = i
     a = [[0] * n for _ in range(n)]   # I - P^T, where P e_i = e_{perm(i)}
-    for i, j in enumerate(s.permutation):
+    for x, y in enumerate(perm):
+        i = pos[x]
         a[i][i] += 1
-        a[i][j] -= 1
+        a[i][pos[y]] -= 1
     res = smith_normal_form(a)
     if not verify_snf(a, res):
         raise DiagramError("Smith normal form verification failed")

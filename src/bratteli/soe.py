@@ -615,9 +615,12 @@ def search_stationary_intertwining(b1: OrderedBratteliDiagram,
             f"one candidate's {k2}x{k1} P and {k1}x{k2} Q hold {cells} "
             f"entries, more than MAX_SEARCH_CANDIDATES = "
             f"{MAX_SEARCH_CANDIDATES}")
-    # cells >= 2, so bound + 1 past the cap refuses at once.
+    # cells >= 2, so bound + 1 past the cap refuses at once.  A bound of at
+    # least 1 raised to the cap's bit length already passes the cap, so the
+    # exponent stops there instead of building a huge power.
     if (bound + 1 > MAX_SEARCH_CANDIDATES
-            or (bound + 1) ** cells > MAX_SEARCH_CANDIDATES):
+            or (bound + 1) ** min(cells, MAX_SEARCH_CANDIDATES.bit_length())
+            > MAX_SEARCH_CANDIDATES):
         raise DiagramError(
             f"a {k2}x{k1} P and {k1}x{k2} Q with entries up to {bound} give "
             f"(bound + 1)^{cells} candidates, more than the "

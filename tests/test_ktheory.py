@@ -538,8 +538,9 @@ def test_oracle_unit_image_many_fibers():
 
 
 def test_oracle_memory_at_the_cap():
-    # One cycle of MAX_ORACLE_POINTS points: V is dense upper triangular,
-    # about n^2 / 2 entries, so this is the cap's worst memory case.
+    # One cycle of MAX_ORACLE_POINTS points, the cap's largest single
+    # cycle: the dense n x n input dominates, since U and V hold
+    # O(n log n) entries in the oracle's nested-dissection order.
     grown_mb, result = peak_growth(
         "from bratteli import ktheory as kt\n"
         "n = kt.MAX_ORACLE_POINTS\n"
@@ -549,6 +550,72 @@ def test_oracle_memory_at_the_cap():
     assert result == str({"k0_rank": 1, "k0_torsion": [],
                           "k1_rank": 1, "unit_image": [512]})
     assert grown_mb <= 20, f"peak RSS grew by {grown_mb} MB"
+
+
+def _oracle_with_snf(s):
+    """The oracle's answer on s and the SNF result it verified."""
+    seen = []
+    verify = kt.verify_snf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kt, "verify_snf",
+                   lambda a, res: seen.append(res) or verify(a, res))
+        out = kt.k_oracle_finite_system(s)
+    (res,) = seen
+    return out, res
+
+
+@pytest.mark.parametrize("lengths", [[512], [32, 32, 32]])
+def test_oracle_certificate_is_n_log_n(lengths):
+    # In point order V is dense upper triangular on each cycle: 132,351
+    # entries in U and V for one 512-point cycle and 1,773 for 32 + 32 +
+    # 32.  Halving each cycle keeps them within 2 n log2 n.
+    s, _ = gen.finite_cycle_system(lengths)
+    _, res = _oracle_with_snf(s)
+    n = sum(lengths)
+    size = sum(map(len, res.left)) + sum(map(len, res.right))
+    assert size <= 2 * n * n.bit_length()
+
+
+def _cycle_system(perm):
+    """The system of perm with one fiber per cycle, labelled by its least
+    point, and the cycle lengths."""
+    fiber, lengths = [None] * len(perm), []
+    for start in range(len(perm)):
+        x, size = start, 0
+        while fiber[x] is None:
+            fiber[x] = start
+            x, size = perm[x], size + 1
+        if size:
+            lengths.append(size)
+    return kt.make_permutation_system(perm, fiber), lengths
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 120).flatmap(lambda n: st.permutations(range(n))))
+def test_oracle_matches_closed_form_and_point_order_snf(perm):
+    s, lengths = _cycle_system(perm)
+    out, res = _oracle_with_snf(s)
+    assert out == {"k0_rank": len(lengths), "k0_torsion": [],
+                   "k1_rank": len(lengths), "unit_image": sorted(lengths)}
+    n = len(perm)
+    natural = [[(i == j) - (perm[i] == j) for j in range(n)]
+               for i in range(n)]                     # I - P^T
+    assert res.diagonal == kt.smith_normal_form(natural).diagonal
+
+
+def test_k0_presentation_holds_each_map_once():
+    # One 2,048 x 2,048 map, MAX_K0_ENTRIES entries: about 32 MB as rows
+    # of tuples.  Copying the incidence lists into tuples held both, 63 MB.
+    grown_mb, sizes = peak_growth(
+        "from bratteli import diagram as dg, ktheory as kt\n"
+        "n = 2048\n"
+        "d = dg.make_diagram(2, [1, n, n], [[(0, i) for i in range(n)],"
+        " [(i, i) for i in range(n)]])\n"
+        "dg.check_valid(d)",
+        "kt.k0_presentation(d).sizes")
+    assert sizes == "(2048, 2048)"
+    assert 2048 * 2048 == kt.MAX_K0_ENTRIES
+    assert grown_mb <= 45, f"peak RSS grew by {grown_mb} MB"
 
 
 def test_k0_presentation_refuses_dense_maps_before_building_them():

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -869,6 +870,27 @@ def test_search_refuses_a_candidate_of_more_entries_than_the_cap():
                                        [(i, i) for i in range(n)]])
     match, rejections = soe.search_stationary_intertwining(d, d, 0)
     assert match is None and len(rejections) == 1
+
+
+def test_search_refuses_a_large_bound_without_the_exact_power():
+    # Two 512-vertex levels at bound 500,000: the exact count
+    # 500001^524288 has millions of digits and takes over a second to
+    # build, while the refusal needs none of it.  Each try is timed alone
+    # and the best of three is kept, so a busy host does not fail it.
+    n = 512
+    d = dg.make_diagram(2, [1, n, n], [[(0, i) for i in range(n)],
+                                       [(i, i) for i in range(n)]])
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(dg.DiagramError) as err:
+            soe.search_stationary_intertwining(d, d, 500_000)
+        times.append(time.perf_counter() - start)
+    assert str(err.value) == (
+        "a 512x512 P and 512x512 Q with entries up to 500000 give "
+        "(bound + 1)^524288 candidates, more than the 524288 a search "
+        "may try")
+    assert min(times) < 0.5, f"refusal took {min(times):.2f} s"
 
 
 def test_search_refuses_a_diagram_that_fails_the_axioms():
