@@ -125,14 +125,16 @@ class OrderedBratteliDiagram:
     group_labels: Optional[tuple] = None   # tuple over levels 1..N of tuples
 
     def level_edges(self, n: int) -> tuple:
-        if not 1 <= n <= self.num_levels:
+        """Level n's canonical edges; n must be an int (not a bool or
+        float) in 1..num_levels."""
+        if type(n) is not int or not 1 <= n <= self.num_levels:
             raise DiagramError(f"edge level {n} out of range 1..{self.num_levels}")
         return self.edges[n - 1]
 
     def label_of(self, level: int, vertex: int) -> Optional[int]:
         """The fiber label of a vertex at level 0..N; None at the root or
         without labels."""
-        if not 0 <= level <= self.num_levels:
+        if type(level) is not int or not 0 <= level <= self.num_levels:
             raise DiagramError(
                 f"level {level} out of range 0..{self.num_levels}")
         _check_vertex(self, level, vertex)
@@ -145,16 +147,18 @@ class OrderedBratteliDiagram:
     # _level_index scans each distinct level once, keyed by its edges and
     # both vertex counts, so two levels share an entry exactly when they are
     # equal (as all but the first of a stationary diagram are).  The
-    # in-edge, edge-position, out-edge and neighbour tables and the axiom
-    # scan all read that shared entry.  Rank sums are built apart, since
-    # they depend on the level below as well, and so is incidence_matrix,
-    # on each call: a dense matrix in the index would cost rows x columns
-    # per level on every path query's first read.
+    # in-edge, edge-position and out-edge tables and the axiom scan all
+    # read that shared entry.  The edge order itself lives only in the
+    # canonical level, where a vertex's in-edges form one contiguous run,
+    # so the Vershik step reads an edge's neighbours there.  Rank sums are
+    # built apart, since they depend on the level below as well, and so is
+    # incidence_matrix, on each call: a dense matrix in the index would
+    # cost rows x columns per level on every path query's first read.
 
     @cached_property
     def _level_index(self) -> tuple:
-        """Per level: (in-edge rows, edge positions, out-edge rows, next
-        edges, previous edges), equal levels sharing one entry."""
+        """Per level: (in-edge rows, edge positions, out-edge rows), equal
+        levels sharing one entry."""
         seen, index = {}, []
         vcs = self.vertex_counts
         for key in zip(self.edges, vcs, vcs[1:]):
@@ -173,15 +177,6 @@ class OrderedBratteliDiagram:
     def out_edge_table(self) -> tuple:
         """out_edge_table[n-1][v]: level-n edges leaving level-(n-1) v."""
         return tuple(entry[2] for entry in self._level_index)
-
-    @cached_property
-    def _neighbour_table(self) -> dict:
-        """_neighbour_table[shift][n-1][e]: the level-n edge after (shift 1)
-        or before (shift -1) edge e into its range vertex, None at that
-        end of the order.  The Vershik step reads it."""
-        index = self._level_index
-        return {1: tuple(entry[3] for entry in index),
-                -1: tuple(entry[4] for entry in index)}
 
     @cached_property
     def path_count_table(self) -> tuple:
@@ -223,22 +218,18 @@ class OrderedBratteliDiagram:
 
 
 def _index_level(level: tuple, num_sources: int, num_ranges: int) -> tuple:
-    """One scan of a level: its in-edge rows, edge positions, out-edge
-    rows, and each edge's next and previous edge into its range vertex
-    (None at either end)."""
+    """One scan of a level: its in-edge rows, edge positions and out-edge
+    rows."""
     rows = [[] for _ in range(num_ranges)]
     outs = [[] for _ in range(num_sources)]
-    positions, nexts, prevs = [], [None] * len(level), []
+    positions = []
     for i, (s, r) in enumerate(level):
         row = rows[r]
-        if row:
-            nexts[row[-1]] = i
-        prevs.append(row[-1] if row else None)
         positions.append(len(row))
         row.append(i)
         outs[s].append(i)
     return (tuple(map(tuple, rows)), tuple(positions),
-            tuple(map(tuple, outs)), tuple(nexts), tuple(prevs))
+            tuple(map(tuple, outs)))
 
 
 def make_diagram(num_levels: int,
@@ -371,8 +362,7 @@ def validate_diagram(d: OrderedBratteliDiagram) -> list:
 
 def _scan_axioms(d: OrderedBratteliDiagram) -> list:
     report = []
-    for n, (into, positions, outs, _, _) in enumerate(d._level_index,
-                                                      start=1):
+    for n, (into, positions, outs) in enumerate(d._level_index, start=1):
         if not positions:
             report.append(Violation("malformed", n, "empty edge level"))
             continue
@@ -406,7 +396,9 @@ def out_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
 
 def edge_order_index(d: OrderedBratteliDiagram, n: int, edge: int) -> int:
     """Position of an edge in the linear order on edges sharing its range."""
-    d.level_edges(n)    # range-checks n
+    level = d.level_edges(n)    # range-checks n
+    if type(edge) is not int or not 0 <= edge < len(level):
+        raise DiagramError(f"edge index {edge} out of range at level {n}")
     return d.edge_position_table[n - 1][edge]
 
 
@@ -421,18 +413,18 @@ def max_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
 
 def min_vertices(d: OrderedBratteliDiagram, n: int) -> tuple:
     """Level-n vertices that are sources of minimal level-(n+1) edges."""
-    d.level_edges(n + 1)    # range-checks n
+    _check_vertex_level(d, n)
     return _extremal_sources(d, n, n + 1, 0)
 
 
 def max_vertices(d: OrderedBratteliDiagram, n: int) -> tuple:
-    d.level_edges(n + 1)    # range-checks n
+    _check_vertex_level(d, n)
     return _extremal_sources(d, n, n + 1, -1)
 
 
 def vertex_ranges(d: OrderedBratteliDiagram, n: int, v: int) -> tuple:
     """R(v): level-(n+1) vertices connected to level-n vertex v."""
-    d.level_edges(n + 1)    # range-checks n
+    _check_vertex_level(d, n)
     _check_vertex(d, n, v)
     return tuple(sorted(_iterate_r(d, n, {v}, 1)))
 
@@ -444,8 +436,14 @@ def vertex_sources(d: OrderedBratteliDiagram, n: int, v: int) -> tuple:
     return tuple(sorted(_iterate_s(d, n, {v}, 1)))
 
 
+def _check_vertex_level(d, n):
+    """Range-check a vertex level n below the last, as level_edges(n + 1)
+    does: a non-int n is out of range as it stands."""
+    d.level_edges(n + 1 if type(n) is int else n)
+
+
 def _check_vertex(d, n, v):
-    if not 0 <= v < d.vertex_counts[n]:
+    if type(v) is not int or not 0 <= v < d.vertex_counts[n]:
         raise DiagramError(f"vertex {v} out of range at level {n}")
 
 
@@ -559,7 +557,7 @@ def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
     first, reads the edge order as the Vershik step does, so the deepest
     edge's order is the most significant.
     """
-    if not 1 <= lo <= hi <= d.num_levels:
+    if not (type(lo) is type(hi) is int and 1 <= lo <= hi <= d.num_levels):
         raise DiagramError(
             f"segment levels {lo}..{hi} out of range 1..{d.num_levels}")
     edges, into = d.edges, d.in_edge_table

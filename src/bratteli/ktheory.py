@@ -334,13 +334,17 @@ class DimensionGroupPresentation:
         return len(self.sizes)
 
     def push(self, level: int, vector, to_level: int):
-        """Push a level-`level` vector forward to `to_level`."""
-        if not 1 <= level <= to_level <= self.num_levels:
+        """Push a level-`level` vector forward to `to_level`; both levels
+        and every entry must be ints (not bools or floats), so the
+        verdicts that push first stay exact."""
+        if not (type(level) is type(to_level) is int
+                and 1 <= level <= to_level <= self.num_levels):
             raise DiagramError(
                 f"cannot push level {level} to {to_level}")
         v = list(vector)
         if len(v) != self.sizes[level - 1]:
             raise DiagramError("vector length does not match level size")
+        _check_ints(v, "vector entries")
         for _, v in _pushes(self.maps, level, v, to_level):
             pass
         return v

@@ -80,7 +80,7 @@ def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
 def path_prefix(d: OrderedBratteliDiagram, p: FinitePath, n: int) -> FinitePath:
     """The first n edges of p, 0 <= n <= min(p.depth, d.num_levels); the
     last edge's range is read from d."""
-    if not 0 <= n <= p.depth or n > d.num_levels:
+    if type(n) is not int or not 0 <= n <= p.depth or n > d.num_levels:
         raise DiagramError(f"prefix length {n} out of range "
                            f"0..{min(p.depth, d.num_levels)}")
     idx = p.edge_indices[:n]
@@ -99,7 +99,7 @@ def max_path_to(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePat
 
 
 def _extremal_path_to(d, level, vertex, which):
-    if not 0 <= level <= d.num_levels:
+    if type(level) is not int or not 0 <= level <= d.num_levels:
         raise DiagramError(f"level {level} out of range")
     _check_vertex(d, level, vertex)
     return _path((level, _extremal_edges(d, level, vertex, which), vertex))
@@ -120,7 +120,7 @@ def _extremal_edges(d, level, vertex, which):
 
 def path_counts(d: OrderedBratteliDiagram, level: int) -> tuple:
     """Number of root paths to each vertex at the given level, 0..N."""
-    if not 0 <= level <= d.num_levels:
+    if type(level) is not int or not 0 <= level <= d.num_levels:
         raise DiagramError(f"level {level} out of range 0..{d.num_levels}")
     return d.path_count_table[level]
 
@@ -139,12 +139,14 @@ def path_rank(d: OrderedBratteliDiagram, p: FinitePath) -> int:
 
 def path_unrank(d: OrderedBratteliDiagram, level: int, vertex: int,
                 rank: int) -> FinitePath:
-    """Inverse of path_rank for paths into (level, vertex)."""
-    if not (0 <= level <= d.num_levels
+    """Inverse of path_rank for paths into (level, vertex); level, vertex
+    and rank must be ints (not bools or floats)."""
+    if not (type(level) is type(vertex) is int
+            and 0 <= level <= d.num_levels
             and 0 <= vertex < d.vertex_counts[level]):
         raise DiagramError(f"no vertex {vertex} at level {level}")
     total = path_counts(d, level)[vertex]
-    if not 0 <= rank < total:
+    if type(rank) is not int or not 0 <= rank < total:
         raise DiagramError(
             f"rank {rank} out of range 0..{total - 1} for vertex "
             f"{vertex} at level {level}")
@@ -191,13 +193,17 @@ def _step(d, p, shift):
     # Forward (shift=1) or back (-1): move the shallowest edge that has a
     # next (previous) edge into its range vertex, and replace the edges
     # before it by the all-minimal (all-maximal) path into its new source;
-    # at level 0 there are no edges before it.
+    # at level 0 there are no edges before it.  A canonical level holds
+    # each vertex's in-edges as one run in edge order, so that edge is the
+    # level's edge e + shift when it has e's range.
     depth, idx, v = p
     if depth > d.num_levels:
         raise DiagramError(f"path depth {depth} exceeds {d.num_levels}")
-    for n, y in enumerate(map(getitem, d._neighbour_table[shift], idx)):
-        if y is not None:
-            head = (_extremal_edges(d, n, d.edges[n][y][0], min(shift, 0))
+    edges = d.edges
+    for n, e in enumerate(idx):
+        level, y = edges[n], e + shift
+        if 0 <= y < len(level) and level[y][1] == level[e][1]:
+            head = (_extremal_edges(d, n, level[y][0], min(shift, 0))
                     if n else ())
             return _path((depth, head + (y,) + idx[n + 1:], v))
     return None
@@ -253,7 +259,7 @@ def extremal_paths(d: OrderedBratteliDiagram, depth: int,
     vertex that the extremal walk from the last level reaches.
     """
     check_valid(d)
-    if not 0 <= depth <= d.num_levels:
+    if type(depth) is not int or not 0 <= depth <= d.num_levels:
         raise DiagramError(f"depth {depth} out of range")
     if kind not in ("min", "max"):
         raise DiagramError(f"kind must be min or max, got {kind}")
@@ -340,7 +346,7 @@ def untelescope_path(tmap, p: FinitePath, original: OrderedBratteliDiagram):
 
 def all_paths(d: OrderedBratteliDiagram, depth: int):
     """Every path of the given depth, in lexicographic order of edges."""
-    if not 0 <= depth <= d.num_levels:
+    if type(depth) is not int or not 0 <= depth <= d.num_levels:
         raise DiagramError(f"depth {depth} out of range 0..{d.num_levels}")
     return list(_lex_paths(d, depth))
 

@@ -242,22 +242,6 @@ def test_edge_tables_match_edge_scan(table_suite):
                 assert dg.vertex_sources(d, n, w) == want
 
 
-def test_neighbour_tables_match_in_edge_rows(table_suite):
-    # Each edge's next (previous) edge is the one after (before) it in its
-    # in-edge row; None at the row's ends.
-    for d in table_suite.values():
-        after, before = d._neighbour_table[1], d._neighbour_table[-1]
-        assert len(after) == len(before) == d.num_levels
-        for n, rows in enumerate(d.in_edge_table):
-            nexts = [None] * len(d.edges[n])
-            prevs = [None] * len(d.edges[n])
-            for row in rows:
-                for a, b in zip(row, row[1:]):
-                    nexts[a], prevs[b] = b, a
-            assert after[n] == tuple(nexts)
-            assert before[n] == tuple(prevs)
-
-
 def test_vertex_queries_reject_vertices_out_of_range():
     d = gen.odometer(2, 3)
     for query, n in ((dg.vertex_ranges, 0), (dg.vertex_sources, 1)):
@@ -588,7 +572,7 @@ def test_edge_tables_by_level_reject_levels_out_of_range():
 def test_stationary_levels_share_rows():
     d = gen.stationary_adic([[2, 1, 0], [1, 1, 1], [0, 1, 2]], 40)
     for rows in (d.in_edge_table, d.edge_position_table, d.out_edge_table,
-                 d._neighbour_table[1], d._neighbour_table[-1], d.edges):
+                 d.edges):
         assert all(rows[n - 1] is rows[1] for n in range(2, 41))
         assert rows[0] is not rows[1]
 

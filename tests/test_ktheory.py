@@ -682,6 +682,28 @@ def test_push_refuses_levels_out_of_range():
         assert str(err.value) == f"cannot push level {level} to {to_level}"
 
 
+def test_verdicts_refuse_vectors_and_levels_not_ints():
+    # push, and the verdicts that push first, stay in exact integers.
+    pres = kt.k0_presentation(gen.stationary_adic([[2, 1], [1, 1]], 5))
+    for level, vector, to_level, message in (
+            (1, (0.5, 0.5), 3, "vector entries must be ints"),
+            (1, (True, 0), 3, "vector entries must be ints"),
+            (1.0, (1, 0), 3, "cannot push level 1.0 to 3"),
+            (True, (1, 0), 3, "cannot push level True to 3"),
+            (1, (1, 0), 3.0, "cannot push level 1 to 3.0")):
+        with pytest.raises(dg.DiagramError) as err:
+            pres.push(level, vector, to_level)
+        assert str(err.value) == message
+    zero = kt.DimGroupElement(1, (0, 0))
+    with pytest.raises(dg.DiagramError, match="vector entries must be ints"):
+        kt.element_positive(kt.DimGroupElement(1, (1.5, 0)), pres)
+    with pytest.raises(dg.DiagramError, match="vector entries must be ints"):
+        kt.element_equal(kt.DimGroupElement(1, (0.5, 0)), zero, pres)
+    with pytest.raises(dg.DiagramError, match="cannot push level 1.0"):
+        kt.element_equal(kt.DimGroupElement(1.0, (1, 0)), zero, pres)
+    assert pres.push(1, (1, 1), 3) == [8, 5]
+
+
 def test_permutation_system_needs_a_fiber_for_every_point():
     with pytest.raises(dg.DiagramError) as err:
         kt.make_permutation_system([1, 2, 0], [0, 0])

@@ -195,6 +195,24 @@ def test_steps_match_unrank_on_suite(suite):
                 _check_steps_against_unrank(d, depth, v, range(total))
 
 
+def test_steps_match_unrank_on_table_suite(suite, table_suite):
+    # The diagrams whose levels repeat little or oddly, telescoped ones
+    # among them: the step's same-range test must stop at each run of
+    # in-edges in every canonical level.
+    rng = random.Random(11)
+    for name, d in table_suite.items():
+        if name in suite:
+            continue
+        for depth in range(d.num_levels + 1):
+            for v, total in enumerate(pt.path_counts(d, depth)):
+                if not total:       # no path reaches v
+                    continue
+                ranks = {0, 1, total - 2, total - 1}
+                ranks.update(rng.randrange(total) for _ in range(8))
+                _check_steps_against_unrank(
+                    d, depth, v, sorted(r for r in ranks if 0 <= r < total))
+
+
 @pytest.mark.parametrize("shape", ["stationary", "fibonacci", "union"])
 def test_steps_match_unrank_deep(shape):
     rng = random.Random(7)
@@ -647,6 +665,55 @@ def test_path_counts_and_unrank_refuse_out_of_range_input():
             pt.path_unrank(d, 3, 0, rank)
         assert str(err.value) == (f"rank {rank} out of range 0..7 for "
                                   "vertex 0 at level 3")
+
+
+# A float or bool level, vertex, depth, rank or edge is out of range, as
+# a negative one is, rather than read as the int it equals.
+_QUERIES = gen.stationary_adic([[2, 1], [1, 1]], 5)
+_BAD_QUERIES = [
+    (pt.path_unrank, (3, 0, 1.5),
+     "rank 1.5 out of range 0..20 for vertex 0 at level 3"),
+    (pt.path_unrank, (3, 0, True),
+     "rank True out of range 0..20 for vertex 0 at level 3"),
+    (pt.path_unrank, (3.0, 0, 1), "no vertex 0 at level 3.0"),
+    (pt.path_unrank, (3, False, 1), "no vertex False at level 3"),
+    (pt.path_counts, (2.0,), "level 2.0 out of range 0..5"),
+    (pt.min_path_to, (True, 0), "level True out of range"),
+    (pt.max_path_to, (2, 0.0), "vertex 0.0 out of range at level 2"),
+    (pt.path_prefix, (pt.make_path(_QUERIES, [0, 0, 0]), 1.0),
+     "prefix length 1.0 out of range 0..3"),
+    (pt.extremal_paths, (True,), "depth True out of range"),
+    (pt.all_paths, (1.0,), "depth 1.0 out of range 0..5"),
+    (dg.OrderedBratteliDiagram.level_edges, (True,),
+     "edge level True out of range 1..5"),
+    (dg.OrderedBratteliDiagram.label_of, (1.0, 0),
+     "level 1.0 out of range 0..5"),
+    (dg.in_edges, (1.0,), "edge level 1.0 out of range 1..5"),
+    (dg.out_edges, (True,), "edge level True out of range 1..5"),
+    (dg.edge_order_index, (True, 0), "edge level True out of range 1..5"),
+    (dg.edge_order_index, (1, True),
+     "edge index True out of range at level 1"),
+    (dg.min_edges, (True,), "edge level True out of range 1..5"),
+    (dg.max_edges, (2.0,), "edge level 2.0 out of range 1..5"),
+    (dg.incidence_matrix, (True,), "edge level True out of range 1..5"),
+    (dg.min_vertices, (True,), "edge level True out of range 1..5"),
+    (dg.vertex_ranges, (0, True), "vertex True out of range at level 0"),
+    (dg.telescope_segments, (1.0, 2),
+     "segment levels 1.0..2 out of range 1..5"),
+]
+
+
+def _call_id(query, args):
+    shown = ("p" if type(a) is pt.FinitePath else repr(a) for a in args)
+    return f"{query.__name__}({', '.join(shown)})"
+
+
+@pytest.mark.parametrize("query, args, message", _BAD_QUERIES, ids=[
+    _call_id(query, args) for query, args, _ in _BAD_QUERIES])
+def test_queries_refuse_non_int_arguments(query, args, message):
+    with pytest.raises(dg.DiagramError) as err:
+        query(_QUERIES, *args)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("extremal", [pt.min_path_to, pt.max_path_to])
