@@ -48,19 +48,46 @@ def _sparse_rows(a):
     return [{j: row[j] for j in compress(range(len(row)), row)} for row in a]
 
 
-def smith_normal_form(a: List[List[int]]) -> SNFResult:
+def _matrix_rows(a):
+    """(rows, n): the matrix a as {column: nonzero} rows, and its column
+    count.  a is m rows of n ints, or, for an n x n matrix, n rows of
+    {column: nonzero int} dicts, taken as they are.  Ragged rows, an entry
+    that is not exactly an int, and dict rows with a zero, a non-int or a
+    column outside 0..n-1 are DiagramError."""
+    if dict in set(map(type, a)):
+        if not _is_sparse_square(a, len(a)):
+            raise DiagramError(
+                "sparse rows must map columns 0..n-1 to nonzero ints")
+        return a, len(a)
+    n = len(a[0]) if a else 0
+    if any(len(row) != n for row in a):
+        raise DiagramError("matrix dimension mismatch")
+    _check_ints(chain.from_iterable(a), "matrix entries")
+    return _sparse_rows(a), n
+
+
+def smith_normal_form(a) -> SNFResult:
     """U A V = diag(d1,...,dr,0,...) with di | d(i+1) and U, V unimodular.
 
-    A is read once into rows of {column: nonzero} dicts, and U and V are
-    kept and returned as such rows (V is held by columns while its columns
-    are combined), so every row operation, column operation and swap costs
-    O(nonzeros), and sparse inputs such as I - P^T cost far less than n^3.
-    A column index (for each column, a superset of the rows holding it;
-    rows are checked on read) finds the rows below the pivot that hold
-    column t and the rows a column swap touches without rescanning the
-    rows below t.  Once step t is done, row t and column t are zero off
-    the diagonal, so the rows >= t hold every entry still to be
-    eliminated.
+    A is m rows of n ints, or a square matrix as rows of {column: nonzero
+    int} dicts; see _snf_rows.
+    """
+    return _snf_rows(*_matrix_rows(a))
+
+
+def _snf_rows(rows, n: int) -> SNFResult:
+    """SNF of the m x n matrix given by m rows of {column: nonzero int}.
+
+    The rows are copied before elimination, so they are left as given.
+    U and V are kept and returned as such rows (V is held by columns while
+    its columns are combined), so every row operation, column operation
+    and swap costs O(nonzeros), and sparse inputs such as I - P^T cost far
+    less than n^3.  A column index (for each column, a superset of the
+    rows holding it; rows are checked on read) finds the rows below the
+    pivot that hold column t and the rows a column swap touches without
+    rescanning the rows below t.  Once step t is done, row t and column t
+    are zero off the diagonal, so the rows >= t hold every entry still to
+    be eliminated.
 
     Elimination pivots on the first minimum-absolute-value nonzero entry
     of the rows >= t in row-major order, which keeps intermediate entries
@@ -68,11 +95,8 @@ def smith_normal_form(a: List[List[int]]) -> SNFResult:
     row or column redoes the step, and a later entry that the pivot does
     not divide has its row folded into the pivot row first.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise DiagramError("matrix dimension mismatch")
-    d = [{j: int(row[j]) for j in compress(range(n), row)} for row in a]
+    m = len(rows)
+    d = list(map(dict, rows))
     holders = [set() for _ in range(n)]   # column -> rows that may hold it
     for i, row in enumerate(d):
         for j in row:
@@ -162,13 +186,7 @@ def smith_normal_form(a: List[List[int]]) -> SNFResult:
         holders[t] = None     # column t is done and never read again
         t += 1
     diag = [d[i].get(i, 0) for i in range(min(m, n))]
-    # V by rows; popping its columns keeps one copy of V alive at a time.
-    right_rows = [{} for _ in range(n)]
-    v.reverse()
-    for j in range(n):
-        for i, x in v.pop().items():
-            right_rows[i][j] = x
-    return SNFResult(diag, u, right_rows)
+    return SNFResult(diag, u, _transpose(v, n))
 
 
 def _det(a):
@@ -264,9 +282,20 @@ def _sparse_mul(x, y):
     for row in x:
         acc = {}
         for k, c in row.items():
-            _add_to(acc, y[k], c)
-        out.append(acc)
+            for j, z in y[k].items():
+                acc[j] = acc.get(j, 0) + c * z
+        out.append({j: z for j, z in acc.items() if z})
     return out
+
+
+def _transpose(rows, n):
+    """The columns of a matrix with n columns given by sparse rows, as
+    sparse rows."""
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
 
 def _is_sparse_square(rows, size):
@@ -283,16 +312,24 @@ def _is_sparse_square(rows, size):
 
 
 def verify_snf(a, res: SNFResult) -> bool:
-    """Check an SNF result exactly: U A V = diag, d1 | d2 | ... with the
-    zeros last, and |det U| = |det V| = 1 for square U (m x m) and V (n x n)
-    given as rows of {column: nonzero int} dicts.
+    """Check an SNF result of A exactly.  A takes either form that
+    smith_normal_form takes and is checked the same way; see _verify_rows."""
+    return _verify_rows(*_matrix_rows(a), res)
 
-    A is read into such rows once; U A V is multiplied out on the rows, so
-    it costs O(nonzeros) instead of O(n^3), and the determinants are taken
-    on U's and V's own rows.
+
+def _verify_rows(rows, n: int, res: SNFResult) -> bool:
+    """Check an SNF result of the m x n matrix given by m rows of
+    {column: nonzero int}: U A V = diag, d1 | d2 | ... with the zeros last,
+    and |det U| = |det V| = 1 for square U (m x m) and V (n x n) given as
+    rows of {column: nonzero int} dicts.
+
+    U A V is multiplied out on the rows, so it costs O(nonzeros) instead of
+    O(n^3).  The determinants are taken on V's rows and U's columns: SNF
+    adds pivot rows to later rows and pivot columns to later columns, so
+    both are near triangular with their entries right of the diagonal,
+    which _sparse_det eliminates with single-entry pivots.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
+    m = len(rows)
     diag = res.diagonal
     u, v = res.left, res.right
     if len(diag) != min(m, n) or not _is_sparse_square(u, m) or \
@@ -303,13 +340,12 @@ def verify_snf(a, res: SNFResult) -> bool:
             return False
         if d1 != 0 and d2 % d1 != 0:
             return False
-    if any(len(row) != n for row in a):
-        raise DiagramError("matrix dimension mismatch")
-    prod = _sparse_mul(_sparse_mul(u, _sparse_rows(a)), v)
+    prod = _sparse_mul(_sparse_mul(u, rows), v)
     for i, row in enumerate(prod):
         if row != ({i: diag[i]} if i < len(diag) and diag[i] else {}):
             return False
-    return abs(_sparse_det(u)) == 1 and abs(_sparse_det(v)) == 1
+    return abs(_sparse_det(_transpose(u, m))) == 1 and \
+        abs(_sparse_det(v)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +449,7 @@ def _pushes(maps, level: int, v, top: int):
 
 
 def _injective(matrix) -> bool:
-    a = [list(r) for r in matrix]
-    return smith_normal_form(a).rank == len(a[0])
+    return smith_normal_form(matrix).rank == len(matrix[0])
 
 
 # Push-forwards that element_equal and element_positive try before they
@@ -499,13 +534,14 @@ def k1_rank(d: OrderedBratteliDiagram, depth: Optional[int] = None) -> dict:
 # ---------------------------------------------------------------------------
 # Finite permutation systems and the exact-sequence oracle
 
-# Largest system the oracle accepts.  The SNF holds A, U and V as sparse
-# rows and reaches the rows a pivot step works on through a column index,
-# so a step costs O(nonzeros), and in the oracle's point order U and V
-# hold O(n log n) entries; the dense n x n input, built and read twice,
-# makes cost and memory grow like n^2.  On a 2-vCPU host with Python 3.11
-# a single cycle of 512 points takes about 0.02 s and 1 MB of peak RSS
-# growth, and one of 1024 points about 0.08 s and 8 MB.
+# Largest system the oracle accepts.  I - P^T is built as sparse rows of
+# 2 n entries at most, and no n x n matrix is ever built.  The SNF holds
+# A, U and V as sparse rows and reaches the rows a pivot step works on
+# through a column index, so a step costs O(nonzeros), and in the
+# oracle's point order U and V hold O(n log n) entries.  On a 2-vCPU host
+# with Python 3.11 a single cycle of 512 points takes about 0.01 s, 0.4 MB
+# of peak RSS growth and 0.9 MB traced by tracemalloc, and one of 1024
+# points about 0.03 s and 1.1 MB of peak RSS growth.
 MAX_ORACLE_POINTS = 512
 
 
@@ -555,9 +591,11 @@ def k_oracle_finite_system(s: FinitePermutationSystem) -> dict:
     cokernel and kernel of (I - P^T) on Z^n, computed with exact SNF and
     checked with verify_snf.
 
-    Rows and columns are numbered so that elimination halves each cycle
-    (nested dissection), which keeps U and V at O(n log n) entries; the
-    diagonal, and so the answer, is that of the matrix in point order.
+    I - P^T goes to both as sparse rows, {i: 1, j: -1} for a point moved
+    from i to j and an empty row for a fixed point, so no n x n matrix is
+    built.  Rows and columns are numbered so that elimination halves each
+    cycle (nested dissection), which keeps U and V at O(n log n) entries;
+    the diagonal, and so the answer, is that of the matrix in point order.
 
     unit_image is the sorted list of fiber totals of the all-ones vector,
     i.e. its evaluation against the canonical cycle-sum functionals that
@@ -581,13 +619,14 @@ def k_oracle_finite_system(s: FinitePermutationSystem) -> dict:
     pos = [0] * n
     for i, x in enumerate(sorted(range(n), key=key.__getitem__)):
         pos[x] = i
-    a = [[0] * n for _ in range(n)]   # I - P^T, where P e_i = e_{perm(i)}
+    # I - P^T as sparse rows, where P e_i = e_{perm(i)}: the row of a moved
+    # point x is e_x - e_perm(x), and that of a fixed point is empty.
+    rows = [None] * n
     for x, y in enumerate(perm):
-        i = pos[x]
-        a[i][i] += 1
-        a[i][pos[y]] -= 1
-    res = smith_normal_form(a)
-    if not verify_snf(a, res):
+        i, j = pos[x], pos[y]
+        rows[i] = {i: 1, j: -1} if i != j else {}
+    res = smith_normal_form(rows)
+    if not verify_snf(rows, res):
         raise DiagramError("Smith normal form verification failed")
     torsion = [d for d in res.diagonal if d > 1]
     k0_rank = n - res.rank

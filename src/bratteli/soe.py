@@ -362,8 +362,10 @@ def pair_extremal_paths(bp: InterleavedDiagram, depth: int) -> ExtremalPairing:
     stabilized there.  Each interleaved extremal path truncates to a B1
     path (odd prefix) and a B2 path (even prefix), telescoped through
     bp.f1 and bp.f2; those two are paired.  telescope_path refuses a
-    prefix deeper than F's tables, whose cut points are its depths.
+    prefix deeper than F's tables, whose cut points are its depths.  A
+    depth that is not exactly an int, or is below 2, is DiagramError.
     """
+    _check_ints((depth,), "depths")
     if depth < 2:
         raise DiagramError("depth must be at least 2")
     d = bp.diagram
@@ -540,7 +542,8 @@ def check_cocycle_continuity(F: InterleavedDiagram, depth: int) -> dict:
     refinement reports the same value.  The values come from
     cocycle_values' rank-order walk, a few table lookups per cylinder.
     Returns the eligible count plus any failures, ordered by depth, then
-    cylinder, then forward before backward.
+    cylinder, then forward before backward.  A depth that is not exactly
+    an int (a bool is not) raises DiagramError.
 
     A pass certifies only that F's tables compose consistently: for an F
     built from tables the child's two B2 images extend the parent's by the
@@ -548,6 +551,7 @@ def check_cocycle_continuity(F: InterleavedDiagram, depth: int) -> dict:
     checks a value independently of the rank tables, by iterating B2's
     Vershik map, but reads the same F; neither proves F an orbit map.
     """
+    _check_ints((depth,), "depths")
     eligible = 0
     failures = []
     for direction, idx, val, parent in cocycle_values(F, depth):
@@ -598,10 +602,12 @@ def search_stationary_intertwining(b1: OrderedBratteliDiagram,
     bound one at a time, in itertools.product order (P's entries row by
     row, then Q's), and stops at the first match.  Returns (match or None,
     rejections) where each rejection names a candidate before the match
-    and the first identity it breaks.  A search of more than
-    MAX_SEARCH_CANDIDATES candidates, or one whose candidates would each
-    hold more than that many entries, raises DiagramError.
+    and the first identity it breaks.  A bound that is not exactly an int
+    (a bool is not), a search of more than MAX_SEARCH_CANDIDATES
+    candidates, or one whose candidates would each hold more than that
+    many entries, raises DiagramError.
     """
+    _check_ints((bound,), "bounds")
     if bound < 0:
         raise DiagramError(f"bound must be non-negative, got {bound}")
     r1, m1 = _stationary_data(b1)
@@ -658,10 +664,11 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
 
     The cocycles reach B1 depth min(depth, F's realized B1 depth), and no
     cylinder is eligible below 2, so a pass there would be vacuous: a
-    depth below 2 raises DiagramError before anything is built, and a
-    realized depth below 2 raises it, naming that limit, once the
-    interleaving is built.  The five cocycle samples are B1 paths of
-    depth min(3, F's realized B1 depth)."""
+    depth that is not exactly an int or is below 2 raises DiagramError
+    before anything is built, and a realized depth below 2 raises it,
+    naming that limit, once the interleaving is built.  The five cocycle
+    samples are B1 paths of depth min(3, F's realized B1 depth)."""
+    _check_ints((depth,), "depths")
     if depth < 2:
         raise DiagramError("depth must be at least 2")
     out = {"interleaved_ok": False, "properties_ok": False,

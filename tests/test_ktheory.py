@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -92,6 +93,53 @@ def test_snf_and_det_match_sympy(a):
     square = [a] if len(a) == len(a[0]) <= 6 else []
     for mat in square + [_dense(res.left), _dense(res.right)]:
         assert kt._det(mat) == sympy.Matrix(mat).det()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_dense_matrices(), _permutation_matrices()))
+def test_dense_wrapper_matches_row_core(a):
+    rows = kt._sparse_rows(a)
+    copies = [dict(row) for row in rows]
+    res = kt._snf_rows(rows, len(a[0]))
+    assert rows == copies         # the core eliminates on copies of rows
+    assert kt.smith_normal_form(a) == res
+    assert kt._verify_rows(rows, len(a[0]), res) and rows == copies
+    if len(a) == len(a[0]):                   # square: rows in at the top
+        assert kt.smith_normal_form(rows) == res
+        assert kt.verify_snf(rows, res)
+
+
+@pytest.mark.parametrize("a", [[[1.5]], [[True, 0], [0, 2]], [["3"]],
+                               [[2, 4], [6, 8.0]], [[1, None]]])
+def test_snf_refuses_entries_that_are_not_ints(a):
+    # Entries were read through int(): [[1.5]] gave the diagonal [1], and
+    # a bool was taken for 1.
+    with pytest.raises(dg.DiagramError) as err:
+        kt.smith_normal_form(a)
+    assert str(err.value) == "matrix entries must be ints"
+
+
+def test_verify_snf_refuses_entries_that_are_not_ints():
+    res = kt.smith_normal_form([[2, 4], [6, 8]])
+    for a in ([[2.0, 4], [6, 8]], [[2, 4], [6, True]]):
+        with pytest.raises(dg.DiagramError) as err:
+            kt.verify_snf(a, res)
+        assert str(err.value) == "matrix entries must be ints"
+
+
+@pytest.mark.parametrize("kind", [
+    "list row", "key out of range", "negative key", "bool key",
+    "zero value", "float value", "bool value"])
+def test_snf_refuses_malformed_sparse_rows(kind):
+    a = [[1, 0, 4], [0, 6, 0], [0, 0, 0]]
+    rows = _malformed(kt._sparse_rows(a), kind)
+    res = kt.smith_normal_form(a)
+    for call in (lambda: kt.smith_normal_form(rows),
+                 lambda: kt.verify_snf(rows, res)):
+        with pytest.raises(dg.DiagramError) as err:
+            call()
+        assert str(err.value) == (
+            "sparse rows must map columns 0..n-1 to nonzero ints")
 
 
 def test_verify_snf_on_empty_shapes():
@@ -539,8 +587,8 @@ def test_oracle_unit_image_many_fibers():
 
 def test_oracle_memory_at_the_cap():
     # One cycle of MAX_ORACLE_POINTS points, the cap's largest single
-    # cycle: the dense n x n input dominates, since U and V hold
-    # O(n log n) entries in the oracle's nested-dissection order.
+    # cycle: I - P^T is built as 2 n entries of sparse rows, and U and V
+    # hold O(n log n) entries in the oracle's nested-dissection order.
     grown_mb, result = peak_growth(
         "from bratteli import ktheory as kt\n"
         "n = kt.MAX_ORACLE_POINTS\n"
@@ -550,6 +598,39 @@ def test_oracle_memory_at_the_cap():
     assert result == str({"k0_rank": 1, "k0_torsion": [],
                           "k1_rank": 1, "unit_image": [512]})
     assert grown_mb <= 20, f"peak RSS grew by {grown_mb} MB"
+
+
+def test_oracle_traced_peak_at_the_cap():
+    # No n x n matrix is built: 0.9 MB traced for one 512-point cycle,
+    # against 2.9 MB with the dense input.
+    n = kt.MAX_ORACLE_POINTS
+    s = kt.make_permutation_system([(i + 1) % n for i in range(n)], [0] * n)
+    tracemalloc.start()
+    try:
+        kt.k_oracle_finite_system(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, f"traced peak {peak} bytes"
+
+
+def test_oracle_builds_sparse_rows():
+    # Fixed points give empty rows, with no stored zero; each moved point
+    # x gives the two entries of e_x - e_perm(x).
+    s, _ = gen.finite_cycle_system([1, 1, 3, 5])
+    seen = []
+    snf = kt.smith_normal_form
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kt, "smith_normal_form",
+                   lambda a: seen.append(a) or snf(a))
+        out = kt.k_oracle_finite_system(s)
+    assert out == {"k0_rank": 4, "k0_torsion": [], "k1_rank": 4,
+                   "unit_image": [1, 1, 3, 5]}
+    (rows,) = seen
+    assert all(type(row) is dict for row in rows)
+    assert sorted(map(len, rows)) == [0, 0] + [2] * 8
+    assert all(sorted(row.values()) == [-1, 1] and row[i] == 1
+               for i, row in enumerate(rows) if row)
 
 
 def _oracle_with_snf(s):

@@ -844,6 +844,33 @@ def test_search_refuses_candidates_past_the_cap():
     assert match is not None
 
 
+def _odometer_with_itself():
+    """The 2-odometer on 6 levels, P = [[1]], Q = [[2]], and their
+    interleaving."""
+    d = gen.odometer(2, 6)
+    w = soe.stationary_intertwining([[1]], [[2]], 6, 5)
+    return d, w, soe.build_interleaved(d, d, w)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d, w, bp: soe.check_cocycle_continuity(bp, True), "depths"),
+    (lambda d, w, bp: soe.check_cocycle_continuity(bp, 2.0), "depths"),
+    (lambda d, w, bp: soe.pair_extremal_paths(bp, 2.0), "depths"),
+    (lambda d, w, bp: soe.soe_report(d, d, w, 2.0), "depths"),
+    (lambda d, w, bp: soe.search_stationary_intertwining(d, d, True),
+     "bounds"),
+    (lambda d, w, bp: soe.search_stationary_intertwining(d, d, 1.5),
+     "bounds"),
+], ids=["continuity-bool", "continuity-float", "pairing-float",
+        "report-float", "search-bool", "search-float"])
+def test_depth_and_bound_must_be_ints(call, message):
+    # A bool read as 1 gave a vacuous continuity pass and a search at
+    # bound 1; a float raised a bare TypeError.
+    with pytest.raises(dg.DiagramError) as err:
+        call(*_odometer_with_itself())
+    assert str(err.value) == f"{message} must be ints"
+
+
 def test_search_refuses_a_candidate_of_more_entries_than_the_cap():
     # 513 vertices on each of two levels: at bound 0 there is one
     # candidate, but its P and Q hold 2 * 513^2 = 526,338 entries.
