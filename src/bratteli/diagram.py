@@ -147,18 +147,19 @@ class OrderedBratteliDiagram:
     # _level_index scans each distinct level once, keyed by its edges and
     # both vertex counts, so two levels share an entry exactly when they are
     # equal (as all but the first of a stationary diagram are).  The
-    # in-edge, edge-position and out-edge tables and the axiom scan all
-    # read that shared entry.  The edge order itself lives only in the
-    # canonical level, where a vertex's in-edges form one contiguous run,
-    # so the Vershik step reads an edge's neighbours there.  Rank sums are
-    # built apart, since they depend on the level below as well, and so is
+    # in-edge and out-edge tables and the axiom scan all read that shared
+    # entry.  The edge order itself lives only in the canonical level,
+    # where a vertex's in-edges form one contiguous run, so an edge's
+    # position is its distance from the first edge of its run, and the
+    # Vershik step reads an edge's neighbours there.  Rank sums are built
+    # apart, since they depend on the level below as well, and so is
     # incidence_matrix, on each call: a dense matrix in the index would
     # cost rows x columns per level on every path query's first read.
 
     @cached_property
     def _level_index(self) -> tuple:
-        """Per level: (in-edge rows, edge positions, out-edge rows), equal
-        levels sharing one entry."""
+        """Per level: (in-edge rows, out-edge rows), equal levels sharing
+        one entry."""
         seen, index = {}, []
         vcs = self.vertex_counts
         for key in zip(self.edges, vcs, vcs[1:]):
@@ -176,7 +177,7 @@ class OrderedBratteliDiagram:
     @cached_property
     def out_edge_table(self) -> tuple:
         """out_edge_table[n-1][v]: level-n edges leaving level-(n-1) v."""
-        return tuple(entry[2] for entry in self._level_index)
+        return tuple(entry[1] for entry in self._level_index)
 
     @cached_property
     def path_count_table(self) -> tuple:
@@ -210,26 +211,15 @@ class OrderedBratteliDiagram:
         """The axiom scan behind validate_diagram, run once per diagram."""
         return tuple(_scan_axioms(self))
 
-    @cached_property
-    def edge_position_table(self) -> tuple:
-        """edge_position_table[n-1][e]: place of level-n edge e among the
-        edges into its range vertex (0 is minimal, the last is maximal)."""
-        return tuple(entry[1] for entry in self._level_index)
-
 
 def _index_level(level: tuple, num_sources: int, num_ranges: int) -> tuple:
-    """One scan of a level: its in-edge rows, edge positions and out-edge
-    rows."""
+    """One scan of a level: its in-edge rows and out-edge rows."""
     rows = [[] for _ in range(num_ranges)]
     outs = [[] for _ in range(num_sources)]
-    positions = []
     for i, (s, r) in enumerate(level):
-        row = rows[r]
-        positions.append(len(row))
-        row.append(i)
+        rows[r].append(i)
         outs[s].append(i)
-    return (tuple(map(tuple, rows)), tuple(positions),
-            tuple(map(tuple, outs)))
+    return tuple(map(tuple, rows)), tuple(map(tuple, outs))
 
 
 def make_diagram(num_levels: int,
@@ -362,8 +352,8 @@ def validate_diagram(d: OrderedBratteliDiagram) -> list:
 
 def _scan_axioms(d: OrderedBratteliDiagram) -> list:
     report = []
-    for n, (into, positions, outs) in enumerate(d._level_index, start=1):
-        if not positions:
+    for n, (into, outs) in enumerate(d._level_index, start=1):
+        if not d.edges[n - 1]:
             report.append(Violation("malformed", n, "empty edge level"))
             continue
         report += [Violation("range-surjectivity", n,
@@ -395,11 +385,14 @@ def out_edges(d: OrderedBratteliDiagram, n: int) -> tuple:
 
 
 def edge_order_index(d: OrderedBratteliDiagram, n: int, edge: int) -> int:
-    """Position of an edge in the linear order on edges sharing its range."""
+    """Position of an edge in the linear order on edges sharing its range
+    (0 is minimal, the last is maximal): its distance from the first edge
+    into that vertex, since a canonical level holds each vertex's in-edges
+    as one contiguous run in edge order."""
     level = d.level_edges(n)    # range-checks n
     if type(edge) is not int or not 0 <= edge < len(level):
         raise DiagramError(f"edge index {edge} out of range at level {n}")
-    return d.edge_position_table[n - 1][edge]
+    return edge - d.in_edge_table[n - 1][level[edge][1]][0]
 
 
 def min_edges(d: OrderedBratteliDiagram, n: int) -> tuple:

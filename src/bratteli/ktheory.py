@@ -53,8 +53,12 @@ def _matrix_rows(a):
     count.  a is m rows of n ints, or, for an n x n matrix, n rows of
     {column: nonzero int} dicts, taken as they are.  Ragged rows, an entry
     that is not exactly an int, and dict rows with a zero, a non-int or a
-    column outside 0..n-1 are DiagramError."""
-    if dict in set(map(type, a)):
+    column outside 0..n-1 are DiagramError, and so is an a that is not a
+    list or tuple of rows, each a list, tuple or dict."""
+    kinds = set(map(type, a)) if type(a) in (list, tuple) else {None}
+    if kinds - {list, tuple, dict}:
+        raise DiagramError("a matrix must be a list or tuple of rows")
+    if dict in kinds:
         if not _is_sparse_square(a, len(a)):
             raise DiagramError(
                 "sparse rows must map columns 0..n-1 to nonzero ints")
@@ -434,9 +438,9 @@ def k0_presentation(d: OrderedBratteliDiagram,
 
 
 def natural_heights(d: OrderedBratteliDiagram):
-    """Level-1 heights induced by the root edges (each root edge one floor)."""
-    m1 = incidence_matrix(d, 1)
-    return [row[0] for row in m1]
+    """Level-1 heights induced by the root edges (each root edge one floor):
+    the number of root edges into each level-1 vertex."""
+    return [len(row) for row in d.in_edge_table[0]]
 
 
 def _pushes(maps, level: int, v, top: int):

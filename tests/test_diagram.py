@@ -11,7 +11,7 @@ from bratteli import generators as gen
 from bratteli import ktheory as kt
 from bratteli import paths as pt
 from bratteli import soe
-from conftest import peak_growth, random_diagram
+from conftest import UNFED_JSON, peak_growth, random_diagram
 
 
 def fib(levels=6):
@@ -556,6 +556,23 @@ def test_dot_export_mentions_every_edge():
     assert dot.startswith("digraph")
 
 
+def test_dot_labels_are_edge_positions(table_suite):
+    # An edge's label is its position: the number of earlier edges in its
+    # level with the same range.  UNFED_JSON fails the axioms, and
+    # export-dot still reads it.
+    unfed = dg.diagram_from_json(json.loads(UNFED_JSON))
+    assert dg.validate_diagram(unfed)
+    for d in (*table_suite.values(), unfed):
+        want = []
+        for n in range(1, d.num_levels + 1):
+            level = d.level_edges(n)
+            for i, (s, r) in enumerate(level):
+                pos = sum(r2 == r for _, r2 in level[:i])
+                want.append(f'  "v{n - 1}_{s}" -> "v{n}_{r}" [label="{pos}"];')
+        lines = dg.diagram_to_dot(d).splitlines()
+        assert [line for line in lines if "->" in line] == want
+
+
 def test_edge_tables_by_level_reject_levels_out_of_range():
     d = gen.odometer(3, 2)
     assert dg.in_edges(d, 2) == dg.out_edges(d, 2) == ((0, 1, 2),)
@@ -571,8 +588,7 @@ def test_edge_tables_by_level_reject_levels_out_of_range():
 
 def test_stationary_levels_share_rows():
     d = gen.stationary_adic([[2, 1, 0], [1, 1, 1], [0, 1, 2]], 40)
-    for rows in (d.in_edge_table, d.edge_position_table, d.out_edge_table,
-                 d.edges):
+    for rows in (d.in_edge_table, d.out_edge_table, d.edges):
         assert all(rows[n - 1] is rows[1] for n in range(2, 41))
         assert rows[0] is not rows[1]
 

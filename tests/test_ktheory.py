@@ -127,6 +127,26 @@ def test_verify_snf_refuses_entries_that_are_not_ints():
         assert str(err.value) == "matrix entries must be ints"
 
 
+def test_snf_refuses_a_matrix_that_is_not_a_list_of_rows():
+    # These raised a bare TypeError from len() or iter().
+    for a in ([3], [(1, 2), 5], 7):
+        with pytest.raises(dg.DiagramError) as err:
+            kt.smith_normal_form(a)
+        assert str(err.value) == "a matrix must be a list or tuple of rows"
+    res = kt.smith_normal_form([[3]])
+    with pytest.raises(dg.DiagramError) as err:
+        kt.verify_snf([3], res)
+    assert str(err.value) == "a matrix must be a list or tuple of rows"
+    # Tuples of tuples, as a presentation's maps are, are still matrices.
+    assert kt.smith_normal_form(((2, 4), (6, 8))).diagonal == [2, 4]
+
+
+def test_natural_heights_count_root_edges(table_suite):
+    for d in table_suite.values():
+        assert kt.natural_heights(d) == [
+            row[0] for row in dg.incidence_matrix(d, 1)]
+
+
 @pytest.mark.parametrize("kind", [
     "list row", "key out of range", "negative key", "bool key",
     "zero value", "float value", "bool value"])

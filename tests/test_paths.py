@@ -553,7 +553,6 @@ def test_rank_and_position_tables_match_edge_scan(table_suite):
                 before = [s for s, r2 in level[:i] if r2 == r]
                 positions.append(len(before))
                 offsets.append(sum(counts[s] for s in before))
-            assert d.edge_position_table[n - 1] == tuple(positions)
             assert d.rank_offset_table[n - 1] == tuple(offsets)
             for e in range(len(level)):
                 assert dg.edge_order_index(d, n, e) == positions[e]
