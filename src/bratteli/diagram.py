@@ -148,13 +148,15 @@ class OrderedBratteliDiagram:
     # both vertex counts, so two levels share an entry exactly when they are
     # equal (as all but the first of a stationary diagram are).  The
     # in-edge and out-edge tables and the axiom scan all read that shared
-    # entry.  The edge order itself lives only in the canonical level,
-    # where a vertex's in-edges form one contiguous run, so an edge's
-    # position is its distance from the first edge of its run, and the
-    # Vershik step reads an edge's neighbours there.  Rank sums are built
-    # apart, since they depend on the level below as well, and so is
-    # incidence_matrix, on each call: a dense matrix in the index would
-    # cost rows x columns per level on every path query's first read.
+    # entry, and telescope() and soe's F key a block of levels by the
+    # identities of its entries (_block_key).  The edge order itself lives
+    # only in the canonical level, where a vertex's in-edges form one
+    # contiguous run, so an edge's position is its distance from the first
+    # edge of its run, and the Vershik step reads an edge's neighbours
+    # there.  Rank sums are built apart, since they depend on the level
+    # below as well, and so is incidence_matrix, on each call: a dense
+    # matrix in the index would cost rows x columns per level on every path
+    # query's first read.
 
     @cached_property
     def _level_index(self) -> tuple:
@@ -537,35 +539,47 @@ class TelescopeMap:
 
     @cached_property
     def path_tables(self) -> tuple:
-        """Per level, a dict {orig edge tuple: new edge index}."""
-        return tuple({path: e for e, path in enumerate(level)}
-                     for level in self.orig_paths)
+        """Per level, a dict {orig edge tuple: new edge index}; levels that
+        share one orig_paths tuple, as the repeated blocks of telescope()
+        do, share one dict."""
+        tables = {}
+        for level in self.orig_paths:
+            if id(level) not in tables:
+                tables[id(level)] = {path: e for e, path in enumerate(level)}
+        return tuple(tables[id(level)] for level in self.orig_paths)
+
+
+def _block_key(d: OrderedBratteliDiagram, lo: int, hi: int) -> tuple:
+    """A key of d's edge levels lo+1..hi, equal for two blocks exactly when
+    their levels are equal one by one: the identities of the levels'
+    _level_index entries, which equal levels under equal vertex counts
+    share."""
+    return tuple(map(id, d._level_index[lo:hi]))
 
 
 def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
     """Every path over edge levels lo..hi as (source, range, edge tuple), in
     the order telescoping numbers them: by range vertex, then rank order.
 
-    A walk down the in-edge table from each range vertex, deepest edge
-    first, reads the edge order as the Vershik step does, so the deepest
-    edge's order is the most significant.
+    A walk down one level at a time from the range vertices: each partial
+    path is extended by its bottom vertex's in-edges, in edge order, so
+    the partial paths stay sorted by range, then by their edges read
+    deepest first, and the deepest edge's order is the most significant,
+    as in the Vershik step.
     """
     if not (type(lo) is type(hi) is int and 1 <= lo <= hi <= d.num_levels):
         raise DiagramError(
             f"segment levels {lo}..{hi} out of range 1..{d.num_levels}")
-    edges, into = d.edges, d.in_edge_table
-    segs = []
-    for r in range(d.vertex_counts[hi]):
-        stack = [(r, ())]
-        while stack:
-            v, path = stack.pop()
-            n = hi - len(path)      # v is a level-n vertex
-            if n < lo:
-                segs.append((v, r, path))
-                continue
-            level = edges[n - 1]
-            for e in reversed(into[n - 1][v]):
-                stack.append((level[e][0], (e,) + path))
+    segs = [(r, r, ()) for r in range(d.vertex_counts[hi])]
+    for n in range(hi, lo - 1, -1):
+        level, into = d.edges[n - 1], d.in_edge_table[n - 1]
+        # Each partial path is popped as it is extended, so the level
+        # above is freed while this one is built: a deep block never
+        # holds two levels of long paths at once.
+        segs.append(None)
+        segs.reverse()
+        segs = [(level[e][0], r, (e,) + path)
+                for v, r, path in iter(segs.pop, None) for e in into[v]]
     return segs
 
 
@@ -574,34 +588,39 @@ def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
 # telescope() also caps the edge indices those tuples hold at
 # MAX_TELESCOPE_INDICES.  At the cap, on a 2-vCPU host with Python 3.11,
 # telescoping the 17-level 2-odometer into one level (2,228,224 indices)
-# takes about 0.3 s and 51 MB, and `bratteli telescope`, which also writes
-# every edge as indented JSON, about 3 s and 74 MB peak.  4,096 edges of
-# 1,024-level segments, 2^22 indices, take about 32 MB.
+# takes about 0.2 s and 53 MB, and `bratteli telescope`, which also writes
+# every edge as indented JSON, about 0.8 s and 76 MB peak.  4,096 edges of
+# 1,024-level segments, 2^22 indices, take about 0.1 s and 32 MB.
 MAX_TELESCOPE_EDGES = 2 ** 17
 MAX_TELESCOPE_INDICES = 2 ** 22
 
 
 def _telescope_too_big(d: OrderedBratteliDiagram,
-                       cuts: tuple) -> Optional[str]:
-    """The cap d telescoped at cuts exceeds, or None: MAX_TELESCOPE_EDGES
-    edges, else MAX_TELESCOPE_INDICES edge indices in all its edges'
-    segments.  Edges are counted from path counts: per segment, the paths
-    from any vertex at its bottom level to any at its top level, each
-    holding one index per level of the segment.  Counts are clamped one
-    past the edge cap, so deep diagrams never grow big integers."""
+                       blocks: list) -> Optional[str]:
+    """The cap d telescoped into blocks (lo, hi, key) exceeds, or None:
+    MAX_TELESCOPE_EDGES edges, else MAX_TELESCOPE_INDICES edge indices in
+    all its edges' segments.  Edges are counted from path counts, once per
+    distinct key: per block, the paths from any vertex at its bottom level
+    to any at its top level, each holding one index per level of the
+    block.  Counts are clamped one past the edge cap, so deep diagrams
+    never grow big integers."""
     over = MAX_TELESCOPE_EDGES + 1
     total = indices = 0
-    for lo, hi in zip((0,) + cuts, cuts):
-        counts = [1] * d.vertex_counts[lo]
-        for level, size in zip(d.edges[lo:hi], d.vertex_counts[lo + 1:]):
-            row = [0] * size
-            for s, r in level:
-                row[r] += counts[s]
-            counts = [min(c, over) for c in row]
-        total += sum(counts)
+    counted = {}
+    for lo, hi, key in blocks:
+        count = counted.get(key)
+        if count is None:
+            counts = [1] * d.vertex_counts[lo]
+            for level, size in zip(d.edges[lo:hi], d.vertex_counts[lo + 1:]):
+                row = [0] * size
+                for s, r in level:
+                    row[r] += counts[s]
+                counts = [min(c, over) for c in row]
+            count = counted[key] = sum(counts)
+        total += count
         if total >= over:
             return f"MAX_TELESCOPE_EDGES = {MAX_TELESCOPE_EDGES} edges"
-        indices += sum(counts) * (hi - lo)
+        indices += count * (hi - lo)
     if indices > MAX_TELESCOPE_INDICES:
         return f"MAX_TELESCOPE_INDICES = {MAX_TELESCOPE_INDICES} edge indices"
     return None
@@ -618,6 +637,11 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
     telescoping of more than MAX_TELESCOPE_EDGES edges, or whose segments
     hold more than MAX_TELESCOPE_INDICES edge indices, is refused with
     DiagramError before any segment is listed.
+
+    Each distinct block of levels between cuts is counted, listed and
+    collapsed once (_block_key): blocks whose levels are equal one by one,
+    as all but the first of a stationary diagram cut at even steps are,
+    share one edge level of the result and one tuple of orig_paths.
     """
     cuts = tuple(cuts)
     _check_ints(cuts, "cut points")
@@ -627,15 +651,20 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
         raise DiagramError(
             f"cut points must lie in 1..{d.num_levels} and end at "
             f"{d.num_levels}")
-    too_big = _telescope_too_big(d, cuts)
+    blocks = [(lo, hi, _block_key(d, lo, hi))
+              for lo, hi in zip((0,) + cuts, cuts)]
+    too_big = _telescope_too_big(d, blocks)
     if too_big:
         raise DiagramError(
             f"telescoping at cuts {','.join(map(str, cuts))} gives more "
             f"than {too_big}")
-    segs = [telescope_segments(d, lo + 1, hi)
-            for lo, hi in zip((0,) + cuts, cuts)]
-    new_edges = [[(s, r) for s, r, _ in level] for level in segs]
-    paths = tuple(tuple(path for _, _, path in level) for level in segs)
+    built = {}
+    for lo, hi, key in blocks:
+        if key not in built:
+            segs = telescope_segments(d, lo + 1, hi)
+            built[key] = ([(s, r) for s, r, _ in segs],
+                          tuple([path for _, _, path in segs]))
+    new_edges, paths = zip(*[built[key] for _, _, key in blocks])
     labels = None
     if d.group_labels is not None:
         labels = [d.group_labels[c - 1] for c in cuts]

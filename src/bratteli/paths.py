@@ -338,7 +338,10 @@ def telescope_path(tmap, p: FinitePath, telescoped: OrderedBratteliDiagram):
 
 def untelescope_path(tmap, p: FinitePath, original: OrderedBratteliDiagram):
     """Inverse of telescope_path: each telescoped edge's original path, in
-    turn."""
+    turn.  A path deeper than the map's levels is a DiagramError."""
+    if p.depth > len(tmap.orig_paths):
+        raise DiagramError(
+            f"path depth {p.depth} exceeds {len(tmap.orig_paths)}")
     idx = tuple(itertools.chain.from_iterable(
         map(getitem, tmap.orig_paths, p.edge_indices)))
     return _path((len(idx), idx, p.terminal_vertex))

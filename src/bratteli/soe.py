@@ -14,10 +14,10 @@ import itertools
 from functools import cached_property
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      TelescopeMap, _check_ints, _edges_from_matrix,
-                      _extremal_sources, _iterate_r, _iterate_s, _record,
-                      check_valid, incidence_matrix, is_int_list,
-                      make_diagram, mat_mul, telescope_segments)
+                      TelescopeMap, _block_key, _check_ints,
+                      _edges_from_matrix, _extremal_sources, _iterate_r,
+                      _iterate_s, _record, check_valid, incidence_matrix,
+                      is_int_list, make_diagram, mat_mul, telescope_segments)
 from .paths import (FinitePath, _lex_paths, _path, _step, extremal_paths,
                     is_maximal, path_prefix, path_rank, telescope_path,
                     untelescope_path, vershik_predecessor, vershik_successor)
@@ -277,11 +277,17 @@ def _segment_table(d, bd, level, lo, hi) -> tuple:
 
 def _side_map(d, bd, first) -> TelescopeMap:
     """The telescope map from d onto bd, which d carries on the vertex
-    levels first, first + 2, ...: one segment table per level of bd."""
+    levels first, first + 2, ...: one segment table per level of bd, built
+    once per distinct pair of a block of d and a level of bd, each keyed
+    by the identities of its _level_index entries (_block_key)."""
     cuts = (0, *range(first, d.num_levels + 1, 2))
-    return TelescopeMap(cuts, tuple(
-        _segment_table(d, bd, n, lo + 1, hi)
-        for n, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1)))
+    built, tables = {}, []
+    for n, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
+        key = _block_key(d, lo, hi), id(bd._level_index[n - 1])
+        if key not in built:
+            built[key] = _segment_table(d, bd, n, lo + 1, hi)
+        tables.append(built[key])
+    return TelescopeMap(cuts, tuple(tables))
 
 
 def realize_orbit_map(bp: InterleavedDiagram,

@@ -778,6 +778,161 @@ def test_telescope_segments_reject_levels_out_of_range():
             dg.telescope_segments(d, lo, hi)
 
 
+# ---------------------------------------------------------------------------
+# telescope against the block-by-block stack walk it replaced
+
+
+def _stack_segments(d, lo, hi):
+    """Every segment over levels lo..hi, walked depth first from each range
+    vertex with a stack, each vertex's in-edges pushed in reverse."""
+    segs = []
+    for r in range(d.vertex_counts[hi]):
+        stack = [(r, ())]
+        while stack:
+            v, path = stack.pop()
+            n = hi - len(path)
+            if n < lo:
+                segs.append((v, r, path))
+                continue
+            level = d.level_edges(n)
+            for e in reversed(dg.in_edges(d, n)[v]):
+                stack.append((level[e][0], (e,) + path))
+    return segs
+
+
+def _reference_telescope(d, cuts):
+    """telescope(d, cuts) with every block listed by the stack walk."""
+    cuts = tuple(cuts)
+    segs = [_stack_segments(d, lo + 1, hi)
+            for lo, hi in zip((0,) + cuts, cuts)]
+    labels = None
+    if d.group_labels is not None:
+        labels = [d.group_labels[c - 1] for c in cuts]
+    td = dg.make_diagram(len(cuts), [1] + [d.vertex_counts[c] for c in cuts],
+                         [[(s, r) for s, r, _ in level] for level in segs],
+                         labels)
+    return td, dg.TelescopeMap(
+        (0,) + cuts, tuple(tuple(path for _, _, path in level)
+                           for level in segs))
+
+
+def _check_telescope(d, cuts):
+    """telescope(d, cuts) equals the reference, and blocks whose levels
+    and vertex counts are equal one by one share their telescoped edge
+    level, orig_paths tuple and path table."""
+    td, tmap = dg.telescope(d, cuts)
+    assert (td, tmap) == _reference_telescope(d, cuts), (d, cuts)
+    vcs, blocks = d.vertex_counts, list(zip((0,) + tuple(cuts), cuts))
+    for i, (lo, hi) in enumerate(blocks):
+        for j, (lo2, hi2) in enumerate(blocks[:i]):
+            if d.edges[lo:hi] == d.edges[lo2:hi2] and \
+                    vcs[lo:hi + 1] == vcs[lo2:hi2 + 1]:
+                assert td.edges[i] is td.edges[j], (cuts, i, j)
+                assert tmap.orig_paths[i] is tmap.orig_paths[j], (cuts, i, j)
+                assert tmap.path_tables[i] is tmap.path_tables[j]
+    return td, tmap
+
+
+def _direct_copy(d):
+    """d built without make_diagram, each level a tuple of its own, so
+    equal levels are equal tuples but never one tuple."""
+    copy = dg.OrderedBratteliDiagram(
+        d.num_levels, d.vertex_counts,
+        tuple(tuple(list(level)) for level in d.edges), d.group_labels)
+    assert all(a is not b for a, b in zip(copy.edges, copy.edges[1:]))
+    assert copy == d
+    return copy
+
+
+@st.composite
+def _telescope_inputs(draw):
+    kind = draw(st.sampled_from(
+        ["stationary", "odometer", "union", "random", "direct"]))
+    levels = draw(st.integers(1, 7))
+    if kind in ("stationary", "direct"):
+        k = draw(st.integers(1, 2))
+        rows = st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any)
+        m = draw(st.lists(rows, min_size=k, max_size=k).filter(
+            lambda m: all(any(col) for col in zip(*m))))
+        d = gen.stationary_adic(m, levels)
+        if kind == "direct":
+            d = _direct_copy(d)
+    elif kind == "odometer":
+        d = gen.odometer(draw(st.integers(2, 3)), levels)
+    elif kind == "union":
+        bases = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+        d = gen.disjoint_union([gen.odometer(b, levels) for b in bases])
+    else:
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        d = random_diagram(rng, levels, 3, 3)
+    inner = draw(st.sets(st.integers(1, levels - 1))) if levels > 1 else set()
+    return d, sorted(inner) + [levels]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_telescope_inputs())
+def test_telescope_matches_stack_walk_reference(inputs):
+    _check_telescope(*inputs)
+
+
+def test_telescope_matches_stack_walk_reference_on_table_suite(table_suite):
+    checked = 0
+    for d in table_suite.values():
+        n = d.num_levels
+        for cuts in ([n], list(range(1, n + 1)), list(range(2, n + 1, 2)),
+                     sorted({*range(3, n, 3), n}), [1, 2, 5, 6, n]):
+            cuts = sorted(set(c for c in cuts if 1 <= c <= n))
+            if cuts[-1] != n or sum(
+                    _segment_count(d, lo + 1, hi)
+                    for lo, hi in zip([0] + cuts, cuts)) > 20000:
+                continue
+            _check_telescope(d, cuts)
+            checked += 1
+    assert checked >= 30
+
+
+def test_telescope_shares_repeated_blocks():
+    # Cut every 4 levels, the stationary diagram's blocks after the first
+    # are one block: one edge level, one orig_paths tuple, one path table.
+    d = gen.stationary_adic([[2, 1], [1, 1]], 12)
+    for d in (d, _direct_copy(d)):
+        td, tmap = _check_telescope(d, [4, 8, 12])
+        assert td.vertex_counts == (1, 2, 2, 2)
+        assert td.edges[1] is td.edges[2]
+        assert td.edges[0] != td.edges[1]
+        assert tmap.orig_paths[1] is tmap.orig_paths[2]
+        assert tmap.path_tables[1] is tmap.path_tables[2]
+        assert tmap.path_tables[0] is not tmap.path_tables[1]
+
+
+def test_path_tables_are_shared_per_orig_paths_tuple():
+    # A periodic map: levels 1 and 3 share one tuple, 2 and 4 another.
+    a, b = ((0,), (1,)), ((0, 0), (1, 0), (0, 1))
+    tmap = dg.TelescopeMap((0, 1, 3, 4, 6), (a, b, a, b))
+    tables = tmap.path_tables
+    assert tables[0] is tables[2] and tables[1] is tables[3]
+    assert tables[0] is not tables[1]
+    assert tables[1] == {(0, 0): 0, (1, 0): 1, (0, 1): 2}
+    # Equal tuples that are not one tuple get dicts of their own.
+    apart = dg.TelescopeMap((0, 1, 2), (a, tuple(list(a)))).path_tables
+    assert apart[0] == apart[1] and apart[0] is not apart[1]
+
+
+def test_telescope_holds_each_distinct_block_once():
+    # odometer(2, 32) cut at 16 and 32 is exactly MAX_TELESCOPE_EDGES
+    # edges, in two equal blocks of 2^16 segments of 16 edges.  Listing
+    # each block apart held both, about 47 MB of growth; listing the one
+    # distinct block once holds it once, about 27 MB.
+    grown_mb, shared = peak_growth(
+        "from bratteli import diagram as dg, generators as gen\n"
+        "d = gen.odometer(2, 32)",
+        "(lambda t: (sum(map(len, t[0].edges)),"
+        " t[1].orig_paths[0] is t[1].orig_paths[1]))"
+        "(dg.telescope(d, [16, 32]))")
+    assert grown_mb <= 37, f"peak RSS grew by {grown_mb} MB"
+    assert shared == f"({dg.MAX_TELESCOPE_EDGES}, True)"
+
+
 def test_label_of_refuses_levels_and_vertices_out_of_range():
     for d in (gen.disjoint_union([gen.odometer(2, 3), gen.odometer(3, 3)]),
               dg.make_diagram(3, [1, 2, 2, 2],

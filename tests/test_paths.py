@@ -471,6 +471,23 @@ def test_telescope_path_round_trip():
         assert pt.untelescope_path(tmap, q, d) == p
 
 
+def test_untelescope_path_refuses_a_path_deeper_than_the_map():
+    # The map has 3 levels; a depth-5 path once lost its last two edges
+    # and came back as a depth-6 path of the first three.
+    d = gen.odometer(2, 6)
+    td, tmap = dg.telescope(d, [2, 4, 6])
+    for p in (pt.FinitePath(5, (0, 1, 2, 3, 0), 0),
+              pt.FinitePath(4, (0, 0, 0, 0), 0)):
+        with pytest.raises(dg.DiagramError) as info:
+            pt.untelescope_path(tmap, p, d)
+        assert str(info.value) == f"path depth {p.depth} exceeds 3"
+    top = pt.FinitePath(3, (3, 2, 1), 0)
+    assert pt.untelescope_path(tmap, top, d) == \
+        pt.make_path(d, (1, 1, 0, 1, 1, 0))
+    assert pt.telescope_path(tmap, pt.untelescope_path(tmap, top, d),
+                             td) == top
+
+
 def test_telescope_conjugates_successor():
     d = gen.odometer(2, 6)
     td, tmap = dg.telescope(d, [2, 4, 6])

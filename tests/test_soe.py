@@ -780,10 +780,15 @@ def test_orbit_map_is_built_once_per_interleaving(monkeypatch):
     # cocycles read the same ones.
     pairing = soe.pair_extremal_paths(bp, bp.diagram.num_levels)
     assert soe.check_cocycle_continuity(F, 4)["ok"]
-    assert len(built) == 17     # 9 B1 levels and 8 B2 levels
+    # One table per distinct (interleaved block, B level) pair: B1's root
+    # level, B1's 8 equal levels above it and B2's 8 equal levels.
+    assert len(built) == 3
+    assert len(F.f1.orig_paths) == 9 and len(F.f2.orig_paths) == 8
+    assert all(t is F.f1.orig_paths[1] for t in F.f1.orig_paths[1:])
+    assert all(t is F.f2.orig_paths[0] for t in F.f2.orig_paths)
     pairing_again = soe.pair_extremal_paths(bp, bp.diagram.num_levels)
     assert soe.check_cocycle_continuity(F, 4)["ok"]
-    assert len(built) == 17
+    assert len(built) == 3
     assert pairing_again == pairing
     assert pairing.min_pairs == ((pt.min_path_to(F.b1, 9, 0),
                                   pt.min_path_to(F.b2, 8, 0)),)
@@ -794,7 +799,7 @@ def test_soe_report_realizes_orbit_map_once(monkeypatch):
     report = soe.soe_report(*criterion6_pair(), 4)
     assert report["pairing_ok"] and report["continuity_ok"]
     assert set(report["continuity"]) == {"eligible"}
-    assert len(built) == 17
+    assert len(built) == 3      # as in the test above
 
 
 def test_search_order_is_fixed():
