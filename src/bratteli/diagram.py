@@ -5,6 +5,18 @@ single root) and edge levels 1..N.  Edges at each level are stored in a
 canonical list sorted by range vertex; the position of an edge among the
 edges sharing its range vertex is its place in the linear order, so two
 edges are comparable exactly when they have the same range.
+
+Diagram data is checked once, at the boundary.  make_diagram is the one
+checked constructor for data from outside the library: diagram_from_json,
+Python callers, and disjoint_union and towers_to_diagram, which are handed
+records and tower data from their callers.  The library's own builders,
+telescope, soe.build_interleaved and the odometer, stationary and
+cycle-tower generators, derive every level canonical by construction and
+build the OrderedBratteliDiagram record directly from tuple levels.  That
+is safe: their levels are canonical as built, the generators count their
+edges from their arguments first, and a telescoping holds no more vertices
+than its source, so it inherits the bound the source's vertex cap put on
+the tables a diagram builds.
 """
 
 from __future__ import annotations
@@ -236,6 +248,13 @@ def make_diagram(num_levels: int,
     Raises MalformedDiagram for broken field data, and for more vertices
     below the root than edges plus MAX_TELESCOPE_EDGES; axiom violations
     are left to validate_diagram.
+
+    This is the boundary for diagram data: JSON (diagram_from_json),
+    Python callers, and disjoint_union and towers_to_diagram call it.
+    Builders whose levels are canonical by construction (telescope,
+    soe.build_interleaved, odometer, stationary_adic and the towers of
+    finite_cycle_system) build the record directly instead; each such
+    record equals make_diagram of its own fields.
     """
     if type(num_levels) is not int:
         raise MalformedDiagram("num_levels must be an integer")
@@ -489,11 +508,11 @@ def incidence_matrix(d: OrderedBratteliDiagram, n: int) -> list:
     return m
 
 
-def _edges_from_matrix(m) -> list:
+def _edges_from_matrix(m) -> tuple:
     """Inverse of incidence_matrix: m[w][v] edges from v to w, by range w,
-    then source v."""
-    return [(v, w) for w, row in enumerate(m)
-            for v, count in enumerate(row) for _ in range(count)]
+    then source v, which is a canonical level."""
+    return tuple([(v, w) for w, row in enumerate(m)
+                  for v, count in enumerate(row) for _ in range(count)])
 
 
 def mat_mul(a: list, b: list) -> list:
@@ -586,11 +605,12 @@ def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
 # Largest diagram, in edges, that telescope() or a generator builds.  Each
 # telescoped edge keeps its segment as a tuple of original edges, so
 # telescope() also caps the edge indices those tuples hold at
-# MAX_TELESCOPE_INDICES.  At the cap, on a 2-vCPU host with Python 3.11,
-# telescoping the 17-level 2-odometer into one level (2,228,224 indices)
-# takes about 0.2 s and 53 MB, and `bratteli telescope`, which also writes
-# every edge as indented JSON, about 0.8 s and 76 MB peak.  4,096 edges of
-# 1,024-level segments, 2^22 indices, take about 0.1 s and 32 MB.
+# MAX_TELESCOPE_INDICES.  At the cap, on a 2-vCPU Intel Xeon host with
+# Python 3.11.7, telescoping the 17-level 2-odometer into one level
+# (2,228,224 indices) takes about 0.2 s and 42 MB of peak RSS growth, and
+# `bratteli telescope`, which also writes every edge as indented JSON,
+# about 0.9 s and 72 MB peak.  4,096 edges of 1,024-level segments, 2^22
+# indices, take about 0.1 s and 31 MB.
 MAX_TELESCOPE_EDGES = 2 ** 17
 MAX_TELESCOPE_INDICES = 2 ** 22
 
@@ -642,8 +662,12 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
     collapsed once (_block_key): blocks whose levels are equal one by one,
     as all but the first of a stationary diagram cut at even steps are,
     share one edge level of the result and one tuple of orig_paths.
+    The segments are listed by range vertex, so each new level is
+    canonical as listed, and the record is built without make_diagram; a
+    diagram that fails the axioms may telescope to more pathless vertices
+    than make_diagram's vertex cap admits, and is returned all the same.
     """
-    cuts = tuple(cuts)
+    cuts = _sequence(cuts, "cut points")
     _check_ints(cuts, "cut points")
     if not cuts or any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise DiagramError("cut points must be strictly increasing")
@@ -662,14 +686,13 @@ def telescope(d: OrderedBratteliDiagram, cuts: Sequence[int]):
     for lo, hi, key in blocks:
         if key not in built:
             segs = telescope_segments(d, lo + 1, hi)
-            built[key] = ([(s, r) for s, r, _ in segs],
+            built[key] = (tuple([(s, r) for s, r, _ in segs]),
                           tuple([path for _, _, path in segs]))
     new_edges, paths = zip(*[built[key] for _, _, key in blocks])
-    labels = None
-    if d.group_labels is not None:
-        labels = [d.group_labels[c - 1] for c in cuts]
-    td = make_diagram(len(cuts), [1] + [d.vertex_counts[c] for c in cuts],
-                      new_edges, labels)
+    vcs, labels = d.vertex_counts, d.group_labels
+    td = OrderedBratteliDiagram(
+        len(cuts), (1,) + tuple([vcs[c] for c in cuts]), new_edges,
+        None if labels is None else tuple([labels[c - 1] for c in cuts]))
     return td, TelescopeMap((0,) + cuts, paths)
 
 

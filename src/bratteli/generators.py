@@ -9,7 +9,8 @@ from itertools import chain
 from typing import Dict, Sequence, Tuple
 
 from .diagram import (MAX_TELESCOPE_EDGES, DiagramError, OrderedBratteliDiagram,
-                      _check_ints, _edges_from_matrix, _record, make_diagram)
+                      _check_ints, _edges_from_matrix, _record, _sequence,
+                      make_diagram)
 from .ktheory import FinitePermutationSystem, make_permutation_system
 
 
@@ -37,9 +38,9 @@ def odometer(base: int, levels: int) -> OrderedBratteliDiagram:
     if levels < 1:
         raise DiagramError("levels must be >= 1")
     _check_edge_count(base * levels)
-    edges = [[(0, 0)] * base for _ in range(levels)]
-    labels = [[0]] * levels
-    return make_diagram(levels, [1] * (levels + 1), edges, labels)
+    return OrderedBratteliDiagram(levels, (1,) * (levels + 1),
+                                  (((0, 0),) * base,) * levels,
+                                  ((0,),) * levels)
 
 
 def stationary_adic(matrix: Sequence[Sequence[int]],
@@ -50,10 +51,11 @@ def stationary_adic(matrix: Sequence[Sequence[int]],
     range vertex by source index; level 1 gives each vertex its row sum
     many root edges, so a 1x1 matrix [d] reproduces the d-odometer exactly.
     """
-    k = len(matrix)
+    m = [_sequence(row, f"matrix row {i} entries")
+         for i, row in enumerate(_sequence(matrix, "matrix rows"))]
+    k = len(m)
     if not k:
         raise DiagramError("matrix must have at least one row")
-    m = [list(row) for row in matrix]
     _check_ints(chain.from_iterable(m), "matrix entries")
     if any(len(row) != k for row in m):
         raise DiagramError("matrix must be square")
@@ -67,10 +69,10 @@ def stationary_adic(matrix: Sequence[Sequence[int]],
     if levels < 1:
         raise DiagramError("levels must be >= 1")
     _check_edge_count(levels * sum(map(sum, m)))
-    root = [[sum(row)] for row in m]
-    edges = ([_edges_from_matrix(root)]
-             + [_edges_from_matrix(m)] * (levels - 1))
-    return make_diagram(levels, [1] + [k] * levels, edges)
+    root = _edges_from_matrix([[sum(row)] for row in m])
+    level = _edges_from_matrix(m)
+    return OrderedBratteliDiagram(levels, (1,) + (k,) * levels,
+                                  (root,) + (level,) * (levels - 1))
 
 
 def disjoint_union(ds: Sequence[OrderedBratteliDiagram]
@@ -122,7 +124,7 @@ def finite_cycle_system(lengths: Sequence[int], levels: int = 6
     """Disjoint cycles of the given lengths, plus the constant diagram whose
     towers have those heights (one tower per cycle, identity after level 1).
     """
-    lengths = list(lengths)
+    lengths = _sequence(lengths, "cycle lengths")
     _check_ints(lengths, "cycle lengths")
     if not lengths or any(x < 1 for x in lengths):
         raise DiagramError("cycle lengths must be positive")
@@ -138,9 +140,9 @@ def finite_cycle_system(lengths: Sequence[int], levels: int = 6
         fiber.extend([ci] * ln)
         base += ln
     system = make_permutation_system(perm, fiber)
-    towers = [make_diagram(
-        levels, [1] * (levels + 1),
-        [[(0, 0)] * ln] + [[(0, 0)]] * (levels - 1)) for ln in lengths]
+    towers = [OrderedBratteliDiagram(
+        levels, (1,) * (levels + 1),
+        (((0, 0),) * ln,) + (((0, 0),),) * (levels - 1)) for ln in lengths]
     return system, disjoint_union(towers)
 
 
@@ -170,8 +172,11 @@ class TowerSystem:
 
 
 def make_tower_system(heights, return_group) -> TowerSystem:
-    hs = tuple(map(tuple, heights))
-    rg = tuple(map(tuple, return_group))
+    hs = tuple(_sequence(grp, f"tower heights of group {t}")
+               for t, grp in enumerate(_sequence(heights, "tower heights")))
+    rg = tuple(_sequence(grp, f"return groups of group {t}")
+               for t, grp in enumerate(_sequence(return_group,
+                                                 "return groups")))
     _check_ints(chain.from_iterable(hs), "tower heights")
     _check_ints(chain.from_iterable(rg), "return groups")
     if len(hs) != len(rg) or any(len(a) != len(b) for a, b in zip(hs, rg)):

@@ -12,8 +12,8 @@ from itertools import chain, compress
 from typing import Dict, List, Optional
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      _check_ints, _record, check_valid, incidence_matrix,
-                      is_int_list, mat_vec)
+                      _check_ints, _record, _sequence, check_valid,
+                      incidence_matrix, is_int_list, mat_vec)
 from .paths import extremal_paths
 
 
@@ -381,7 +381,7 @@ class DimensionGroupPresentation:
                 and 1 <= level <= to_level <= self.num_levels):
             raise DiagramError(
                 f"cannot push level {level} to {to_level}")
-        v = list(vector)
+        v = list(_sequence(vector, "vector entries"))
         if len(v) != self.sizes[level - 1]:
             raise DiagramError("vector length does not match level size")
         _check_ints(v, "vector entries")
@@ -420,7 +420,7 @@ def k0_presentation(d: OrderedBratteliDiagram,
             f"MAX_K0_ENTRIES = {MAX_K0_ENTRIES}")
     if heights is None:
         heights = natural_heights(d)
-    hs = tuple(heights)
+    hs = _sequence(heights, "heights")
     _check_ints(hs, "heights")
     if len(hs) != d.vertex_counts[1]:
         raise DiagramError(
@@ -557,7 +557,8 @@ class FinitePermutationSystem:
 
 
 def make_permutation_system(perm, fiber) -> FinitePermutationSystem:
-    perm, fiber = tuple(perm), tuple(fiber)
+    perm = _sequence(perm, "perm entries")
+    fiber = _sequence(fiber, "fiber entries")
     _check_ints(perm, "perm entries")
     _check_ints(fiber, "fiber entries")
     n = len(perm)

@@ -21,7 +21,8 @@ from typing import NamedTuple, Optional
 
 from .diagram import (DiagramError, OrderedBratteliDiagram, _check_ints,
                       _check_vertex, _extremal_sources, _iterate_r,
-                      _iterate_s, _record, check_fem_properties, check_valid)
+                      _iterate_s, _record, _sequence, check_fem_properties,
+                      check_valid)
 
 
 class MaximalPathError(DiagramError):
@@ -61,7 +62,7 @@ _path = partial(tuple.__new__, FinitePath)
 def make_path(d: OrderedBratteliDiagram, edge_indices) -> FinitePath:
     """Validate edge composition and build a FinitePath; each edge index
     must be an int (not a bool, float or string)."""
-    idx = tuple(edge_indices)
+    idx = _sequence(edge_indices, "edge indices")
     _check_ints(idx, "edge indices")
     if len(idx) > d.num_levels:
         raise DiagramError(f"path depth {len(idx)} exceeds {d.num_levels}")

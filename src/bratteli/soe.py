@@ -16,8 +16,9 @@ from functools import cached_property
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       TelescopeMap, _block_key, _check_ints,
                       _edges_from_matrix, _extremal_sources, _iterate_r,
-                      _iterate_s, _record, check_valid, incidence_matrix,
-                      is_int_list, make_diagram, mat_mul, telescope_segments)
+                      _iterate_s, _record, _sequence, check_valid,
+                      incidence_matrix, is_int_list, mat_mul,
+                      telescope_segments)
 from .paths import (FinitePath, _lex_paths, _path, _step, extremal_paths,
                     is_maximal, path_prefix, path_rank, telescope_path,
                     untelescope_path, vershik_predecessor, vershik_successor)
@@ -55,8 +56,12 @@ class Intertwining:
 
 def _int_matrices(matrices, what: str) -> tuple:
     """matrices as tuples of row tuples; DiagramError names what unless
-    every entry is exactly an int (a bool is not)."""
-    ms = tuple(tuple(map(tuple, m)) for m in matrices)
+    it, each matrix and each row are iterable and every entry is exactly an
+    int (a bool is not)."""
+    ms = tuple(
+        tuple(_sequence(row, f"{what}[{i}] row {j} entries")
+              for j, row in enumerate(_sequence(m, f"{what}[{i}] rows")))
+        for i, m in enumerate(_sequence(matrices, what)))
     _check_ints(itertools.chain.from_iterable(
         itertools.chain.from_iterable(ms)), f"{what} entries")
     return ms
@@ -189,14 +194,15 @@ def build_interleaved(b1: OrderedBratteliDiagram,
     check_valid(b1)
     check_valid(b2)
     validate_intertwining(b1, b2, w)
-    mats = [incidence_matrix(b1, 1)]
+    mats = [tuple(map(tuple, incidence_matrix(b1, 1)))]
     for n in range(len(w.p_matrices)):
         mats.append(w.p_matrices[n])
         if n < len(w.q_matrices):
             mats.append(w.q_matrices[n])
-    vcs = [1] + [len(m) for m in mats]
-    edges = [_edges_from_matrix(m) for m in mats]
-    d = make_diagram(len(mats), vcs, edges)
+    # Equal matrices give one shared level.
+    levels = {m: _edges_from_matrix(m) for m in set(mats)}
+    d = OrderedBratteliDiagram(len(mats), (1,) + tuple(map(len, mats)),
+                               tuple(map(levels.__getitem__, mats)))
     check_valid(d)
     return InterleavedDiagram(d, b1, b2)
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 import bratteli
 from bratteli import diagram as dg
@@ -117,3 +118,11 @@ def table_suite(suite):
         inputs[name + "-telescoped"] = dg.telescope(
             d, [2, 5, 6, d.num_levels])[0]
     return inputs
+
+
+def stationary_matrices(k):
+    """Hypothesis strategy: k x k matrices with entries 0..2 and no zero
+    row or column, which stationary_adic accepts."""
+    rows = st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any)
+    return st.lists(rows, min_size=k, max_size=k).filter(
+        lambda m: all(any(col) for col in zip(*m)))

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loader_reference
+import test_soe
 from bratteli import diagram as dg
 from bratteli import generators as gen
 from bratteli import ktheory as kt
 from bratteli import paths as pt
 from bratteli import soe
-from conftest import UNFED_JSON, peak_growth, random_diagram
+from conftest import (UNFED_JSON, peak_growth, random_diagram,
+                      stationary_matrices)
 
 
 def fib(levels=6):
@@ -1070,3 +1072,88 @@ def test_record_semantics(cls, fields, text):
         assert getattr(r, name) is vars(r)[name]
     assert r == cls(*values) and hash(r) == hash(cls(*values))
     assert repr(r) == text
+
+
+# ---------------------------------------------------------------------------
+# The library's own builders hand over records that make_diagram would build
+
+
+@st.composite
+def _built_diagrams(draw):
+    """A diagram as a builder that skips make_diagram hands it over."""
+    kind = draw(st.sampled_from(
+        ["telescope", "interleaved", "odometer", "stationary", "cycles"]))
+    if kind == "telescope":
+        return dg.telescope(*draw(_telescope_inputs()))[0]
+    if kind == "interleaved":
+        return test_soe._orbit_map(draw(st.sampled_from(
+            ["criterion6", "union-swap", "odometer"]))).diagram
+    levels = draw(st.integers(1, 6))
+    if kind == "odometer":
+        return gen.odometer(draw(st.integers(2, 4)), levels)
+    if kind == "stationary":
+        k = draw(st.integers(1, 3))
+        return gen.stationary_adic(draw(stationary_matrices(k)), levels)
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return gen.finite_cycle_system(lengths, levels)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_built_diagrams())
+def test_builders_hand_over_what_make_diagram_builds(d):
+    assert d == dg.make_diagram(d.num_levels, d.vertex_counts, d.edges,
+                                d.group_labels)
+    assert type(d.num_levels) is int
+    assert type(d.vertex_counts) is tuple and type(d.edges) is tuple
+    for level in d.edges:
+        assert type(level) is tuple
+        assert all(type(e) is tuple for e in level)
+    if d.group_labels is not None:
+        assert type(d.group_labels) is tuple
+        assert all(type(labels) is tuple for labels in d.group_labels)
+    hash(d)
+
+
+def test_telescope_keeps_pathless_vertices_past_the_vertex_cap(monkeypatch):
+    # Level-2 vertex 1 has no in-edge but feeds all six level-3 vertices,
+    # so d has as many edges as vertices below the root.  Cut at 3, five
+    # of its six vertices have no path: one edge under six vertices, past
+    # the cap of 4 that make_diagram applies.  The telescoping is built
+    # all the same; validate_diagram reports the five.
+    monkeypatch.setattr(dg, "MAX_TELESCOPE_EDGES", 4)
+    d = dg.make_diagram(3, [1, 1, 2, 6],
+                        [[(0, 0)], [(0, 0)],
+                         [(0, 0)] + [(1, r) for r in range(6)]])
+    td, tmap = dg.telescope(d, [3])
+    assert td == dg.OrderedBratteliDiagram(1, (1, 6), (((0, 0),),))
+    assert tmap.orig_paths == (((0, 0, 0),),)
+    assert len(dg.validate_diagram(td)) == 5
+    with pytest.raises(dg.MalformedDiagram, match="MAX_TELESCOPE_EDGES"):
+        dg.make_diagram(td.num_levels, td.vertex_counts, td.edges)
+
+
+_ODO = gen.odometer(2, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dg.telescope(_ODO, None), "cut points"),
+    (lambda: dg.telescope(_ODO, 3), "cut points"),
+    (lambda: pt.make_path(_ODO, None), "edge indices"),
+    (lambda: pt.make_path(_ODO, 5), "edge indices"),
+    (lambda: soe.make_intertwining(None, []), "p_matrices"),
+    (lambda: soe.make_intertwining([5], []), r"p_matrices\[0\] rows"),
+    (lambda: kt.make_permutation_system(None, [0]), "perm entries"),
+    (lambda: gen.finite_cycle_system(None), "cycle lengths"),
+    (lambda: gen.stationary_adic(None, 3), "matrix rows"),
+    (lambda: gen.stationary_adic([5], 3), "matrix row 0 entries"),
+    (lambda: kt.k0_presentation(_ODO, 5), "heights"),
+    (lambda: kt.k0_presentation(_ODO).push(1, None, 2), "vector entries"),
+    (lambda: gen.make_tower_system(None, None), "tower heights"),
+], ids=["telescope-none", "telescope-int", "path-none", "path-int",
+        "intertwining-none", "intertwining-int-matrix", "permutation-none",
+        "cycles-none", "stationary-none", "stationary-int-row",
+        "k0-heights-int", "push-none", "towers-none"])
+def test_entry_points_refuse_non_iterables_by_name(call, message):
+    with pytest.raises(dg.DiagramError,
+                       match=f"^{message} are not iterable$"):
+        call()
