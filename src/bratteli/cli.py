@@ -8,7 +8,8 @@ that closes stdout early also gets exit code 1, without a traceback.
 Every command but validate and export-dot refuses a diagram file that
 fails the axioms, with exit code 1.  The environment variable
 BRATTELI_MAX_DEPTH (default 16) caps every --depth argument; it is read
-on every call and capped values are reported in diagnostics.  The
+on every call, a value that is not a non-negative integer reads as
+unset, and capped values are reported in diagnostics.  The
 argument parser is built once per process and shared by every ``run``
 call; it holds no per-call state.
 
@@ -35,10 +36,12 @@ from . import paths as pt
 
 
 def _max_depth() -> int:
+    # A cap that is not an integer, or is negative, reads as unset.
     try:
-        return int(os.environ.get("BRATTELI_MAX_DEPTH", "16"))
+        cap = int(os.environ.get("BRATTELI_MAX_DEPTH", "16"))
     except ValueError:
         return 16
+    return cap if cap >= 0 else 16
 
 
 def _cap_depth(depth: int, diagnostics: list) -> int:

@@ -151,11 +151,13 @@ def path_unrank(d: OrderedBratteliDiagram, level: int, vertex: int,
         raise DiagramError(
             f"rank {rank} out of range 0..{total - 1} for vertex "
             f"{vertex} at level {level}")
-    # The paths through an in-edge take the ranks from its offset on.
+    # The paths through an in-edge take the ranks from its offset on, and
+    # a vertex's in-edges are one contiguous run of the level, so the
+    # bisection runs over the level's offsets between the run's ends.
     rev = []
     for n in range(level - 1, -1, -1):
-        order, off = d.in_edge_table[n][vertex], d.rank_offset_table[n]
-        e = order[bisect_right(order, rank, key=off.__getitem__) - 1]
+        run, off = d.in_edge_table[n][vertex], d.rank_offset_table[n]
+        e = bisect_right(off, rank, run[0], run[-1] + 1) - 1
         rev.append(e)
         rank -= off[e]
         vertex = d.edges[n][e][0]
@@ -191,22 +193,37 @@ def vershik_predecessor(d: OrderedBratteliDiagram, p: FinitePath) -> FinitePath:
 
 
 def _step(d, p, shift):
-    # Forward (shift=1) or back (-1): move the shallowest edge that has a
-    # next (previous) edge into its range vertex, and replace the edges
-    # before it by the all-minimal (all-maximal) path into its new source;
-    # at level 0 there are no edges before it.  A canonical level holds
-    # each vertex's in-edges as one run in edge order, so that edge is the
-    # level's edge e + shift when it has e's range.
+    """p moved one Vershik step forward (shift=1) or back (-1), or None at
+    the all-maximal (all-minimal) path: _moved_head's new first edges,
+    then p's own edges past them."""
     depth, idx, v = p
     if depth > d.num_levels:
         raise DiagramError(f"path depth {depth} exceeds {d.num_levels}")
+    head = _moved_head(d, idx, shift)
+    if head is None:
+        return None
+    return _path((depth, head + idx[len(head):], v))
+
+
+def _moved_head(d, idx, shift):
+    """The first m edges of the edge tuple idx after one Vershik step
+    forward (shift=1) or back (-1), or None when idx is all-maximal
+    (all-minimal); idx's edges past m are kept as they are.
+
+    The step moves the shallowest edge that has a next (previous) edge
+    into its range vertex, the m-th, and replaces the edges before it by
+    the all-minimal (all-maximal) path into its new source; at level 0
+    there are no edges before it.  A canonical level holds each vertex's
+    in-edges as one run in edge order, so that edge is the level's edge
+    e + shift when it has e's range.  The depth is trusted to fit d.
+    """
     edges = d.edges
     for n, e in enumerate(idx):
         level, y = edges[n], e + shift
         if 0 <= y < len(level) and level[y][1] == level[e][1]:
-            head = (_extremal_edges(d, n, level[y][0], min(shift, 0))
-                    if n else ())
-            return _path((depth, head + (y,) + idx[n + 1:], v))
+            if not n:
+                return (y,)
+            return _extremal_edges(d, n, level[y][0], min(shift, 0)) + (y,)
     return None
 
 

@@ -19,9 +19,10 @@ from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
                       _iterate_s, _record, _sequence, check_valid,
                       incidence_matrix, is_int_list, mat_mul,
                       telescope_segments)
-from .paths import (FinitePath, _lex_paths, _path, _step, extremal_paths,
-                    is_maximal, path_prefix, path_rank, telescope_path,
-                    untelescope_path, vershik_predecessor, vershik_successor)
+from .paths import (FinitePath, _lex_paths, _moved_head, _path,
+                    extremal_paths, is_maximal, path_prefix, path_rank,
+                    telescope_path, untelescope_path, vershik_predecessor,
+                    vershik_successor)
 
 
 class IntertwiningInvalid(DiagramError):
@@ -305,6 +306,28 @@ def realize_orbit_map(bp: InterleavedDiagram,
     return bp
 
 
+def _check_depth(depth) -> None:
+    """Refuse a depth that is not exactly an int (a bool is not), or is
+    below 2, as the pairing and the cocycle walks do."""
+    _check_ints((depth,), "depths")
+    if depth < 2:
+        raise DiagramError("depth must be at least 2")
+
+
+def _cocycle_b1_depth(F: InterleavedDiagram) -> int:
+    """F's realized B1 depth, refused below 2, where no cylinder is
+    eligible, with a message naming the limit: B1's levels, or the P and
+    Q matrices that interleave 1 + len(P) + len(Q) levels."""
+    realized = len(F.f1.orig_paths)
+    if realized < 2:
+        top = F.diagram.num_levels
+        limit = (f"B1 has {F.b1.num_levels} level" if F.b1.num_levels < 2
+                 else f"F is realized only to B1 depth {realized} by "
+                 f"{top // 2} P and {(top - 1) // 2} Q matrices")
+        raise DiagramError(f"{limit}; cocycles need B1 depth at least 2")
+    return realized
+
+
 def _check_realized(side: TelescopeMap, k: int, name: str, lowest=1):
     """Raise NeedsDepth unless F's side realizes depth k (at least lowest)."""
     realized = len(side.orig_paths)
@@ -377,9 +400,7 @@ def pair_extremal_paths(bp: InterleavedDiagram, depth: int) -> ExtremalPairing:
     prefix deeper than F's tables, whose cut points are its depths.  A
     depth that is not exactly an int, or is below 2, is DiagramError.
     """
-    _check_ints((depth,), "depths")
-    if depth < 2:
-        raise DiagramError("depth must be at least 2")
+    _check_depth(depth)
     d = bp.diagram
     pairs = {}
     for kind in ("min", "max"):
@@ -411,17 +432,27 @@ def cocycle(F: InterleavedDiagram, p: FinitePath,
     shared tail.  The value is the B2 rank shift between the images of the
     prefix and its successor (predecessor), so iterating the B2 successor
     that many times from F(x) reaches F applied to the shifted point, for
-    every x in the cylinder.
+    every x in the cylinder.  The two images share every B2 edge past the
+    m levels that the step moves, and rank is a sum of one offset per
+    edge, so the value is the rank shift between their first m edges
+    (_moved_images).
     """
-    q, q2 = cocycle_images(F, p, direction)
+    q, q2 = _moved_images(F, p, direction)
     return path_rank(F.b2, q2) - path_rank(F.b2, q)
 
 
-def cocycle_images(F: InterleavedDiagram, p: FinitePath,
-                   direction: str = "forward"):
-    """The two B2 paths whose rank difference is the cocycle value: the
-    images under F of p and of p with its prefix moved one Vershik step,
-    which share p's last edge and so end at one B2 vertex."""
+def _moved_images(F: InterleavedDiagram, p: FinitePath, direction: str):
+    """The first m edges of cocycle_images' two B2 paths, as two depth-m
+    paths into one B2 vertex, where m is the number of leading edges that
+    B1's Vershik step on p's prefix changes (paths._moved_head).
+
+    B2's level-n edge reads B1 edges n and n+1, and x and T1x (T1^-1 x
+    backward) agree from B1 edge m+1 on, so their images agree from B2
+    edge m+1 on: _b2_edges reads m + 1 edges of each.  The cocycles'
+    checks are all made here: direction, depth, prefix range, an
+    extremal prefix (NeedsDepth), F's realized depth and the images'
+    common vertex, which at level m is the source of their shared tail.
+    """
     if direction == "forward":
         shift, end = 1, "maximal"
     elif direction == "backward":
@@ -436,19 +467,34 @@ def cocycle_images(F: InterleavedDiagram, p: FinitePath,
     if k > F.b1.num_levels:
         raise DiagramError(f"prefix length {k} out of range "
                            f"0..{F.b1.num_levels}")
-    other = _step(F.b1, (k, e[:k], None), shift)
-    if other is None:
+    head = _moved_head(F.b1, e[:k], shift)
+    if head is None:
         raise NeedsDepth(f"prefix is {end}; extend the path past the {end} "
                          "tail")
     _check_realized(F.f1, depth, "B1")
-    # q is F(x), q2 is F(T1x) (T1^-1 x backward).
-    q, q2 = _b2_edges(F, e, other[1] + e[-1:])
-    level = F.b2.edges[k - 1]
+    m = len(head)
+    # q is F(x), q2 is F(T1x) (T1^-1 x backward), each cut at level m.
+    q, q2 = _b2_edges(F, e[:m + 1], head + e[m:m + 1])
+    level = F.b2.edges[m - 1]
     v = level[q[-1]][1]
     if level[q2[-1]][1] != v:
         raise DiagramError("cocycle images disagree on vertices: "
                            "internal error")
-    return _path((k, q, v)), _path((k, q2, v))
+    return _path((m, q, v)), _path((m, q2, v))
+
+
+def cocycle_images(F: InterleavedDiagram, p: FinitePath,
+                   direction: str = "forward"):
+    """The two B2 paths whose rank difference is the cocycle value: the
+    images under F of p and of p with its prefix moved one Vershik step,
+    which share p's last edge and so end at one B2 vertex.  Each is its
+    _moved_images prefix followed by the B2 edges that both share."""
+    q, q2 = _moved_images(F, p, direction)
+    full, = _b2_edges(F, p[1])
+    tail = full[q.depth:]
+    v = F.b2.edges[len(full) - 1][full[-1]][1]
+    return (_path((len(full), q.edge_indices + tail, v)),
+            _path((len(full), q2.edge_indices + tail, v)))
 
 
 # Most B2 Vershik steps verify_cocycle takes to confirm one value.
@@ -464,8 +510,15 @@ def verify_cocycle(F: InterleavedDiagram, p: FinitePath,
     the rank tables.  It does not show that F is an orbit map: for a
     wrong F built from tables, q and q2 still end at one vertex, and the
     rank law carries q to q2.
+
+    q and q2 are the depth-m images of _moved_images.  The full images
+    extend both by one shared tail, and the paths into one vertex that
+    extend a fixed tail are a run of consecutive ranks, so the Vershik
+    steps between the full images change only their first m edges and
+    are the steps between q and q2; the tail's offsets cancel in the rank
+    difference.
     """
-    q, q2 = cocycle_images(F, p, direction)
+    q, q2 = _moved_images(F, p, direction)
     n = path_rank(F.b2, q2) - path_rank(F.b2, q)
     if abs(n) > VERIFY_LIMIT:
         raise DiagramError(f"cocycle value {n} exceeds iteration limit")
@@ -520,8 +573,14 @@ def cocycle_values(F: InterleavedDiagram, depth: int):
     + that edge, so the parent value is R(succ(x)) - R(x) and the two
     e-terms cancel: continuity holds by construction.  Otherwise x[:-1]
     is all-maximal (always at k = 1) and the parent is None.
+
+    No cylinder is eligible below depth 2, so when the walk starts it
+    refuses a depth that is not exactly an int or is below 2
+    (_check_depth), and F realized only to B1 depth 1
+    (_cocycle_b1_depth), with DiagramError.
     """
-    max_depth = min(depth, len(F.f1.orig_paths))
+    _check_depth(depth)
+    max_depth = min(depth, _cocycle_b1_depth(F))
     f2inv, offsets = F.f2.path_tables, F.b2.rank_offset_table
     for k in range(1, max_depth):
         off, pairs, tails = offsets[k - 1], f2inv[k - 1], F.f1_tails[k - 1]
@@ -554,8 +613,11 @@ def check_cocycle_continuity(F: InterleavedDiagram, depth: int) -> dict:
     refinement reports the same value.  The values come from
     cocycle_values' rank-order walk, a few table lookups per cylinder.
     Returns the eligible count plus any failures, ordered by depth, then
-    cylinder, then forward before backward.  A depth that is not exactly
-    an int (a bool is not) raises DiagramError.
+    cylinder, then forward before backward.  No cylinder is eligible
+    below depth 2, so a pass there would be vacuous: a depth that is not
+    exactly an int (a bool is not) or is below 2, or F realized only to
+    B1 depth 1, raises DiagramError with soe_report's messages, from
+    cocycle_values.
 
     A pass certifies only that F's tables compose consistently: for an F
     built from tables the child's two B2 images extend the parent's by the
@@ -563,7 +625,6 @@ def check_cocycle_continuity(F: InterleavedDiagram, depth: int) -> dict:
     checks a value independently of the rank tables, by iterating B2's
     Vershik map, but reads the same F; neither proves F an orbit map.
     """
-    _check_ints((depth,), "depths")
     eligible = 0
     failures = []
     for direction, idx, val, parent in cocycle_values(F, depth):
@@ -680,9 +741,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     before anything is built, and a realized depth below 2 raises it,
     naming that limit, once the interleaving is built.  The five cocycle
     samples are B1 paths of depth min(3, F's realized B1 depth)."""
-    _check_ints((depth,), "depths")
-    if depth < 2:
-        raise DiagramError("depth must be at least 2")
+    _check_depth(depth)
     out = {"interleaved_ok": False, "properties_ok": False,
            "pairing_ok": False, "continuity_ok": False,
            "cocycle_samples": []}
@@ -691,12 +750,7 @@ def soe_report(b1: OrderedBratteliDiagram, b2: OrderedBratteliDiagram,
     except DiagramError as exc:
         out["error"] = str(exc)
         return out
-    realized = len(bp.f1.orig_paths)
-    if realized < 2:
-        limit = (f"B1 has {b1.num_levels} level" if b1.num_levels < 2 else
-                 f"F is realized only to B1 depth {realized} by "
-                 f"{len(w.p_matrices)} P and {len(w.q_matrices)} Q matrices")
-        raise DiagramError(f"{limit}; cocycles need B1 depth at least 2")
+    realized = _cocycle_b1_depth(bp)
     out["interleaved_ok"] = True
     failures = check_interleaved_properties(bp)
     out["properties_ok"] = not failures

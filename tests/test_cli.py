@@ -112,6 +112,25 @@ def test_unreadable_depth_cap_falls_back_to_16(capsys, tmp_path,
     assert res["diagnostics"] == ["depth 20 capped to BRATTELI_MAX_DEPTH=16"]
 
 
+@pytest.mark.parametrize("cap", ["-1", "-16"])
+def test_negative_depth_cap_reads_as_unset(capsys, odo2, monkeypatch, cap):
+    # A negative cap once capped --depth 5 to itself and failed with
+    # "depth -1 out of range", a depth the caller never gave.
+    argv = ["k1", odo2, "--depth", "5"]
+    monkeypatch.delenv("BRATTELI_MAX_DEPTH", raising=False)
+    _, unset = run_json(capsys, argv)
+    monkeypatch.setenv("BRATTELI_MAX_DEPTH", cap)
+    code, res = run_json(capsys, argv)
+    assert code == 0 and res == unset
+    assert res["payload"] == {"certified": True, "rank": 1}
+    assert res["diagnostics"] == []
+    # A cap of 0 is a cap.
+    monkeypatch.setenv("BRATTELI_MAX_DEPTH", "0")
+    code, res = run_json(capsys, argv)
+    assert code == 0
+    assert res["diagnostics"] == ["depth 5 capped to BRATTELI_MAX_DEPTH=0"]
+
+
 @pytest.mark.parametrize("argv", [
     ["perfect", "--diagram", "D", "--depth", "4"],
     ["extremal", "--diagram", "D", "--depth", "4"],

@@ -229,6 +229,34 @@ def test_steps_match_unrank_deep(shape):
             _check_steps_against_unrank(d, depth, v, sorted(ranks))
 
 
+def test_unrank_matches_enumeration(table_suite):
+    # Among the paths into one vertex, rank order compares the deepest
+    # edge first, and a canonical level numbers each vertex's in-edges in
+    # run order, so all_paths sorted by reversed edges is in rank order.
+    # Every rank of every vertex is unranked: the bisection over a run of
+    # in-edges meets in-degree-1 vertices and ranks at the first and the
+    # last offset of a run.
+    runs = {"single": 0, "last-offset": 0}
+    for d in table_suite.values():
+        for depth in range(d.num_levels + 1):
+            if sum(pt.path_counts(d, depth)) > 4000:
+                break
+            into = {}
+            for p in pt.all_paths(d, depth):
+                into.setdefault(p.terminal_vertex, []).append(p)
+            for v, paths in into.items():
+                paths.sort(key=lambda p: p.edge_indices[::-1])
+                for r, p in enumerate(paths):
+                    assert pt.path_unrank(d, depth, v, r) == p, (depth, v, r)
+                if depth:
+                    run = d.in_edge_table[depth - 1][v]
+                    last = d.rank_offset_table[depth - 1][run[-1]]
+                    runs["single"] += len(run) == 1
+                    runs["last-offset"] += (
+                        last > 0 and paths[last].edge_indices[-1] == run[-1])
+    assert min(runs.values()) > 10, runs
+
+
 def test_orbit_shift_is_rank_difference():
     d = gen.odometer(2, 4)
     e = pt.make_path(d, [0, 1, 0, 1])

@@ -4,7 +4,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bratteli import diagram as dg
 from bratteli import generators as gen
@@ -1063,6 +1063,103 @@ def test_cocycle_errors_match_their_composition():
         "F is realized for B1 depths 1..4",
         "prefix length 10 out of range 0..9",
     }
+
+
+def _moved_levels(F, p, direction):
+    """m, the number of leading edges B1's Vershik step on p's prefix
+    changes: through the last edge that differs."""
+    pre = pt.path_prefix(F.b1, p, p.depth - 1)
+    step = (pt.vershik_successor if direction == "forward"
+            else pt.vershik_predecessor)
+    moved = step(F.b1, pre).edge_indices
+    return 1 + max(n for n, (a, b) in enumerate(zip(pre.edge_indices, moved))
+                   if a != b)
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cocycles_read_the_moved_prefix(name, data):
+    # The two images agree past the m levels the step moves, so the
+    # depth-m images carry the value: with the shared tail they are
+    # cocycle_images, and their rank shift is the full paths' rank shift.
+    F = _orbit_map(name)
+    b1 = F.b1
+    depth = data.draw(st.integers(2, min(5, len(F.f1.orig_paths))))
+    direction = data.draw(st.sampled_from(["forward", "backward"]))
+    p = _drawn_path(data, b1, depth)
+    extremal = pt.is_maximal if direction == "forward" else pt.is_minimal
+    assume(not extremal(b1, pt.path_prefix(b1, p, depth - 1)))
+    m = _moved_levels(F, p, direction)
+    q, q2 = _reference_images(F, p, direction)
+    h, h2 = soe._moved_images(F, p, direction)
+    tail = q.edge_indices[m:]
+    assert q2.edge_indices[m:] == tail
+    assert (h.depth, h2.depth) == (m, m)
+    assert h.terminal_vertex == h2.terminal_vertex
+    images = soe.cocycle_images(F, p, direction)
+    assert images == (q, q2)
+    assert images == (
+        pt.FinitePath(q.depth, h.edge_indices + tail, q.terminal_vertex),
+        pt.FinitePath(q.depth, h2.edge_indices + tail, q.terminal_vertex))
+    assert soe.cocycle(F, p, direction) == \
+        pt.path_rank(F.b2, q2) - pt.path_rank(F.b2, q)
+    assert soe.verify_cocycle(F, p, direction) == \
+        _reference_verify(F, p, direction)
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_cocycles_map_only_the_moved_prefix(name, monkeypatch):
+    # verify_cocycle and cocycle hand _b2_edges at most m + 1 B1 edges per
+    # image: the moved ones and the one past them.
+    F = _orbit_map(name)
+    b2_edges, seen = soe._b2_edges, []
+
+    def spy(F, *edge_tuples):
+        seen.extend(map(len, edge_tuples))
+        return b2_edges(F, *edge_tuples)
+
+    monkeypatch.setattr(soe, "_b2_edges", spy)
+    longest = 0
+    for direction, idx, value, _ in soe.cocycle_values(F, 5):
+        p = pt.make_path(F.b1, idx)
+        m = _moved_levels(F, p, direction)
+        seen.clear()
+        assert soe.verify_cocycle(F, p, direction)
+        assert soe.cocycle(F, p, direction) == value
+        assert len(seen) == 4 and max(seen) <= m + 1, (direction, idx, m)
+        longest = max(longest, m)
+    assert longest >= 2
+
+
+def test_continuity_refuses_a_vacuous_pass():
+    # Below depth 2, or with F or B1 stopping at depth 1, no cylinder is
+    # eligible: once {"eligible": 0, "ok": True} and an empty walk, now
+    # soe_report's errors.  A float depth once reached range() in the
+    # walk, a bare TypeError.
+    _, _, bp = _odometer_with_itself()
+    for depth, message in ((1, "depth must be at least 2"),
+                           (-3, "depth must be at least 2"),
+                           (2.0, "depths must be ints")):
+        for run in (lambda: soe.check_cocycle_continuity(bp, depth),
+                    lambda: list(soe.cocycle_values(bp, depth))):
+            with pytest.raises(dg.DiagramError) as err:
+                run()
+            assert str(err.value) == message
+    for levels, num_q, limit in (
+            (1, 0, "B1 has 1 level"),
+            (5, 0, "F is realized only to B1 depth 1 by 1 P and 0 Q "
+                   "matrices")):
+        d = gen.odometer(2, levels)
+        w = soe.stationary_intertwining([[1]], [[2]], 1, num_q)
+        F = soe.build_interleaved(d, d, w)
+        for run in (lambda: soe.check_cocycle_continuity(F, 3),
+                    lambda: list(soe.cocycle_values(F, 3)),
+                    lambda: soe.soe_report(d, d, w, 3)):
+            with pytest.raises(dg.DiagramError) as err:
+                run()
+            assert str(err.value) == \
+                f"{limit}; cocycles need B1 depth at least 2"
 
 
 @pytest.mark.parametrize("p_matrices, q_matrices, message", [
