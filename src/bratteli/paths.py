@@ -154,61 +154,59 @@ def path_unrank(d: OrderedBratteliDiagram, level: int, vertex: int,
     # The paths through an in-edge take the ranks from its offset on, and
     # a vertex's in-edges are one contiguous run of the level, so the
     # bisection runs over the level's offsets between the run's ends.
+    into, offsets, edges = d.in_edge_table, d.rank_offset_table, d.edges
     rev = []
     for n in range(level - 1, -1, -1):
-        run, off = d.in_edge_table[n][vertex], d.rank_offset_table[n]
+        run, off = into[n][vertex], offsets[n]
         e = bisect_right(off, rank, run[0], run[-1] + 1) - 1
         rev.append(e)
         rank -= off[e]
-        vertex = d.edges[n][e][0]
+        vertex = edges[n][e][0]
     return make_path(d, tuple(reversed(rev)))
 
 
 def is_maximal(d: OrderedBratteliDiagram, p: FinitePath) -> bool:
     """Every edge of p is the last into its range vertex."""
-    return _step(d, p, 1) is None
+    if p.depth > d.num_levels:
+        raise DiagramError(f"path depth {p.depth} exceeds {d.num_levels}")
+    return _moved_head(d, p.edge_indices, 1) is None
 
 
 def is_minimal(d: OrderedBratteliDiagram, p: FinitePath) -> bool:
     """Every edge of p is the first into its range vertex."""
-    return _step(d, p, -1) is None
+    if p.depth > d.num_levels:
+        raise DiagramError(f"path depth {p.depth} exceeds {d.num_levels}")
+    return _moved_head(d, p.edge_indices, -1) is None
 
 
 def vershik_successor(d: OrderedBratteliDiagram, p: FinitePath) -> FinitePath:
     """The depth-preserving successor; raises MaximalPathError at the top."""
-    q = _step(d, p, 1)
-    if q is None:
-        raise MaximalPathError(
-            f"path {p.edge_indices} is maximal at depth {p.depth}")
-    return q
+    depth, idx, v = p
+    if depth > d.num_levels:
+        raise DiagramError(f"path depth {depth} exceeds {d.num_levels}")
+    head = _moved_head(d, idx, 1)
+    if head is None:
+        raise MaximalPathError(f"path {idx} is maximal at depth {depth}")
+    return _path((depth, head + idx[len(head):], v))
 
 
 def vershik_predecessor(d: OrderedBratteliDiagram, p: FinitePath) -> FinitePath:
     """The successor's mirror image; raises MinimalPathError at the bottom."""
-    q = _step(d, p, -1)
-    if q is None:
-        raise MinimalPathError(
-            f"path {p.edge_indices} is minimal at depth {p.depth}")
-    return q
-
-
-def _step(d, p, shift):
-    """p moved one Vershik step forward (shift=1) or back (-1), or None at
-    the all-maximal (all-minimal) path: _moved_head's new first edges,
-    then p's own edges past them."""
     depth, idx, v = p
     if depth > d.num_levels:
         raise DiagramError(f"path depth {depth} exceeds {d.num_levels}")
-    head = _moved_head(d, idx, shift)
+    head = _moved_head(d, idx, -1)
     if head is None:
-        return None
+        raise MinimalPathError(f"path {idx} is minimal at depth {depth}")
     return _path((depth, head + idx[len(head):], v))
 
 
 def _moved_head(d, idx, shift):
     """The first m edges of the edge tuple idx after one Vershik step
     forward (shift=1) or back (-1), or None when idx is all-maximal
-    (all-minimal); idx's edges past m are kept as they are.
+    (all-minimal); idx's edges past m are kept as they are.  It is the one
+    home of the step rule, which the Vershik steps, is_maximal, is_minimal
+    and soe's cocycles read.
 
     The step moves the shallowest edge that has a next (previous) edge
     into its range vertex, the m-th, and replaces the edges before it by
@@ -255,7 +253,12 @@ def orbit_shift(d: OrderedBratteliDiagram, e: FinitePath, f: FinitePath) -> int:
         raise DiagramError(
             f"terminal vertex mismatch: {e.terminal_vertex} vs "
             f"{f.terminal_vertex}")
-    return path_rank(d, f) - path_rank(d, e)
+    # path_rank of each, from one read of the offsets.
+    offsets = d.rank_offset_table
+    if f.depth > len(offsets):
+        raise DiagramError(f"path depth {f.depth} exceeds {d.num_levels}")
+    return (sum(map(getitem, offsets, f.edge_indices))
+            - sum(map(getitem, offsets, e.edge_indices)))
 
 
 @_record

@@ -155,9 +155,13 @@ class InterleavedDiagram:
     and shared by every reader.  f1 has cut points (0, 1, 3, 5, ...), so
     f1.orig_paths[n-1][e] is the segment of interleaved edge indices for
     B1's level-n edge e; f2 has cut points (0, 2, 4, ...).  f1_heads[n-1][e]
-    and f1_tails[n-1][e] are the first and last edges of that segment: the
-    B2 level-n edge of consecutive B1 edges (a, b) is
-    f2.path_tables[n-1][f1_tails[n-1][a], f1_heads[n][b]].
+    and f1_tails[n-1][e] are the first and last edges of that segment, one
+    tuple per distinct segment table.
+
+    b2_rule is the one place the rule from consecutive B1 edges to a B2
+    edge lives: b2_rule[n-1] is (pairs, tail, head), references to
+    f2.path_tables[n-1], f1_tails[n-1] and f1_heads[n], and the B2
+    level-n edge of consecutive B1 edges (a, b) is pairs[tail[a], head[b]].
     """
 
     diagram: OrderedBratteliDiagram
@@ -174,13 +178,24 @@ class InterleavedDiagram:
 
     @cached_property
     def f1_heads(self) -> tuple:
-        return tuple(tuple(seg[0] for seg in table)
-                     for table in self.f1.orig_paths)
+        return _segment_ends(self.f1.orig_paths, 0)
 
     @cached_property
     def f1_tails(self) -> tuple:
-        return tuple(tuple(seg[-1] for seg in table)
-                     for table in self.f1.orig_paths)
+        return _segment_ends(self.f1.orig_paths, -1)
+
+    @cached_property
+    def b2_rule(self) -> tuple:
+        return tuple(zip(self.f2.path_tables, self.f1_tails,
+                         self.f1_heads[1:]))
+
+
+def _segment_ends(tables, end) -> tuple:
+    """The first (end=0) or last (-1) edge of each segment of each table,
+    built once per distinct table and shared where the tables are."""
+    distinct = {id(t): t for t in tables}
+    ends = {key: tuple(seg[end] for seg in t) for key, t in distinct.items()}
+    return tuple(ends[id(t)] for t in tables)
 
 
 def build_interleaved(b1: OrderedBratteliDiagram,
@@ -349,14 +364,16 @@ def f2_path(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
 
 
 def _b2_edges(F: InterleavedDiagram, *edge_tuples) -> list:
-    """F's B2 edge tuple for each B1 edge tuple, F's tables read once for
-    all of them: consecutive B1 edges (a, b) at levels n and n+1 give B2's
-    level-n edge f2.path_tables[n-1][f1_tails[n-1][a], f1_heads[n][b]].
-    The depths are trusted to be realized."""
-    tables, tails, heads = F.f2.path_tables, F.f1_tails, F.f1_heads[1:]
-    return [tuple([pairs[tail[a], head[b]] for pairs, tail, head, a, b
-                   in zip(tables, tails, heads, e, e[1:])])
-            for e in edge_tuples]
+    """F's B2 edge tuple for each B1 edge tuple, each pair of consecutive
+    B1 edges read through F.b2_rule.  The depths are trusted to be
+    realized."""
+    rule, images = F.b2_rule, []
+    for e in edge_tuples:
+        q = []
+        for (pairs, tail, head), a, b in zip(rule, e, e[1:]):
+            q.append(pairs[tail[a], head[b]])
+        images.append(tuple(q))
+    return images
 
 
 def apply_orbit_map(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
@@ -364,9 +381,9 @@ def apply_orbit_map(F: InterleavedDiagram, p: FinitePath) -> FinitePath:
 
     B2's level-n edge is the segment from B1 edge n's last interleaved edge
     to B1 edge n+1's first, so each pair of consecutive B1 edges gives one
-    B2 edge (_b2_edges), the same rule cocycle_values sums rank offsets
-    over.  The path ends at its last B2 edge's range, or at the root for
-    k = 1.
+    B2 edge by F.b2_rule (through _b2_edges), the rule cocycle_values sums
+    rank offsets over.  The path ends at its last B2 edge's range, or at
+    the root for k = 1.
     """
     _check_realized(F.f1, p.depth, "B1")
     idx, = _b2_edges(F, p.edge_indices)
@@ -441,6 +458,10 @@ def cocycle(F: InterleavedDiagram, p: FinitePath,
     return path_rank(F.b2, q2) - path_rank(F.b2, q)
 
 
+# The Vershik step and the extremal end each cocycle direction refuses.
+_DIRECTIONS = {"forward": (1, "maximal"), "backward": (-1, "minimal")}
+
+
 def _moved_images(F: InterleavedDiagram, p: FinitePath, direction: str):
     """The first m edges of cocycle_images' two B2 paths, as two depth-m
     paths into one B2 vertex, where m is the number of leading edges that
@@ -453,12 +474,10 @@ def _moved_images(F: InterleavedDiagram, p: FinitePath, direction: str):
     extremal prefix (NeedsDepth), F's realized depth and the images'
     common vertex, which at level m is the source of their shared tail.
     """
-    if direction == "forward":
-        shift, end = 1, "maximal"
-    elif direction == "backward":
-        shift, end = -1, "minimal"
-    else:
-        raise DiagramError("direction must be forward or backward")
+    try:
+        shift, end = _DIRECTIONS[direction]
+    except (KeyError, TypeError):       # TypeError: an unhashable direction
+        raise DiagramError("direction must be forward or backward") from None
     depth, e, _ = p
     if depth < 2:
         raise NeedsDepth("cocycle needs a path of depth at least 2")
@@ -471,7 +490,10 @@ def _moved_images(F: InterleavedDiagram, p: FinitePath, direction: str):
     if head is None:
         raise NeedsDepth(f"prefix is {end}; extend the path past the {end} "
                          "tail")
-    _check_realized(F.f1, depth, "B1")
+    # _check_realized's check and message; depth is at least 2.
+    realized = len(F.f1.orig_paths)
+    if depth > realized:
+        raise NeedsDepth(f"F is realized for B1 depths 1..{realized}")
     m = len(head)
     # q is F(x), q2 is F(T1x) (T1^-1 x backward), each cut at level m.
     q, q2 = _b2_edges(F, e[:m + 1], head + e[m:m + 1])
@@ -519,7 +541,10 @@ def verify_cocycle(F: InterleavedDiagram, p: FinitePath,
     difference.
     """
     q, q2 = _moved_images(F, p, direction)
-    n = path_rank(F.b2, q2) - path_rank(F.b2, q)
+    n = 0       # path_rank(F.b2, q2) - path_rank(F.b2, q), level by level
+    for off, a, b in zip(F.b2.rank_offset_table, q.edge_indices,
+                         q2.edge_indices):
+        n += off[b] - off[a]
     if abs(n) > VERIFY_LIMIT:
         raise DiagramError(f"cocycle value {n} exceeds iteration limit")
     step = vershik_successor if n >= 0 else vershik_predecessor
@@ -531,11 +556,10 @@ def verify_cocycle(F: InterleavedDiagram, p: FinitePath,
 
 def _rank_order(F: InterleavedDiagram, k: int, v: int):
     """(F-rank, edges) of each depth-k B1 path into v, in rank order: down
-    the in-edge table, deepest edge first, each step adding the term of
-    one edge pair to the F-rank.  The stack holds at most one vertex's
-    in-edges per level."""
-    heads, tails = F.f1_heads, F.f1_tails
-    f2inv, offsets = F.f2.path_tables, F.b2.rank_offset_table
+    the in-edge table, deepest edge first, each step adding to the F-rank
+    the rank offset of the B2 edge that F.b2_rule gives one edge pair.
+    The stack holds at most one vertex's in-edges per level."""
+    rule, offsets = F.b2_rule, F.b2.rank_offset_table
     edges, into = F.b1.edges, F.b1.in_edge_table
     stack = [(0, (a,)) for a in reversed(into[k - 1][v])]
     while stack:
@@ -545,8 +569,8 @@ def _rank_order(F: InterleavedDiagram, k: int, v: int):
             yield rank, path
             continue
         a = path[0]
-        head, off, pairs = heads[n][a], offsets[n - 1], f2inv[n - 1]
-        tail = tails[n - 1]
+        pairs, tail, heads = rule[n - 1]
+        head, off = heads[a], offsets[n - 1]
         for b in reversed(into[n - 1][edges[n][a][0]]):
             stack.append((rank + off[pairs[tail[b], head]], (b,) + path))
 
@@ -564,8 +588,7 @@ def cocycle_values(F: InterleavedDiagram, depth: int):
 
     The F-rank R(x), the B2 rank of apply_orbit_map(F, x), is a sum over
     consecutive edges (a, b) of x of the rank offset of the one B2 edge
-    that apply_orbit_map reads for them from F's end tables (a at level n
-    gives f2.path_tables[n-1][f1_tails[n-1][a], f1_heads[n][b]]).
+    that F.b2_rule gives them, as apply_orbit_map reads it.
     _rank_order lists the depth-k paths into a vertex in rank order, so
     each x there is followed by succ(x), and x + (e,) has forward value
     R(succ(x) + (e,)) - R(x + (e,)), the negative of succ(x) + (e,)'s
@@ -581,10 +604,9 @@ def cocycle_values(F: InterleavedDiagram, depth: int):
     """
     _check_depth(depth)
     max_depth = min(depth, _cocycle_b1_depth(F))
-    f2inv, offsets = F.f2.path_tables, F.b2.rank_offset_table
+    rule, offsets = F.b2_rule, F.b2.rank_offset_table
     for k in range(1, max_depth):
-        off, pairs, tails = offsets[k - 1], f2inv[k - 1], F.f1_tails[k - 1]
-        heads = F.f1_heads[k]
+        (pairs, tails, heads), off = rule[k - 1], offsets[k - 1]
         for v, outs in enumerate(F.b1.out_edge_table[k]):
             firsts = [heads[e] for e in outs]
             for (r0, x0), (r1, x1) in itertools.pairwise(

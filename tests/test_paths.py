@@ -280,6 +280,15 @@ def test_orbit_shift_needs_same_vertex():
         pt.orbit_shift(d, e, pt.min_path_to(d, 2, 0))
 
 
+def test_orbit_shift_refuses_paths_deeper_than_the_diagram():
+    # path_rank's check and message, read once for both paths.
+    d = gen.odometer(2, 3)
+    with pytest.raises(dg.DiagramError) as info:
+        pt.orbit_shift(d, pt.FinitePath(5, (0,) * 5, 0),
+                       pt.FinitePath(5, (1,) * 5, 0))
+    assert str(info.value) == "path depth 5 exceeds 3"
+
+
 def test_extremal_paths_odometer():
     d = gen.odometer(2, 6)
     mins = pt.extremal_paths(d, 4, "min")

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import time
 import tracemalloc
@@ -1036,6 +1037,9 @@ def test_cocycle_errors_match_their_composition():
     cases = [
         (pt.make_path(b1, (1,)), "forward"),                # depth 1
         (pt.make_path(b1, (1, 0, 2)), "sideways"),          # direction
+        (pt.make_path(b1, (1, 0, 2)), ["forward"]),         # unhashable
+        (pt.make_path(b1, (1, 0, 2)), None),
+        (pt.make_path(b1, (1,)), ["forward"]),              # before depth
         (pt.make_path(b1, (1, 3, 3, 1)), "forward"),        # maximal
         (pt.make_path(b1, (0, 0, 0, 1)), "backward"),       # minimal
         (pt.make_path(b1, (0, 1, 0, 2, 1)), "forward"),     # past F
@@ -1130,6 +1134,71 @@ def test_cocycles_map_only_the_moved_prefix(name, monkeypatch):
         assert len(seen) == 4 and max(seen) <= m + 1, (direction, idx, m)
         longest = max(longest, m)
     assert longest >= 2
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_b2_rule_is_the_edge_pair_rule(name):
+    # For consecutive B1 edges (a, b), the rule gives the B2 edge whose
+    # segment runs from a's last interleaved edge to b's first.  Its
+    # entries are F's own tables, so tables F shares across levels stay
+    # shared in the rule.
+    F = _orbit_map(name)
+    b1, rule = F.b1, F.b2_rule
+    f1, f2 = F.f1.orig_paths, F.f2.orig_paths
+    assert len(rule) == len(f1) - 1
+    pairs_checked = 0
+    for n, (pairs, tail, head) in enumerate(rule, start=1):
+        segment_of = {seg: c for c, seg in enumerate(f2[n - 1])}
+        for a, (_, r) in enumerate(b1.edges[n - 1]):
+            for b in b1.out_edge_table[n][r]:
+                c = pairs[tail[a], head[b]]
+                assert c == F.f2.path_tables[n - 1][
+                    F.f1_tails[n - 1][a], F.f1_heads[n][b]]
+                assert c == segment_of[f1[n - 1][a][-1], f1[n][b][0]]
+                pairs_checked += 1
+    assert pairs_checked > 20
+    shared = 0
+    for k, tables in enumerate((F.f2.path_tables, f1, f1[1:])):
+        for i, j in itertools.combinations(range(len(rule)), 2):
+            assert (rule[i][k] is rule[j][k]) == (tables[i] is tables[j])
+            shared += tables[i] is tables[j]
+    assert shared
+
+
+@pytest.mark.parametrize("name", ["fibonacci-square", "reversed-order"])
+def test_verify_cocycle_reaches_q2_only_by_vershik_steps(name, monkeypatch):
+    # verify_cocycle reads the rank tables for the value alone: it reaches
+    # q2 through one public B2 Vershik step per unit of the value, so a
+    # step that stays put fails every cylinder.
+    F = _orbit_map(name)
+    calls = []
+
+    def counted(step):
+        def spy(d, p):
+            assert d is F.b2
+            calls.append(step.__name__)
+            return step(d, p)
+        return spy
+
+    monkeypatch.setattr(soe, "vershik_successor",
+                        counted(pt.vershik_successor))
+    monkeypatch.setattr(soe, "vershik_predecessor",
+                        counted(pt.vershik_predecessor))
+    cylinders = list(soe.cocycle_values(F, 5))
+    for direction, idx, value, _ in cylinders:
+        calls.clear()
+        assert soe.verify_cocycle(F, pt.make_path(F.b1, idx), direction)
+        step = "vershik_successor" if value > 0 else "vershik_predecessor"
+        assert value and calls == [step] * abs(value), (direction, idx)
+    assert max(abs(value) for _, _, value, _ in cylinders) >= 3
+
+    def stuck(d, p):
+        return p
+
+    monkeypatch.setattr(soe, "vershik_successor", stuck)
+    monkeypatch.setattr(soe, "vershik_predecessor", stuck)
+    for direction, idx, _, _ in cylinders:
+        assert not soe.verify_cocycle(F, pt.make_path(F.b1, idx), direction)
 
 
 def test_continuity_refuses_a_vacuous_pass():
