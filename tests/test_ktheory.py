@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bratteli
+import snf_reference
 
 from bratteli import diagram as dg
 from bratteli import generators as gen
@@ -197,6 +198,33 @@ def test_verify_snf_rejects_bad_results():
     assert not kt.verify_snf([[1]], kt.SNFResult([2], [{0: 2}], [{0: 1}]))
 
 
+def test_verify_snf_refuses_diagonals_that_are_not_a_smith_form():
+    # U A V equals each diagonal below, and the check once let each
+    # through; the oracle reads torsion as d > 1, so a -2 would drop out.
+    eye = [{0: 1}]
+    for a, res in (([[2]], kt.SNFResult([2.0], eye, eye)),
+                   ([[1]], kt.SNFResult([True], eye, eye)),
+                   ([[2]], kt.SNFResult([-2], eye, [{0: -1}]))):
+        assert snf_reference._verify_rows(
+            snf_reference._sparse_rows(a), 1, res)
+        assert kt.verify_snf(a, res) is False
+
+
+def test_sparse_rows_type_check_every_key():
+    # {1, True} is one element, so a check on the key set would let the
+    # bool key of row 1 through after row 0's int key 1.
+    a = [[1, 0], [0, 1]]
+    u, v = [{0: 1, 1: 1}, {1: 1}], [{0: 1, 1: -1}, {1: 1}]
+    assert kt.verify_snf(a, kt.SNFResult([1, 1], u, v))
+    bool_u, bool_v = [u[0], {True: 1}], [v[0], {True: 1}]
+    assert kt.verify_snf(a, kt.SNFResult([1, 1], bool_u, v)) is False
+    assert kt.verify_snf(a, kt.SNFResult([1, 1], u, bool_v)) is False
+    with pytest.raises(dg.DiagramError) as err:
+        kt.smith_normal_form(bool_u)
+    assert str(err.value) == (
+        "sparse rows must map columns 0..n-1 to nonzero ints")
+
+
 def _malformed(rows, kind):
     """A copy of sparse rows broken in one way; the matrix it stands for
     is unchanged where the break allows it (a list row, a bool key, an
@@ -305,6 +333,8 @@ def test_verify_snf_single_edits_n96(which, i, j, delta):
     assert kt.verify_snf(_A96, _SNF96)
     res = _edited(_SNF96, which, i, j, delta)
     assert kt.verify_snf(_A96, res) == _reference_verify(_A96, res)
+    assert kt.verify_snf(_A96, res) == snf_reference._verify_rows(
+        snf_reference._sparse_rows(_A96), 96, res)
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,6 +348,8 @@ def test_verify_snf_single_edits_small(a, which, i, j, delta):
     assert kt.verify_snf(a, res) and _reference_verify(a, res)
     res = _edited(res, which, i, j, delta)
     assert kt.verify_snf(a, res) == _reference_verify(a, res)
+    assert kt.verify_snf(a, res) == snf_reference._verify_rows(
+        snf_reference._sparse_rows(a), len(a[0]), res)
 
 
 @pytest.mark.parametrize("lengths", [[32, 32, 32], [8, 8, 16]])
@@ -702,6 +734,61 @@ def test_oracle_matches_closed_form_and_point_order_snf(perm):
     natural = [[(i == j) - (perm[i] == j) for j in range(n)]
                for i in range(n)]                     # I - P^T
     assert res.diagonal == kt.smith_normal_form(natural).diagonal
+
+
+# Rectangular and empty shapes, and small matrices whose SNF reaches a
+# non-unit pivot, a remainder that redoes a step, and a fold.
+_SNF_SHAPES = [[], [[]], [[], []], [[0, 0, 0], [0, 0, 0]], [[1, 2, 3]],
+               [[4], [6], [9]], [[2, 3]], [[2, 0], [0, 3]], [[4, 6], [6, 4]],
+               [[6, 0, 0], [0, 10, 0], [0, 0, 15]]]
+
+
+def _dense_up_to_5x5():
+    return st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+        min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_dense_up_to_5x5(), st.sampled_from(_SNF_SHAPES),
+                 st.integers(1, 40).flatmap(
+                     lambda n: st.permutations(range(n))).map(_i_minus_pt)))
+def test_snf_matches_the_frozen_reference(a):
+    want = snf_reference._snf_rows(snf_reference._sparse_rows(a),
+                                   len(a[0]) if a else 0)
+    assert kt.smith_normal_form(a) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 120).flatmap(lambda n: st.permutations(range(n))))
+def test_oracle_snf_matches_the_frozen_reference(perm):
+    s, _ = _cycle_system(perm)
+    seen = []
+    verify = kt.verify_snf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kt, "verify_snf",
+                   lambda a, res: seen.append((a, res)) or verify(a, res))
+        kt.k_oracle_finite_system(s)
+    ((rows, res),) = seen
+    assert res == snf_reference._snf_rows(rows, len(rows))
+
+
+@pytest.mark.parametrize("kind", [
+    "missing row", "extra row", "list row", "key out of range",
+    "negative key", "bool key", "zero value", "float value", "bool value"])
+@pytest.mark.parametrize("which", ["U", "V"])
+def test_verify_snf_malformed_matches_the_frozen_reference(which, kind):
+    for a in ([[2, 0, 0], [0, 6, 0], [0, 0, 0]],
+              [[2, 4, 4], [-6, 6, 12], [10, -4, -16]], _A96):
+        res = kt.smith_normal_form(a)
+        left, right = res.left, res.right
+        if which == "U":
+            left = _malformed(left, kind)
+        else:
+            right = _malformed(right, kind)
+        res = kt.SNFResult(res.diagonal, left, right)
+        assert kt.verify_snf(a, res) == snf_reference._verify_rows(
+            snf_reference._sparse_rows(a), len(a), res)
 
 
 def test_k0_presentation_holds_each_map_once():
