@@ -22,7 +22,7 @@ the tables a diagram builds.
 from __future__ import annotations
 
 import json
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
@@ -40,19 +40,17 @@ class InvalidDiagram(DiagramError):
     """Diagram is well-formed but violates an ordered-diagram axiom."""
 
 
-def _record(cls=None, *, frozen=True):
-    """Make cls a value record of the fields it annotates, in that order.
+def _record(cls):
+    """Make cls a frozen record of the fields it annotates, in that order.
 
-    As dataclasses.dataclass(frozen=frozen) would, but with shared methods
+    As dataclasses.dataclass(frozen=True) would, but with shared methods
     instead of code generated per class: construction by position or
     keyword, a class attribute named like a field being its default; the
     repr Name(field=value, ...); equality by fields between instances of
-    one class; and, when frozen, a hash by fields and AttributeError on
-    assignment or deletion, else no hash.  Fields live in the instance
-    __dict__, where cached_property stores its tables too.
+    one class; a hash by fields, a TypeError when a field is unhashable;
+    and AttributeError on assignment or deletion.  Fields live in the
+    instance __dict__, where cached_property stores its tables too.
     """
-    if cls is None:
-        return partial(_record, frozen=frozen)
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names
                 if name in cls.__dict__}
@@ -75,11 +73,8 @@ def _record(cls=None, *, frozen=True):
         return f"{self.__class__.__qualname__}({inner})"
 
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
-    if frozen:
-        cls.__hash__ = lambda self: hash(fields(self))
-        cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
-    else:
-        cls.__hash__ = None
+    cls.__hash__ = lambda self: hash(fields(self))
+    cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
     return cls
 
 

@@ -22,7 +22,7 @@ from .paths import extremal_paths
 # Exact integer linear algebra
 
 
-@_record(frozen=False)
+@_record
 class SNFResult:
     diagonal: List[int]          # elementary divisors d1 | d2 | ..., then 0s
     left: List[Dict[int, int]]   # U with U A V = diag, as rows of
@@ -218,21 +218,18 @@ def _det(a):
 def _sparse_det(rows):
     """Exact integer determinant of sparse rows (fraction-free Bareiss).
 
-    Rows are filed by their first column.  Step k takes the shortest row
-    filed under k as the pivot row and replaces each other one, r, by
-    (r * pk - r[k] * pivot_row) / prev, an exact division, and files it
-    again.  A row without column k would only be scaled by pk / prev; the
-    scalings telescope, so such a row is left as it is, with the prev at
-    its last update, and scaled by prev / that prev when next used.  A
-    pivot row with a single entry therefore only drops column k, the
-    first, from the others; a row's columns are sorted on its first such
-    drop and popped from then on, until an update rebuilds the row, so
-    no drop rescans a row for its next column.  The last pivot, times the
-    sign of the order in which rows were taken, is the determinant; that
-    of the 0 x 0 matrix is 1.  When each row i starts at column i the
-    matrix is upper triangular, and the determinant is the product of the
-    diagonal, with no elimination.  The given rows are not changed: a row
-    is copied before its first change in place.
+    When each row i starts at column i the matrix is upper triangular,
+    and the determinant is the product of the diagonal, with no
+    elimination.  Otherwise rows are filed by their first column.  Step
+    k takes the shortest row filed under k as the pivot row and replaces
+    each other one, r, by a new row (r * pk - r[k] * pivot_row) / prev,
+    an exact division, filed again under its first column.  A row
+    without column k would only be scaled by pk / prev; the scalings
+    telescope, so such a row is left as it is, with the prev at its last
+    update, and scaled by prev / that prev when next used.  The last
+    pivot, times the sign of the order in which rows were taken, is the
+    determinant; that of the 0 x 0 matrix is 1.  The given rows are not
+    changed.
     """
     n = len(rows)
     if not all(rows):
@@ -241,12 +238,9 @@ def _sparse_det(rows):
     if firsts == list(range(n)):
         return prod(map(dict.__getitem__, rows, range(n)))
     rows = list(rows)
-    copied = [False] * n
     filed = [[] for _ in range(n)]
     for i, first in enumerate(firsts):
         filed[first].append(i)
-    desc = [None] * n     # a row's columns, largest first, kept while
-                          # single-entry pivots only drop its first one
     since = [1] * n       # the prev at which each stored row is exact
     prev = 1
     order = []
@@ -254,8 +248,7 @@ def _sparse_det(rows):
         if not filed[k]:
             return 0
         here = filed[k]
-        p = here[0] if len(here) == 1 else min(here,
-                                               key=lambda i: len(rows[i]))
+        p = min(here, key=lambda i: len(rows[i]))
         order.append(p)
         pivot_row = rows[p]
         if since[p] != prev:
@@ -265,30 +258,17 @@ def _sparse_det(rows):
             if i == p:
                 continue
             row = rows[i]
-            if len(pivot_row) == 1:
-                if not copied[i]:
-                    row = rows[i] = dict(row)
-                    copied[i] = True
-                del row[k]
-                cols = desc[i]
-                if cols is None:
-                    cols = desc[i] = sorted(row, reverse=True)
-                else:
-                    cols.pop()      # k, the row's first column
-            else:
-                if since[i] != prev:
-                    row = {j: x * prev // since[i] for j, x in row.items()}
-                c = row[k]
-                acc = {j: x * pk for j, x in row.items()}
-                for j, y in pivot_row.items():
-                    acc[j] = acc.get(j, 0) - c * y
-                row = rows[i] = {j: z // prev for j, z in acc.items() if z}
-                since[i] = pk
-                copied[i] = True
-                cols = desc[i] = None
+            if since[i] != prev:
+                row = {j: x * prev // since[i] for j, x in row.items()}
+            c = row[k]
+            acc = {j: x * pk for j, x in row.items()}
+            for j, y in pivot_row.items():
+                acc[j] = acc.get(j, 0) - c * y
+            row = rows[i] = {j: z // prev for j, z in acc.items() if z}
+            since[i] = pk
             if not row:
                 return 0
-            filed[cols[-1] if cols else min(row)].append(i)
+            filed[min(row)].append(i)
         prev = pk
     sign = 1              # of the permutation k -> order[k]
     seen = [False] * n
@@ -343,9 +323,9 @@ def _verify_rows(rows, n: int, res: SNFResult) -> bool:
     and the check costs O(nonzeros) instead of O(n^3).  The determinants
     are taken on V's rows and U's columns: SNF adds pivot rows to later
     rows and pivot columns to later columns, so both are near triangular
-    with their entries right of the diagonal, which _sparse_det eliminates
-    with single-entry pivots; with no swap, as in the oracle's order, both
-    are upper triangular and it multiplies out the diagonal.
+    with their entries right of the diagonal; with no swap, as in the
+    oracle's order, both are upper triangular and _sparse_det multiplies
+    out the diagonal.
     """
     m = len(rows)
     diag = res.diagonal

@@ -688,12 +688,28 @@ def test_cold_soe_check_imports_no_ktheory_or_generators(tmp_path):
     assert not mods & CODE_GENERATION
 
 
-def test_cold_rank_imports_no_soe(tmp_path, odo2):
-    mods = _imported(tmp_path, ["rank", "--diagram", odo2,
-                                "--path", "1,1,0"])
-    assert "bratteli.paths" in mods
-    assert not mods & {"bratteli.soe", "bratteli.ktheory",
-                       "bratteli.generators"}
+# The commands that load nothing beyond diagram and paths, as the cli
+# docstring says, each with arguments that run it to an ok envelope; D
+# stands for the diagram file.
+LIGHT_COMMANDS = [
+    ["validate", "--diagram", "D"],
+    ["telescope", "--diagram", "D", "--cuts", "2,4,6"],
+    ["vershik", "--diagram", "D", "--path", "1,1,0"],
+    ["rank", "--diagram", "D", "--path", "1,1,0"],
+    ["orbit-shift", "--diagram", "D", "--from", "0,0,0", "--to", "1,1,0"],
+    ["extremal", "--diagram", "D", "--depth", "4"],
+    ["perfect", "--diagram", "D", "--depth", "4"],
+    ["export-dot", "--diagram", "D"],
+]
+
+
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS,
+                         ids=[argv[0] for argv in LIGHT_COMMANDS])
+def test_cold_light_command_imports_only_diagram_and_paths(tmp_path, odo2,
+                                                           argv):
+    mods = _imported(tmp_path, [odo2 if a == "D" else a for a in argv])
+    assert {m for m in mods if m.startswith("bratteli")} == {
+        "bratteli", "bratteli.diagram", "bratteli.paths"}
     assert not mods & CODE_GENERATION
 
 

@@ -1048,14 +1048,13 @@ def test_record_semantics(cls, fields, text):
     assert r != tuple(values)
     sub = type("Sub", (cls,), {})(*values)
     assert sub != r and r != sub
-    if cls is kt.SNFResult:
+    hashable = cls is not kt.SNFResult      # its fields are lists
+    if hashable:
+        assert hash(r) == hash(cls(*values))
+        assert {r, cls(*values), other} == {r, other}
+    else:
         with pytest.raises(TypeError):
             hash(r)
-        r.diagonal = [2]
-        assert r.diagonal == [2] and r != cls(*values)
-        return
-    assert hash(r) == hash(cls(*values))
-    assert {r, cls(*values), other} == {r, other}
     with pytest.raises(AttributeError):
         setattr(r, names[0], values[0])
     with pytest.raises(AttributeError):
@@ -1070,7 +1069,8 @@ def test_record_semantics(cls, fields, text):
         assert name not in vars(r)
         assert getattr(r, name) == want
         assert getattr(r, name) is vars(r)[name]
-    assert r == cls(*values) and hash(r) == hash(cls(*values))
+    assert r == cls(*values)
+    assert not hashable or hash(r) == hash(cls(*values))
     assert repr(r) == text
 
 

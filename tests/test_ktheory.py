@@ -83,6 +83,9 @@ def _dense(rows):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_dense_matrices(), _permutation_matrices()))
+@example([[1, 1], [1, 1]])
+@example([[2, 4], [1, 2]])
+@example([[1, 0, 0], [1, 1, 1], [2, 2, 2]])
 def test_snf_and_det_match_sympy(a):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
@@ -166,6 +169,11 @@ def test_snf_refuses_malformed_sparse_rows(kind):
 def test_verify_snf_on_empty_shapes():
     assert kt._det([]) == 1
     assert kt._det([[0, 1], [0, 1]]) == 0     # no row starts at column 0
+    # A row that elimination empties.
+    for a in ([[1, 1], [1, 1]], [[2, 4], [1, 2]],
+              [[1, 0, 0], [1, 1, 1], [2, 2, 2]]):
+        assert kt._det(a) == 0 == snf_reference._sparse_det(
+            snf_reference._sparse_rows(a))
     for a in ([], [[], []]):
         res = kt.smith_normal_form(a)
         assert res.diagonal == []
@@ -312,6 +320,11 @@ def _edited(res, which, i, j, delta):
     return kt.SNFResult(list(res.diagonal), left, right)
 
 
+def _check_dets_match_the_frozen_reference(res):
+    for rows in (kt._transpose(res.left, len(res.left)), res.right):
+        assert kt._sparse_det(rows) == snf_reference._sparse_det(rows)
+
+
 def _i_minus_pt(perm):
     n = len(perm)
     return [[(i == j) - (perm[i] == j) for j in range(n)] for i in range(n)]
@@ -335,6 +348,7 @@ def test_verify_snf_single_edits_n96(which, i, j, delta):
     assert kt.verify_snf(_A96, res) == _reference_verify(_A96, res)
     assert kt.verify_snf(_A96, res) == snf_reference._verify_rows(
         snf_reference._sparse_rows(_A96), 96, res)
+    _check_dets_match_the_frozen_reference(res)
 
 
 @settings(max_examples=150, deadline=None)
@@ -350,6 +364,7 @@ def test_verify_snf_single_edits_small(a, which, i, j, delta):
     assert kt.verify_snf(a, res) == _reference_verify(a, res)
     assert kt.verify_snf(a, res) == snf_reference._verify_rows(
         snf_reference._sparse_rows(a), len(a[0]), res)
+    _check_dets_match_the_frozen_reference(res)
 
 
 @pytest.mark.parametrize("lengths", [[32, 32, 32], [8, 8, 16]])
@@ -697,7 +712,16 @@ def _oracle_with_snf(s):
     return out, res
 
 
-@pytest.mark.parametrize("lengths", [[512], [32, 32, 32]])
+def _check_unit_upper_triangular(res, n):
+    """U^T and V start each row i at column i with a +-1 there, so
+    _sparse_det takes them through its upper-triangular shortcut."""
+    for rows in (kt._transpose(res.left, n), res.right):
+        assert all(row and min(row) == i and abs(row[i]) == 1
+                   for i, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("lengths", [[512], [32, 32, 32], [1, 1, 3, 5],
+                                     [170, 170, 172]])
 def test_oracle_certificate_is_n_log_n(lengths):
     # In point order V is dense upper triangular on each cycle: 132,351
     # entries in U and V for one 512-point cycle and 1,773 for 32 + 32 +
@@ -707,6 +731,7 @@ def test_oracle_certificate_is_n_log_n(lengths):
     n = sum(lengths)
     size = sum(map(len, res.left)) + sum(map(len, res.right))
     assert size <= 2 * n * n.bit_length()
+    _check_unit_upper_triangular(res, n)
 
 
 def _cycle_system(perm):
@@ -734,6 +759,7 @@ def test_oracle_matches_closed_form_and_point_order_snf(perm):
     natural = [[(i == j) - (perm[i] == j) for j in range(n)]
                for i in range(n)]                     # I - P^T
     assert res.diagonal == kt.smith_normal_form(natural).diagonal
+    _check_unit_upper_triangular(res, n)
 
 
 # Rectangular and empty shapes, and small matrices whose SNF reaches a
