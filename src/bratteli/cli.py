@@ -11,7 +11,10 @@ BRATTELI_MAX_DEPTH (default 16) caps every --depth argument; it is read
 on every call, a value that is not a non-negative integer reads as
 unset, and capped values are reported in diagnostics.  The
 argument parser is built once per process and shared by every ``run``
-call; it holds no per-call state.
+call; it holds no per-call state.  The envelope goes out through
+``diagram.write_json``, the writer ``save_diagram`` uses too: the text of
+``json.dumps(env, indent=2, sort_keys=True)`` and a newline, without
+json's pure-Python indenting encoder.
 
 The module imports only ``diagram`` and ``paths``, which the package loads
 anyway; each command imports the rest of what it runs, so a one-shot
@@ -26,10 +29,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from itertools import chain
 
 from . import diagram as dg
 from . import paths as pt
@@ -348,10 +349,9 @@ def _text_lines(env):
     yield from walk(payload)
 
 
-# Output goes out in writes of about this many characters: under
-# unbuffered stdout each write is one write(2), and the JSON encoder's
-# chunks and the text rendering's lines are small.
-WRITE_CHUNK = 1 << 16
+# The text rendering's lines go out in writes of the JSON writer's size:
+# under unbuffered stdout each write is one write(2), and lines are small.
+WRITE_CHUNK = dg.WRITE_CHUNK
 
 
 def _write(chunks, out) -> None:
@@ -381,11 +381,9 @@ def run(argv) -> int:
         status, code = "error", 1
     env = {"status": status, "payload": payload, "diagnostics": diagnostics}
     if args.format == "json":
-        chunks = chain(json.JSONEncoder(indent=2, sort_keys=True)
-                       .iterencode(env), "\n")
+        dg.write_json(env, sys.stdout.write, sort_keys=True)
     else:
-        chunks = _text_lines(env)
-    _write(chunks, sys.stdout)
+        _write(_text_lines(env), sys.stdout)
     return code
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
@@ -273,16 +273,23 @@ def make_diagram(num_levels: int,
     # share one tuple, as the levels of a stationary diagram do.  The key
     # holds each edge as a tuple, so edges given as lists hash too.  Each
     # level is read once into a tuple, so an iterator works as a list does.
+    # Equality alone does not make a level valid: (False, 0) == (0.0, 0) ==
+    # (0, 0).  So a level shares the canonical tuple of an equal earlier
+    # level only when it is the same tuple, as diagram_from_json passes
+    # equal levels, or its edges are tuples or lists of ints.
     canon, seen = [], {}
     for n, level in enumerate(edges, start=1):
         level = _sequence(level, f"level {n}: edges")
         try:
             key = (tuple(map(tuple, level)), vcs[n - 1], vcs[n])
-            pairs = seen.get(key)
+            first, pairs = seen.get(key, (None, None))
         except TypeError:       # not a level of int pairs: refused below
-            key = pairs = None
-        if pairs is None:
-            pairs = seen[key] = _canonical_level(n, level, vcs[n - 1], vcs[n])
+            key = first = pairs = None
+        if pairs is None or first is not level and not (
+                set(map(type, level)) <= _PAIR_SET
+                and set(map(type, chain.from_iterable(level))) <= {int}):
+            pairs = _canonical_level(n, level, vcs[n - 1], vcs[n])
+            seen[key] = level, pairs
         canon.append(pairs)
     # Every vertex below the root needs an in-edge of its own, so a valid
     # diagram has no more of them than edges.  Far more would make the
@@ -331,6 +338,7 @@ def _sequence(x, what: str) -> tuple:
 
 _RANGE = itemgetter(1)
 _PAIR_TYPES = (tuple, list)
+_PAIR_SET = set(_PAIR_TYPES)
 
 
 def _canonical_level(n: int, level, num_sources: int,
@@ -367,10 +375,18 @@ def validate_diagram(d: OrderedBratteliDiagram) -> list:
 
 
 def _scan_axioms(d: OrderedBratteliDiagram) -> list:
-    report = []
-    for n, (into, outs) in enumerate(d._level_index, start=1):
+    # Levels that share a _level_index entry have the same edges, so an
+    # entry found clean once is clean at every level that holds it.
+    report, clean = [], set()
+    for n, entry in enumerate(d._level_index, start=1):
+        if id(entry) in clean:
+            continue
         if not d.edges[n - 1]:
             report.append(Violation("malformed", n, "empty edge level"))
+            continue
+        into, outs = entry
+        if all(into) and all(outs):
+            clean.add(id(entry))
             continue
         report += [Violation("range-surjectivity", n,
                              f"vertex {v} at level {n} has no incoming edge")
@@ -603,9 +619,10 @@ def telescope_segments(d: OrderedBratteliDiagram, lo: int, hi: int) -> list:
 # MAX_TELESCOPE_INDICES.  At the cap, on a 2-vCPU Intel Xeon host with
 # Python 3.11.7, telescoping the 17-level 2-odometer into one level
 # (2,228,224 indices) takes about 0.2 s and 42 MB of peak RSS growth, and
-# `bratteli telescope`, which also writes every edge as indented JSON,
-# about 0.9 s and 72 MB peak.  4,096 edges of 1,024-level segments, 2^22
-# indices, take about 0.1 s and 31 MB.
+# `bratteli telescope`, which also writes every edge as indented JSON
+# (7,340,253 bytes through write_json), about 0.45 s and 74 MB peak, where
+# json's own encoder took 0.9-1.0 s.  4,096 edges of 1,024-level
+# segments, 2^22 indices, take about 0.1 s and 31 MB.
 MAX_TELESCOPE_EDGES = 2 ** 17
 MAX_TELESCOPE_INDICES = 2 ** 22
 
@@ -780,9 +797,8 @@ def diagram_from_json(obj: dict) -> OrderedBratteliDiagram:
                                    and all(map(is_int_list, labels))):
         raise MalformedDiagram(
             "group_labels must be null or a list of integer lists")
-    levels = obj["edges"]
-    edges = list(map(_edge_pairs, levels)) if type(levels) is list else None
-    if edges is None or None in edges:
+    edges = _edge_levels(obj["edges"])
+    if edges is None:
         raise MalformedDiagram(
             'edges must be a list of levels of {"s": int, "r": int} records')
     return make_diagram(obj["num_levels"], obj["vertex_counts"], edges,
@@ -793,27 +809,34 @@ def diagram_from_json(obj: dict) -> OrderedBratteliDiagram:
 # out bools, which are ints to isinstance.
 
 def is_int_list(x) -> bool:
-    return type(x) is list and all(type(v) is int for v in x)
+    return type(x) is list and set(map(type, x)) <= {int}
 
 
 _S_AND_R = itemgetter("s", "r")
 
 
-def _edge_pairs(level) -> Optional[list]:
-    """A JSON edge level's (s, r) pairs, or None unless it is a list of
-    dicts with exactly the keys s and r and int values.  Each test is one
-    C-level pass over the level; a dict of length 2 in which s and r both
-    look up has no other key."""
-    if not (type(level) is list and set(map(type, level)) <= {dict}
-            and set(map(len, level)) <= {2}):
+def _edge_levels(levels) -> Optional[list]:
+    """JSON edge levels as tuples of (s, r) pairs, equal levels sharing one
+    tuple, or None unless levels is a list of lists of dicts with exactly
+    the keys s and r and int values.  The records of all levels are
+    tested together, each test one C-level pass over them all; a dict of
+    length 2 in which s and r both look up has no other key."""
+    if not (type(levels) is list and set(map(type, levels)) <= {list}):
+        return None
+    records = list(chain.from_iterable(levels))
+    if not (set(map(type, records)) <= {dict}
+            and set(map(len, records)) <= {2}):
         return None
     try:
-        pairs = list(map(_S_AND_R, level))
+        pairs = list(map(_S_AND_R, records))
     except KeyError:
         return None
-    if set(map(type, chain.from_iterable(pairs))) <= {int}:
-        return pairs
-    return None
+    if not set(map(type, chain.from_iterable(pairs))) <= {int}:
+        return None
+    pairs, shared = iter(pairs), {}
+    return [shared.setdefault(level, level)
+            for level in map(tuple, map(islice, repeat(pairs),
+                                        map(len, levels)))]
 
 
 def load_json(path: str):
@@ -832,8 +855,148 @@ def load_diagram(path: str) -> OrderedBratteliDiagram:
 
 def save_diagram(d: OrderedBratteliDiagram, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(diagram_to_json(d), f, indent=2)
-        f.write("\n")
+        write_json(diagram_to_json(d), f.write)
+
+
+# write_json goes out in writes of at least this many characters but the
+# last: under unbuffered stdout each write is one write(2).
+WRITE_CHUNK = 1 << 16
+
+_STR = json.encoder.encode_basestring_ascii
+
+# The text of a value by its exact type, None for containers.  A float is
+# rare in output, and json.dumps writes NaN and the infinities as json does.
+_SCALAR_TEXT = {str: _STR, int: int.__repr__, float: json.dumps,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}.get
+
+
+def _key_text(key) -> str:
+    """A dict key as json converts it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not "
+                    f"{key.__class__.__name__}")
+
+
+def write_json(obj, write, sort_keys: bool = False) -> None:
+    """Write json.dumps(obj, indent=2, sort_keys=sort_keys) and a newline
+    through write, in calls of at least WRITE_CHUNK characters but the
+    last.
+
+    The text is json's, and so is the TypeError for a value or key json
+    cannot write; a circular reference is a RecursionError here.  Pieces
+    go to one buffer, without json's generator per container; it is
+    joined once it holds 1,024 pieces or a chunk's worth of long ones, and
+    written once the join is a chunk long.  A list is written in slices of
+    1,024 elements, each one str.join when its elements are regular (see
+    texts below), as payload lists, matrices and diagram edges are.
+    """
+    buf, forms, held = [], {}, 0
+    put = buf.append
+
+    def spill(long=""):
+        # Put long, a piece that may be long, and join as above.
+        nonlocal held
+        put(long)
+        held += len(long)
+        if held >= WRITE_CHUNK or len(buf) > 1024:
+            text = "".join(buf)
+            buf.clear()
+            if len(text) < WRITE_CHUNK:
+                put(text)
+                held = len(text)
+            else:
+                write(text)
+                held = 0
+
+    def value(head, o, nl):
+        """Put head and o's text at the indent of newline nl."""
+        text = _SCALAR_TEXT(type(o))
+        if text is not None:
+            put(head + text(o))
+        elif isinstance(o, (list, tuple)) and o:
+            inner = nl + "  "
+            sep, head = "," + inner, head + "[" + inner
+            for i in range(0, len(o), 1024):
+                part = o[i:i + 1024]
+                parts = texts(part, inner)
+                if parts is not None:
+                    spill(head + sep.join(parts))
+                    head = sep
+                    continue
+                for v in part:
+                    value(head, v, inner)
+                    head = sep
+                    if len(buf) > 1024:
+                        spill()
+            put(nl + "]")
+        elif isinstance(o, dict) and o:
+            inner = nl + "  "
+            head, sep = head + "{" + inner, "," + inner
+            for k, v in sorted(o.items()) if sort_keys else o.items():
+                key = _STR(k if type(k) is str else _key_text(k))
+                value(head + key + ": ", v, inner)
+                head = sep
+                if len(buf) > 1024:
+                    spill()
+            put(nl + "}")
+        elif isinstance(o, (list, tuple, dict)):
+            put(head + ("{}" if isinstance(o, dict) else "[]"))
+        elif isinstance(o, (str, int, float)):
+            put(head + json.dumps(o))
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not "
+                            "JSON serializable")
+
+    def texts(items, nl):
+        """An iterator over the texts of items at the indent of newline nl
+        if they are regular, else None.  Items are regular when they are
+        all of one scalar type; or all nonempty lists whose elements, 1,024
+        at most in all, are regular; or all dicts with one sequence of str
+        keys, the values under each key regular.  Each test is a C-level
+        pass over all the items, and only the formats of dicts and of
+        lists are applied item by item."""
+        kinds = set(map(type, items))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        text = _SCALAR_TEXT(kind)
+        if text is not None:
+            return map(text, items)
+        inner = nl + "  "
+        if kind is list and all(items):
+            flat = list(chain.from_iterable(items))
+            parts = texts(flat, inner) if len(flat) <= 1024 else None
+            if parts is None:
+                return None
+            rows = map(("," + inner).join,
+                       map(islice, repeat(parts), map(len, items)))
+            return map(("[" + inner + "{}" + nl + "]").format, rows)
+        keys = tuple(items[0]) if kind is dict else ()
+        if not (keys and set(map(type, keys)) == {str}
+                and len(set(map(tuple, items))) == 1):
+            return None
+        form = forms.get((keys, nl))
+        if form is None:
+            form = forms[keys, nl] = _record_form(keys, nl, sort_keys)
+        columns = [texts(list(map(get, items)), inner) for get in form[0]]
+        return None if None in columns else map(form[1], *columns)
+
+    value("", obj, "\n")
+    put("\n")
+    write("".join(buf))
+
+
+def _record_form(keys: tuple, nl: str, sort_keys: bool) -> tuple:
+    """For write_json, the value getters, in key order, and the format of
+    dicts with str keys at the indent of newline nl."""
+    order = sorted(keys) if sort_keys else keys
+    field = "," + nl + "  "
+    record = ("{{" + field[1:] + field.join(
+        _STR(k).replace("{", "{{").replace("}", "}}") + ": {}"
+        for k in order) + nl + "}}")
+    return list(map(itemgetter, order)), record.format
 
 
 def diagram_to_dot(d: OrderedBratteliDiagram) -> str:

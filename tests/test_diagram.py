@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1157,3 +1158,132 @@ def test_entry_points_refuse_non_iterables_by_name(call, message):
     with pytest.raises(dg.DiagramError,
                        match=f"^{message} are not iterable$"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# write_json against json.dumps, and the load check on equal levels
+
+
+def _written(obj, sort_keys=False):
+    """write_json's text of obj and the lengths of its writes."""
+    writes = []
+    dg.write_json(obj, writes.append, sort_keys)
+    return "".join(writes), list(map(len, writes))
+
+
+_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\n\t", "é", " ", "\U0001f600", "{}",
+     "{0}", ""])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(-10 ** 60, 10 ** 60) | _STRINGS
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([-0.0, float("nan"), float("inf"),
+                               float("-inf")]))
+_ANY_KEYS = (_STRINGS | st.integers() | st.floats() | st.booleans()
+             | st.none())
+
+
+def _json_values(keys):
+    """Hypothesis strategy: nested JSON values with dict keys from keys,
+    with the regular shapes write_json joins in one piece (lists of one
+    scalar type, matrices, lists of dicts with shared keys) drawn as often
+    as irregular ones."""
+    def extend(children):
+        shared = st.lists(_STRINGS, min_size=1, max_size=3, unique=True)
+        return (st.lists(children, max_size=5)
+                | st.lists(children, max_size=5).map(tuple)
+                | st.dictionaries(keys, children, max_size=5)
+                | st.lists(st.lists(st.integers(), max_size=3), max_size=4)
+                | shared.flatmap(lambda names: st.lists(
+                    st.fixed_dictionaries(
+                        {k: st.integers() | children for k in names}),
+                    max_size=4)))
+    leaves = _SCALARS | st.lists(_SCALARS, max_size=4) | st.just([]) \
+        | st.just({})
+    return st.recursive(leaves, extend, max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_write_json_is_json_dumps_text(data):
+    # Unsorted dicts may have keys of any type json converts; sorted ones
+    # have str keys, since json cannot sort mixed keys.
+    sort_keys = data.draw(st.booleans(), label="sort_keys")
+    value = data.draw(_json_values(_STRINGS if sort_keys else _ANY_KEYS),
+                      label="value")
+    text, _ = _written(value, sort_keys)
+    assert text == json.dumps(value, indent=2, sort_keys=sort_keys) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, Fraction(1, 3), b"bytes", {(0, 1): 2}, [0, {"a": {1, 2}}],
+    [{"s": 0, "r": 1}, {"s": 0, "r": Fraction(1)}], [[1], [b"x"]]],
+    ids=["set", "fraction", "bytes", "tuple-key", "nested-set",
+         "edge-fraction", "matrix-bytes"])
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_write_json_refuses_what_json_refuses(value, sort_keys):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2, sort_keys=sort_keys)
+    with pytest.raises(TypeError) as got:
+        _written(value, sort_keys)
+    assert str(got.value) == str(want.value)
+
+
+def test_write_json_refuses_mixed_keys_it_must_sort():
+    value = {"a": 1, 2: 3}
+    assert _written(value)[0] == json.dumps(value, indent=2) + "\n"
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        _written(value, True)
+    assert str(got.value) == str(want.value)
+
+
+def test_write_json_goes_out_in_bounded_writes():
+    # Edge records past one slice, a long irregular list and a long int
+    # list: every write but the last holds at least WRITE_CHUNK characters,
+    # and none holds much more, so the text is never held whole.
+    value = {"edges": [[{"s": i % 7, "r": i} for i in range(5000)]] * 3,
+             "mixed": [[i, str(i), None] for i in range(4000)],
+             "ints": list(range(30000))}
+    text, sizes = _written(value, True)
+    assert text == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert len(sizes) >= 10
+    assert min(sizes[:-1]) >= dg.WRITE_CHUNK
+    assert max(sizes) <= 3 * dg.WRITE_CHUNK
+
+
+def test_save_diagram_writes_json_dump_bytes(table_suite, tmp_path):
+    labeled = dg.make_diagram(2, [1, 2, 1], [[(0, 0), (0, 1)],
+                                             [(1, 0), (0, 0)]],
+                              [[7, -3], [0]])
+    diagrams = [*table_suite.values(), labeled]
+    assert sum(d.group_labels is not None for d in diagrams) >= 3
+    path = tmp_path / "d.json"
+    for d in diagrams:
+        dg.save_diagram(d, str(path))
+        want = json.dumps(dg.diagram_to_json(d), indent=2) + "\n"
+        assert path.read_bytes() == want.encode()
+        assert dg.load_diagram(str(path)) == d
+
+
+@pytest.mark.parametrize("edge, pair", [
+    ((False, 0), (0, 0)), ((0.0, 0), (0, 0)), (range(2), (0, 1)),
+    ({0: 0, 1: 0}, (0, 1)), ([0, True], (0, 1))],
+    ids=["bool", "float", "range", "dict", "list-bool"])
+def test_level_equal_to_an_earlier_one_is_still_checked(edge, pair):
+    # Each edge equals pair, as a tuple, so level 3 equals level 2 under
+    # the same vertex counts; it once shared level 2's canonical tuple
+    # without its edges being checked.
+    levels = [[(0, 0), (0, 1)], [pair, (1, 1)], [edge, (1, 1)]]
+    with pytest.raises(dg.MalformedDiagram) as info:
+        dg.make_diagram(3, [1, 2, 2, 2], levels)
+    assert str(info.value) == "level 3: edge 0 is not a pair of ints"
+
+
+def test_loaded_equal_levels_share_one_tuple():
+    d = gen.stationary_adic([[2, 1, 0], [1, 1, 1], [0, 1, 2]], 12)
+    loaded = dg.diagram_from_json(json.loads(json.dumps(
+        dg.diagram_to_json(d))))
+    assert loaded == d
+    assert all(level is loaded.edges[1] for level in loaded.edges[2:])
