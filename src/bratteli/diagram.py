@@ -220,6 +220,27 @@ class OrderedBratteliDiagram:
         """The axiom scan behind validate_diagram, run once per diagram."""
         return tuple(_scan_axioms(self))
 
+    @cached_property
+    def period(self) -> Optional[tuple]:
+        """The ordered period: _period of the levels, the edge order
+        included, as (start, p) with start an edge level, or None."""
+        found = _period(tuple(map(id, self._level_index)))
+        return found and (found[0] + 1, found[1])
+
+
+def _period(keys: Sequence) -> Optional[tuple]:
+    """(start, p) for the least p, then start, with keys[n] == keys[n + p]
+    for all n >= start and len(keys) - start >= 2 * p, else None: the first
+    p to count p matches back from the end."""
+    size = len(keys)
+    for p in range(1, size // 2 + 1):
+        n = size - p - 1
+        while n >= 0 and keys[n] == keys[n + p]:
+            n -= 1
+        if size - p - 1 - n >= p:
+            return n + 1, p
+    return None
+
 
 def _index_level(level: tuple, num_sources: int, num_ranges: int) -> tuple:
     """One scan of a level: its in-edge rows and out-edge rows."""

@@ -8,12 +8,13 @@ All arithmetic is over Python integers, so nothing overflows.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, compress
 from math import prod
 from typing import Dict, List, Optional
 
 from .diagram import (DiagramError, MalformedDiagram, OrderedBratteliDiagram,
-                      _check_ints, _record, _sequence, check_valid,
+                      _check_ints, _period, _record, _sequence, check_valid,
                       incidence_matrix, is_int_list, mat_vec)
 from .paths import extremal_paths
 
@@ -377,6 +378,22 @@ class DimensionGroupPresentation:
     def num_levels(self):
         return len(self.sizes)
 
+    @cached_property
+    def period(self) -> Optional[tuple]:
+        """The incidence period: _period of the maps, map 0 at level 2; it
+        can be shorter than the diagram's ordered period."""
+        found = _period(self.maps)
+        return found and (found[0] + 2, found[1])
+
+    @cached_property
+    def stationary_map(self):
+        """The one square matrix all maps equal, a lone map too, or None."""
+        maps = self.maps
+        if (len(maps) == 1 or self.period == (2, 1)) and \
+                len(maps[0]) == len(maps[0][0]):
+            return maps[0]
+        return None
+
     def push(self, level: int, vector, to_level: int):
         """Push a level-`level` vector forward to `to_level`; both levels
         and every entry must be ints (not bools or floats), so the
@@ -501,17 +518,17 @@ def element_positive(g: DimGroupElement,
     'positive': a push-forward inside the presentation is entrywise >= 0.
     'not_positive': a push-forward is entrywise <= 0 and nonzero, and every
     later map has only nonzero columns with entries >= 0, so every further
-    push-forward stays <= 0 and nonzero and none is ever >= 0.  For a
-    stationary presentation the pushes may go past the last level with the
-    stationary matrix, the continuation the diagram stands for; there only
+    push-forward stays <= 0 and nonzero and none is ever >= 0.  When
+    pres.stationary_map is not None, the pushes may go past the last level
+    with that matrix, the continuation the diagram stands for; there only
     this certificate counts, and reaching a vector >= 0 (such as 0) gives
     'unknown'.  Anything else, an infinitesimal for one, is 'unknown'.
     """
     v = pres.push(g.level, g.vector, g.level)
     top = g.level + DEPTH_BUDGET
     maps = pres.maps
-    if len(set(maps)) == 1 and len(maps[0]) == len(maps[0][0]):
-        maps += maps[:1] * max(0, top - pres.num_levels)
+    if pres.stationary_map is not None:
+        maps += (pres.stationary_map,) * max(0, top - pres.num_levels)
     certified_from = None     # first level from which every map keeps <= 0
     for level, v in _pushes(maps, g.level, v, min(top, len(maps) + 1)):
         if all(x >= 0 for x in v):

@@ -668,15 +668,15 @@ def check_cocycle_continuity(F: InterleavedDiagram, depth: int) -> dict:
 
 
 def _stationary_data(d):
-    """The root column and the one interior map of d's K0 presentation, as
+    """The root column and the stationary_map of d's K0 presentation, as
     the lists the search compares and prints."""
     if d.num_levels < 2:
         raise DiagramError("stationary search needs at least two levels")
     from .ktheory import k0_presentation
     pres = k0_presentation(d)
-    if len(set(pres.maps)) != 1:
+    if pres.stationary_map is None:
         raise DiagramError("diagram is not stationary")
-    return [[h] for h in pres.unit], [list(row) for row in pres.maps[0]]
+    return [[h] for h in pres.unit], list(map(list, pres.stationary_map))
 
 
 # Largest search, in (P, Q) candidates, that the one-step search takes on.
@@ -700,7 +700,8 @@ def search_stationary_intertwining(b1: OrderedBratteliDiagram,
     and the first identity it breaks.  A bound that is not exactly an int
     (a bool is not), a search of more than MAX_SEARCH_CANDIDATES
     candidates, or one whose candidates would each hold more than that
-    many entries, raises DiagramError.
+    many entries, raises DiagramError, as does a diagram whose K0
+    presentation has no stationary_map (see ktheory).
     """
     _check_ints((bound,), "bounds")
     if bound < 0:

@@ -525,7 +525,10 @@ def test_k0_bad_heights_are_domain_errors(capsys, odo2, heights, message):
     (gen.odometer(2, 1), "stationary search needs at least two levels"),
     (dg.telescope(gen.odometer(2, 5), [1, 3, 4, 5])[0],
      "diagram is not stationary"),
-], ids=["one-level", "not-stationary"])
+    (dg.make_diagram(2, [1, 2, 3], [[(0, 0), (0, 1)],
+                                    [(0, 0), (1, 1), (0, 2), (1, 2)]]),
+     "diagram is not stationary"),
+], ids=["one-level", "not-stationary", "one-map-not-square"])
 def test_soe_search_refuses_b1(capsys, tmp_path, odo2, b1, message):
     path = tmp_path / "b1.json"
     dg.save_diagram(b1, str(path))
